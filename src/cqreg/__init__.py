@@ -3,7 +3,6 @@
 from .cuts import (
     MST,
     SPANNING_PATH,
-    ConstraintSet,
     CutLoopLimitError,
     CutLoopStats,
     initial_constraints,
@@ -49,7 +48,6 @@ from .model import (
     validate_fit,
 )
 from .solver import (
-    BnBConfig,
     Solution,
     SolverError,
     Status,

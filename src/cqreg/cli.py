@@ -113,12 +113,9 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> Dataset:
 
 
 def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
-    penalty = None
-    if args.penalty == "l1":
-        if args.lam is None:
-            raise CliError("invalid flags: --penalty l1 requires --lam", EXIT_FLAGS)
-        penalty = L1Penalty(args.lam)
-    elif args.penalty == "l0":
+    if args.penalty == "l1" and args.lam is None:
+        raise CliError("invalid flags: --penalty l1 requires --lam", EXIT_FLAGS)
+    if args.penalty == "l0":
         if args.k is None:
             raise CliError("invalid flags: --penalty l0 requires --k", EXIT_FLAGS)
         if args.big_m is None and args.m_mult is None:
@@ -134,17 +131,20 @@ def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
         spec = EstimatorSpec(
             family=args.family,
             level=args.level,
-            penalty=penalty,
+            penalty=L1Penalty(args.lam) if args.penalty == "l1" else None,
             solve=args.solve,
             strategy=args.init,
             tol=args.tol,
         )
+        if args.penalty == "l0":
+            big_m = args.big_m
+            if big_m is None:
+                big_m = anchor_big_m(dataset, spec, args.m_mult)
+            spec = replace(spec, penalty=L0Penalty(args.k, big_m))
     except ValueError as exc:
         raise CliError(f"invalid flags: {exc}", EXIT_FLAGS) from exc
-    if args.penalty == "l0":
-        base = replace(spec, penalty=None)
-        big_m = args.big_m if args.big_m is not None else anchor_big_m(dataset, base, args.m_mult)
-        spec = replace(spec, penalty=L0Penalty(args.k, big_m))
+    except RuntimeError as exc:
+        raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
     return spec
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
@@ -19,49 +19,10 @@ from scipy.spatial.distance import pdist, squareform
 
 from .data import Dataset
 from .model import FitResult, OptProblem, extract_fit
-from .solver import BnBConfig, Solution, Status, solve_lp, solve_mip, solve_qp
+from .solver import Solution, Status, solve_lp, solve_mip, solve_qp
 
 MST = "mst"
 SPANNING_PATH = "path"
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Ordered pairs (i, h): hyperplane i must dominate the fitted value at h."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for i, h in self.pairs:
-            if i == h:
-                raise ValueError(f"pair ({i}, {h}) has i == h")
-            if i < 0 or h < 0:
-                raise ValueError(f"pair ({i}, {h}) has a negative index")
-            if (i, h) in seen:
-                raise ValueError(f"duplicate pair ({i}, {h})")
-            seen.add((i, h))
-        object.__setattr__(self, "_index", frozenset(seen))
-
-    @classmethod
-    def empty(cls) -> "ConstraintSet":
-        return cls(())
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "ConstraintSet":
-        return cls(tuple((int(i), int(h)) for i, h in pairs))
-
-    def extend(self, new_pairs: Iterable[tuple[int, int]]) -> "ConstraintSet":
-        return ConstraintSet(self.pairs + tuple((int(i), int(h)) for i, h in new_pairs))
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        return pair in self._index
 
 
 @dataclass(frozen=True)
@@ -88,8 +49,9 @@ class CutLoopLimitError(RuntimeError):
         self.stats = stats
 
 
-def initial_constraints(dataset: Dataset, strategy: str = MST) -> ConstraintSet:
-    """Seed pairs from a spanning structure on input-space Euclidean distances.
+def initial_constraints(dataset: Dataset, strategy: str = MST) -> list[tuple[int, int]]:
+    """Seed pairs (i, h), hyperplane i dominating the fitted value at h, from a
+    spanning structure on input-space Euclidean distances.
 
     MST keeps both directions of each tree edge (2(n-1) pairs); the spanning
     path is a greedy nearest-neighbor walk from the first observation (n-1
@@ -107,7 +69,7 @@ def initial_constraints(dataset: Dataset, strategy: str = MST) -> ConstraintSet:
         for a, b in edges:
             pairs.append((a, b))
             pairs.append((b, a))
-        return ConstraintSet.from_pairs(pairs)
+        return pairs
     if strategy == SPANNING_PATH:
         dist = squareform(pdist(X))
         visited = [0]
@@ -117,7 +79,7 @@ def initial_constraints(dataset: Dataset, strategy: str = MST) -> ConstraintSet:
             nxt = min(remaining, key=lambda j: (dist[here, j], j))
             visited.append(nxt)
             remaining.remove(nxt)
-        return ConstraintSet.from_pairs(zip(visited[:-1], visited[1:]))
+        return list(zip(visited[:-1], visited[1:]))
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -140,28 +102,30 @@ def separate(fit: FitResult, dataset: Dataset, tol: float) -> list[tuple[int, in
 
 
 def solve_with_cuts(
-    builder: Callable[[ConstraintSet], OptProblem],
+    builder: Callable[[list[tuple[int, int]]], OptProblem],
     dataset: Dataset,
     strategy: str = MST,
     tol: float = 0.01,
     max_rounds: int | None = None,
-    bnb: BnBConfig | None = None,
 ) -> tuple[FitResult, CutLoopStats]:
     """Run the reduced-master loop until the full system is tol-feasible.
 
-    `builder` maps a ConstraintSet to the master problem (any objective and
-    extra penalty blocks); masters with binary selectors are re-solved as
-    MIPs each round, warm-started from the previous round's selection.
+    `builder` maps a list of (i, h) pairs to the master problem (any
+    objective and extra penalty blocks); masters with binary selectors are
+    re-solved as MIPs each round, warm-started from the previous round's
+    selection.
     """
     if max_rounds is None:
         max_rounds = max(1, math.ceil(dataset.n * dataset.n / 2))
-    active = initial_constraints(dataset, strategy)
+    # A copy: rows are appended to `active`, never to the seed list.
+    active = list(initial_constraints(dataset, strategy))
+    present = set(active)
     added: list[int] = []
     fit: FitResult | None = None
     hint = None
     for _ in range(max_rounds):
         problem = builder(active)
-        sol = _dispatch(problem, bnb, hint)
+        sol = _dispatch(problem, hint)
         if sol.status is not Status.OPTIMAL:
             raise RuntimeError(f"master solve ended with status {sol.status}")
         fit = extract_fit(problem, dataset, sol)
@@ -170,13 +134,14 @@ def solve_with_cuts(
         violated = separate(fit, dataset, tol)
         # A reported pair can already be present only when tol undercuts the
         # master's own feasibility tolerance; that is a fixed point.
-        new_pairs = [(i, m) for i, m, _ in violated if (i, m) not in active]
+        new_pairs = [(i, m) for i, m, _ in violated if (i, m) not in present]
         added.append(len(new_pairs))
         if not new_pairs:
             worst = _worst_slack(fit, dataset)
             stats = CutLoopStats(len(added), tuple(added), len(active), worst)
             return fit, stats
-        active = active.extend(new_pairs)
+        active.extend(new_pairs)
+        present.update(new_pairs)
     worst = _worst_slack(fit, dataset)
     stats = CutLoopStats(len(added), tuple(added), len(active), worst)
     raise CutLoopLimitError(
@@ -189,9 +154,9 @@ def _worst_slack(fit: FitResult, dataset: Dataset) -> float:
     return float((planes - fit.y_hat[None, :]).min())
 
 
-def _dispatch(problem: OptProblem, bnb: BnBConfig | None, hint) -> Solution:
+def _dispatch(problem: OptProblem, hint) -> Solution:
     if problem.is_mip:
-        return solve_mip(problem, bnb or BnBConfig(), incumbent_hint=hint)
+        return solve_mip(problem, incumbent_hint=hint)
     if problem.has_quad:
         return solve_qp(problem)
     return solve_lp(problem)

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cuts import MST, SPANNING_PATH, ConstraintSet, solve_with_cuts
+from .cuts import MST, SPANNING_PATH, solve_with_cuts
 from .data import Dataset
 from .model import (
     ALL_PAIRS,
@@ -28,7 +28,7 @@ from .model import (
     build_cqr,
     extract_fit,
 )
-from .solver import BnBConfig, Status, solve_lp, solve_mip, solve_qp
+from .solver import Status, solve_lp, solve_mip, solve_qp
 
 QUANTILE = "quantile"
 EXPECTILE = "expectile"
@@ -79,18 +79,16 @@ def make_builder(dataset: Dataset, spec: EstimatorSpec) -> Callable[[object], Op
     return builder
 
 
-def fit(dataset: Dataset, spec: EstimatorSpec, bnb: BnBConfig | None = None) -> FitResult:
+def fit(dataset: Dataset, spec: EstimatorSpec) -> FitResult:
     """Fit the estimator; these problems are always feasible, so any
     infeasible status is an internal error and raises."""
     builder = make_builder(dataset, spec)
     if spec.solve == "cuts":
-        result, _ = solve_with_cuts(
-            builder, dataset, strategy=spec.strategy, tol=spec.tol, bnb=bnb
-        )
+        result, _ = solve_with_cuts(builder, dataset, strategy=spec.strategy, tol=spec.tol)
         return result
     problem = builder(ALL_PAIRS)
     if problem.is_mip:
-        sol = solve_mip(problem, bnb or BnBConfig())
+        sol = solve_mip(problem)
     elif problem.has_quad:
         sol = solve_qp(problem)
     else:

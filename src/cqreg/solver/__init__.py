@@ -1,20 +1,17 @@
 """Embedded LP/QP/MIP solving and model export."""
 
-from .base import BnBConfig, Solution, SolverError, Status, iteration_limit, node_limit
+from .base import Solution, SolverError, Status
 from .bnb import solve_mip
 from .lp import solve_lp
 from .mps import export_mps
 from .qp import QpContext, solve_qp
 
 __all__ = [
-    "BnBConfig",
     "QpContext",
     "Solution",
     "SolverError",
     "Status",
     "export_mps",
-    "iteration_limit",
-    "node_limit",
     "solve_lp",
     "solve_mip",
     "solve_qp",

@@ -1,8 +1,7 @@
-"""Shared solver types and environment-controlled limits."""
+"""Shared solver types: solution status, outcome record and error."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,43 +37,3 @@ class Solution:
     @property
     def optimal(self) -> bool:
         return self.status is Status.OPTIMAL
-
-
-@dataclass(frozen=True)
-class BnBConfig:
-    """Branch-and-bound controls for the binary selection variables."""
-
-    gap: float = 1e-6
-    node_limit: int = 1_000_000
-    branching: str = "most_fractional"  # or "lowest_index"
-
-    def __post_init__(self) -> None:
-        if self.gap < 0:
-            raise ValueError("gap must be nonnegative")
-        if self.node_limit < 1:
-            raise ValueError("node limit must be at least 1")
-        if self.branching not in ("most_fractional", "lowest_index"):
-            raise ValueError(f"unknown branching rule {self.branching!r}")
-
-
-def _env_limit(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
-    return value
-
-
-def iteration_limit(default: int = 100_000) -> int:
-    """LP/QP iteration cap, overridable via CQREG_ITER_LIMIT (used by CI)."""
-    return _env_limit("CQREG_ITER_LIMIT", default)
-
-
-def node_limit(default: int = 1_000_000) -> int:
-    """Branch-and-bound node cap, overridable via CQREG_NODE_LIMIT (used by CI)."""
-    return _env_limit("CQREG_NODE_LIMIT", default)

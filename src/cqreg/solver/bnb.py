@@ -13,16 +13,18 @@ first, so a greedy dive reaches an integral incumbent within d solves.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..model import OptProblem
-from .base import BnBConfig, Solution, Status, node_limit
+from .base import Solution, Status
 from .lp import solve_arrays, split_rows
 from .qp import QpContext
 
 _INT_TOL = 1e-6
+_GAP = 1e-6  # absolute optimality gap
+_MAX_NODES = 1_000_000
 
 
 @dataclass
@@ -36,19 +38,7 @@ class _Relaxation:
     """Solves the continuous relaxation under per-node bounds."""
 
     def __init__(self, problem: OptProblem):
-        relaxed = OptProblem(
-            problem.obj_linear,
-            problem.obj_quad,
-            problem.a,
-            problem.sense,
-            problem.rhs,
-            problem.lower,
-            problem.upper,
-            np.zeros(problem.n_vars, dtype=bool),
-            problem.var_names,
-            problem.row_names,
-            problem.layout,
-        )
+        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
         self.quad = problem.has_quad
         if self.quad:
             self.ctx = QpContext(relaxed)
@@ -63,30 +53,22 @@ class _Relaxation:
         return solve_arrays(self.c, a_ub, b_ub, a_eq, b_eq, lower, upper)
 
 
-def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray, rule: str) -> int | None:
+def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
+    """Most fractional selector: closest to one half, ties by lowest index."""
     frac = np.minimum(zvals - np.floor(zvals), np.ceil(zvals) - zvals)
-    fractional = frac > _INT_TOL
-    if not fractional.any():
+    cand = np.flatnonzero(frac > _INT_TOL)
+    if not cand.size:
         return None
-    if rule == "lowest_index":
-        return int(int_idx[np.flatnonzero(fractional)[0]])
-    # Most fractional: closest to one half, ties by lowest index.
-    cand = np.flatnonzero(fractional)
     return int(int_idx[cand[np.argmax(frac[cand])]])
 
 
-def solve_mip(
-    problem: OptProblem,
-    cfg: BnBConfig = BnBConfig(),
-    incumbent_hint: np.ndarray | None = None,
-) -> Solution:
-    """Prove optimality of a small-binary MIP within cfg.gap (deterministic)."""
+def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> Solution:
+    """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic)."""
     start = time.perf_counter()
     int_idx = np.flatnonzero(problem.integer)
     relax = _Relaxation(problem)
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
 
-    max_nodes = min(cfg.node_limit, node_limit())
     nodes = 0
     iters = 0
     best_x: np.ndarray | None = None
@@ -123,11 +105,11 @@ def solve_mip(
         try_fixed(np.rint(incumbent_hint).astype(float))
 
     zroot = root.x[int_idx]
-    branch_j = _pick_branch(zroot, int_idx, cfg.branching)
+    branch_j = _pick_branch(zroot, int_idx)
     if branch_j is None:
         # Already integral: pin and certify.
         try_fixed(np.rint(zroot).astype(float))
-        if best_obj <= root.objective + cfg.gap:
+        if best_obj <= root.objective + _GAP:
             return Solution(
                 Status.OPTIMAL, best_x, best_obj, iters, nodes, time.perf_counter() - start
             )
@@ -136,7 +118,7 @@ def solve_mip(
         # cardinality row allows it and proves optimality when the big-M rows
         # were already slack at the root.
         try_fixed((zroot > _INT_TOL).astype(float))
-        if best_x is not None and best_obj <= root.objective + cfg.gap:
+        if best_x is not None and best_obj <= root.objective + _GAP:
             return Solution(
                 Status.OPTIMAL, best_x, best_obj, iters, nodes, time.perf_counter() - start
             )
@@ -144,17 +126,17 @@ def solve_mip(
     stack = [_Node(lower, upper, root.objective)]
     limited = False
     while stack:
-        if nodes >= max_nodes:
+        if nodes >= _MAX_NODES:
             limited = True
             break
         node = stack.pop()
-        if node.bound >= best_obj - cfg.gap:
+        if node.bound >= best_obj - _GAP:
             continue
         sol = node_solve(node.lower, node.upper)
-        if not sol.optimal or sol.objective >= best_obj - cfg.gap:
+        if not sol.optimal or sol.objective >= best_obj - _GAP:
             continue
         zvals = sol.x[int_idx]
-        j = _pick_branch(zvals, int_idx, cfg.branching)
+        j = _pick_branch(zvals, int_idx)
         if j is None:
             zfix = np.rint(zvals).astype(float)
             if np.array_equal(node.lower[int_idx], node.upper[int_idx]):
@@ -164,7 +146,7 @@ def solve_mip(
                     best_x, best_obj = x, sol.objective
                 continue
             try_fixed(zfix)
-            if best_obj <= sol.objective + cfg.gap:
+            if best_obj <= sol.objective + _GAP:
                 continue
             # Pinning the near-integral selectors moved the optimum; split on
             # the first unfixed one so leaves carry exact bounds.

@@ -9,11 +9,12 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from ..model import OptProblem
-from .base import Solution, SolverError, Status, iteration_limit
+from .base import Solution, SolverError, Status
+
+_MAX_SIMPLEX_ITERS = 100_000
 
 _STATUS_MAP = {
     0: Status.OPTIMAL,
@@ -50,7 +51,6 @@ def solve_arrays(
     b_eq,
     lower: np.ndarray,
     upper: np.ndarray,
-    maxiter: int | None = None,
 ) -> Solution:
     """Low-level HiGHS call shared by solve_lp and the branch-and-bound nodes."""
     start = time.perf_counter()
@@ -62,7 +62,7 @@ def solve_arrays(
         b_eq=b_eq,
         bounds=_bounds_list(lower, upper),
         method="highs",
-        options={"maxiter": maxiter if maxiter is not None else iteration_limit()},
+        options={"maxiter": _MAX_SIMPLEX_ITERS},
     )
     elapsed = time.perf_counter() - start
     status = _STATUS_MAP.get(res.status)
@@ -89,13 +89,11 @@ def solve_arrays(
     )
 
 
-def solve_lp(problem: OptProblem, maxiter: int | None = None) -> Solution:
+def solve_lp(problem: OptProblem) -> Solution:
     """Solve a pure LP to optimality (deterministic for a fixed problem)."""
     if problem.is_mip:
         raise ValueError("problem has integrality flags; use solve_mip")
     if problem.has_quad:
         raise ValueError("problem has a quadratic objective; use solve_qp")
     a_ub, b_ub, a_eq, b_eq = split_rows(problem)
-    return solve_arrays(
-        problem.obj_linear, a_ub, b_ub, a_eq, b_eq, problem.lower, problem.upper, maxiter
-    )
+    return solve_arrays(problem.obj_linear, a_ub, b_ub, a_eq, b_eq, problem.lower, problem.upper)

@@ -29,12 +29,12 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from ..model import OptProblem
-from .base import Solution, Status, iteration_limit
+from .base import Solution, Status
 
 _EPS_TARGET = 1e-9  # interior-point stopping (scaled residuals and gap)
 _EPS_FINAL = 1e-6   # contract: KKT residual at acceptance
 _DELTA = 1e-9       # static regularization of the augmented system
-_MAX_IPM_DEFAULT = 200
+_MAX_IPM_ITERS = 200
 _DENSE_DIM_CAP = 4000  # dense factorization cutoff for nv + #equalities
 
 
@@ -110,8 +110,9 @@ class QpContext:
         z = z_s / self.e
         return x, y, z
 
-    def _residuals(self, x_s, y_s, z_s):
-        """Unscaled primal/dual/sign residuals and the relative scales.
+    def _residuals(self, x_s, y_s, z_s, lo, up):
+        """Unscaled primal/dual/sign residuals and the relative scales under
+        the unscaled row bounds lo <= Ax <= up.
 
         The sign residual catches dual-infeasible candidates: a multiplier
         pushing on a slack (or wrong-side) bound would make the point a
@@ -135,15 +136,15 @@ class QpContext:
         )
         r_sign = 0.0
         if self.m:
-            eq = self.l0 == self.u0
-            finite_u, finite_l = self.u0 != np.inf, self.l0 != -np.inf
+            eq = lo == up
+            finite_u, finite_l = up != np.inf, lo != -np.inf
             rel_u = np.ones(self.m)
             rel_u[finite_u] = np.minimum(
-                1.0, (self.u0[finite_u] - ax[finite_u]) / (1.0 + np.abs(self.u0[finite_u]))
+                1.0, (up[finite_u] - ax[finite_u]) / (1.0 + np.abs(up[finite_u]))
             )
             rel_l = np.ones(self.m)
             rel_l[finite_l] = np.minimum(
-                1.0, (ax[finite_l] - self.l0[finite_l]) / (1.0 + np.abs(self.l0[finite_l]))
+                1.0, (ax[finite_l] - lo[finite_l]) / (1.0 + np.abs(lo[finite_l]))
             )
             weight = np.abs(y) / (1.0 + np.abs(y))
             err_u = np.where((y > 0) & ~eq, weight * np.maximum(rel_u, 0.0), 0.0)
@@ -151,21 +152,16 @@ class QpContext:
             r_sign = float(np.max(np.maximum(err_u, err_l)))
         return r_prim, r_dual, r_sign, s_prim, s_dual
 
-    def _acceptable(self, x_s, y_s, z_s) -> bool:
+    def _acceptable(self, x_s, y_s, z_s, lo, up) -> bool:
         # Absolute 1e-6 as the contract, relative floor only for huge scales.
-        r_p, r_d, r_s, s_p, s_d = self._residuals(x_s, y_s, z_s)
+        r_p, r_d, r_s, s_p, s_d = self._residuals(x_s, y_s, z_s, lo, up)
         return (
             r_p <= max(_EPS_FINAL, 1e-9 * s_p)
             and r_d <= max(_EPS_FINAL, 1e-9 * s_d)
             and r_s <= _EPS_FINAL
         )
 
-    def solve(
-        self,
-        lower: np.ndarray | None = None,
-        upper: np.ndarray | None = None,
-        maxiter: int | None = None,
-    ) -> Solution:
+    def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
         start = time.perf_counter()
         l_s, u_s = self.l_s, self.u_s
         if lower is not None or upper is not None:
@@ -176,20 +172,11 @@ class QpContext:
             u_s = self.u_s.copy()
             l_s[nb:] = lo[self.bounded] * self.e[nb:]
             u_s[nb:] = up[self.bounded] * self.e[nb:]
-        limit = min(
-            maxiter if maxiter is not None else iteration_limit(_MAX_IPM_DEFAULT),
-            iteration_limit(_MAX_IPM_DEFAULT),
-        )
-        x_s, y_row, status, iters = self._ipm(l_s, u_s, limit)
+        x_s, y_row, status, iters = self._ipm(l_s, u_s)
         z_s = np.clip(self.a_s @ x_s, l_s, u_s) if self.m else np.zeros(0)
         if status in (Status.INFEASIBLE, Status.UNBOUNDED):
             return Solution(status, None, np.nan, iters, 0, time.perf_counter() - start)
-        saved = (self.l0, self.u0)
-        self.l0, self.u0 = l_s / self.e, u_s / self.e
-        try:
-            ok = self._acceptable(x_s, y_row, z_s)
-        finally:
-            self.l0, self.u0 = saved
+        ok = self._acceptable(x_s, y_row, z_s, l_s / self.e, u_s / self.e)
         xu = self.d * x_s
         obj = float(self.q0 @ xu + 0.5 * (self.p_diag0 * xu) @ xu)
         return Solution(
@@ -200,7 +187,7 @@ class QpContext:
             wall_time=time.perf_counter() - start,
         )
 
-    def _ipm(self, l_s: np.ndarray, u_s: np.ndarray, limit: int):
+    def _ipm(self, l_s: np.ndarray, u_s: np.ndarray):
         """Mehrotra predictor-corrector on the scaled problem.
 
         Returns (x, row-space duals, status, iterations); the row-space dual
@@ -274,7 +261,7 @@ class QpContext:
 
         status = Status.ITERATION_LIMIT
         it = 0
-        for it in range(1, limit + 1):
+        for it in range(1, _MAX_IPM_ITERS + 1):
             r_d = p * x + q + (a_eq.T @ y if m_eq else 0.0)
             if m_in:
                 r_d = r_d + a_in.T @ z
@@ -364,6 +351,6 @@ def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
-def solve_qp(problem: OptProblem, maxiter: int | None = None) -> Solution:
+def solve_qp(problem: OptProblem) -> Solution:
     """Solve a convex diagonal QP to KKT residual 1e-6 (deterministic)."""
-    return QpContext(problem).solve(maxiter=maxiter)
+    return QpContext(problem).solve()

@@ -3,7 +3,6 @@ import pytest
 
 from cqreg import (
     ALL_PAIRS,
-    ConstraintSet,
     Dataset,
     EstimatorSpec,
     L0Penalty,
@@ -19,28 +18,6 @@ from cqreg.cuts import MST, SPANNING_PATH, CutLoopLimitError
 from cqreg.estimators import make_builder
 from cqreg.model import extract_fit
 from tests.conftest import make_instance
-
-
-class TestConstraintSet:
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            ConstraintSet(((0, 1), (0, 1)))
-
-    def test_rejects_self_pairs(self):
-        with pytest.raises(ValueError):
-            ConstraintSet(((2, 2),))
-
-    def test_extend_returns_new_set(self):
-        base = ConstraintSet.from_pairs([(0, 1)])
-        grown = base.extend([(1, 0)])
-        assert len(base) == 1
-        assert len(grown) == 2
-        assert (1, 0) in grown
-
-    def test_membership(self):
-        cs = ConstraintSet.from_pairs([(0, 1), (3, 2)])
-        assert (3, 2) in cs
-        assert (2, 3) not in cs
 
 
 class TestInitialConstraints:
@@ -155,6 +132,7 @@ class TestSolveWithCuts:
             violated = separate(result, ds, 1e-6)
             if not violated:
                 break
+            active.extend((i, m) for i, m, _ in violated)
         assert len(objectives) > 1
         # Rows are only added, so the master optimum cannot decrease.
         assert (np.diff(objectives) >= -1e-9).all()

@@ -14,7 +14,6 @@ from cqreg import (
     support,
 )
 from cqreg.model import FitMeta, FitResult
-from cqreg.solver import BnBConfig
 from tests.conftest import make_instance
 
 
