@@ -3,14 +3,31 @@
 The full problem carries n(n-1) domination rows; the loop here solves a
 reduced master seeded from a spanning structure over the inputs, scans for
 the most violated row per observation, inserts those rows and re-solves
-until every violation clears the tolerance.  Because rows are only added,
-the master optimum grows monotonically toward the full-problem optimum.
+until every violation clears the tolerance (Lee, Johnson, Moreno-Centeno
+and Kuosmanen 2013).  Because rows are only added, the master optimum grows
+monotonically toward the full-problem optimum.
+
+A pure-LP master lives in one `LpSession` for the whole loop: new rows are
+appended with `add_rows` and the master is re-solved from the previous
+basis.  That hot-started solve is accepted only when a cold solve of the
+same master would lead to the same rows:
+
+- it is optimal and its basis is dual nondegenerate (every nonbasic,
+  non-fixed column and every nonbasic `<=` row has |reduced cost| at least
+  _DUAL_NONDEGENERATE), so its vertex is the only optimum;
+- no observation's least slack lies within _TIE_MARGIN of -tol, and no
+  violated observation's least slack lies within _TIE_MARGIN of its second
+  least, so separation reads the same pairs from either solve.
+
+Otherwise the master is rebuilt from the active pairs and cold-solved in a
+fresh session, which the loop keeps.  Masters with binary selectors or a
+quadratic objective are rebuilt and solved from scratch every round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -18,11 +35,16 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from .data import Dataset
-from .model import FitResult, OptProblem, extract_fit
-from .solver import Solution, Status, solve_lp, solve_mip, solve_qp
+from .model import FitResult, OptProblem, afriat_rows, extract_fit
+from .solver import Solution, Status, solve_mip, solve_qp
+from .solver import solve_lp  # noqa: F401  (bench/instrument.py wraps cuts.solve_lp)
+from .solver.lp import LpSession
 
 MST = "mst"
 SPANNING_PATH = "path"
+
+_DUAL_NONDEGENERATE = 1e-7  # least |reduced cost| of a nonbasic variable
+_TIE_MARGIN = 1e-9  # least gap that float noise in a certified optimum cannot close
 
 
 @dataclass(frozen=True)
@@ -31,13 +53,16 @@ class CutLoopStats:
 
     `max_violation` is the most negative domination slack at the final
     iterate (violations are negative slacks, so termination guarantees
-    max_violation >= -tol).
+    max_violation >= -tol).  `warm` counts the rounds accepted from the
+    hot-started basis; the other `iterations - warm` rounds were rebuilt
+    and cold-solved.
     """
 
     iterations: int
     added: tuple[int, ...]
     constraints: int
     max_violation: float
+    warm: int
 
 
 class CutLoopLimitError(RuntimeError):
@@ -83,6 +108,12 @@ def initial_constraints(dataset: Dataset, strategy: str = MST) -> list[tuple[int
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _slack(fit: FitResult, dataset: Dataset) -> np.ndarray:
+    """slack[i, h] = yhat_i + beta_i @ (x_h - x_i) - yhat_h."""
+    planes = fit.alpha[:, None] + fit.beta @ dataset.inputs.T
+    return planes - fit.y_hat[None, :]
+
+
 def separate(fit: FitResult, dataset: Dataset, tol: float) -> list[tuple[int, int, float]]:
     """Most violated domination row per observation.
 
@@ -90,9 +121,7 @@ def separate(fit: FitResult, dataset: Dataset, tol: float) -> list[tuple[int, in
     yhat_i + beta_i @ (x_m - x_i) - yhat_m over all m (ties to the lowest
     index); only entries with v_i < -tol are reported.
     """
-    X = dataset.inputs
-    planes = fit.alpha[:, None] + fit.beta @ X.T
-    slack = planes - fit.y_hat[None, :]
+    slack = _slack(fit, dataset)
     m_idx = np.argmin(slack, axis=1)
     values = slack[np.arange(fit.n), m_idx]
     return [
@@ -111,9 +140,10 @@ def solve_with_cuts(
     """Run the reduced-master loop until the full system is tol-feasible.
 
     `builder` maps a list of (i, h) pairs to the master problem (any
-    objective and extra penalty blocks); masters with binary selectors are
-    re-solved as MIPs each round, warm-started from the previous round's
-    selection.
+    objective and extra penalty blocks).  Pure-LP masters are re-solved
+    from the previous basis when the module's acceptance rule allows;
+    masters with binary selectors are re-solved as MIPs each round,
+    warm-started from the previous round's selection.
     """
     if max_rounds is None:
         max_rounds = max(1, math.ceil(dataset.n * dataset.n / 2))
@@ -121,14 +151,29 @@ def solve_with_cuts(
     active = list(initial_constraints(dataset, strategy))
     present = set(active)
     added: list[int] = []
+    warm = 0
     fit: FitResult | None = None
     hint = None
+    problem: OptProblem | None = None
+    session: LpSession | None = None
+    built = 0  # len(active) when `problem` was built
+    new_pairs: list[tuple[int, int]] = []
     for _ in range(max_rounds):
-        problem = builder(active)
-        sol = _dispatch(problem, hint)
-        if sol.status is not Status.OPTIMAL:
-            raise RuntimeError(f"master solve ended with status {sol.status}")
-        fit = extract_fit(problem, dataset, sol)
+        fit = None
+        if session is not None:
+            session.add_rows(afriat_rows(dataset, new_pairs, problem.n_vars), np.zeros(len(new_pairs)))
+            fit = _hot_fit(session, problem, dataset, tol, len(active) - built)
+            if fit is None:
+                session = None
+            else:
+                warm += 1
+        if fit is None:
+            problem = builder(active)
+            built = len(active)
+            sol, session = _solve_master(problem, hint)
+            if sol.status is not Status.OPTIMAL:
+                raise RuntimeError(f"master solve ended with status {sol.status}")
+            fit = extract_fit(problem, dataset, sol)
         if fit.z is not None:
             hint = fit.z
         violated = separate(fit, dataset, tol)
@@ -138,25 +183,46 @@ def solve_with_cuts(
         added.append(len(new_pairs))
         if not new_pairs:
             worst = _worst_slack(fit, dataset)
-            stats = CutLoopStats(len(added), tuple(added), len(active), worst)
+            stats = CutLoopStats(len(added), tuple(added), len(active), worst, warm)
             return fit, stats
         active.extend(new_pairs)
         present.update(new_pairs)
     worst = _worst_slack(fit, dataset)
-    stats = CutLoopStats(len(added), tuple(added), len(active), worst)
+    stats = CutLoopStats(len(added), tuple(added), len(active), worst, warm)
     raise CutLoopLimitError(
         f"no tol-feasible master after {max_rounds} resolves", fit, stats
     )
 
 
+def _hot_fit(
+    session: LpSession, problem: OptProblem, dataset: Dataset, tol: float, appended: int
+) -> FitResult | None:
+    """The session's hot-started optimum when it provably gives the cold
+    solve's separation (see the module docstring), else None.  `problem` is
+    the master the session was built from; `appended` rows were added since."""
+    sol = session.solve()
+    if not sol.optimal or session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
+        return None
+    fit = extract_fit(problem, dataset, sol)
+    two = np.partition(_slack(fit, dataset), 1, axis=1)
+    least, second = two[:, 0], two[:, 1]
+    if np.any(np.abs(least + tol) <= _TIE_MARGIN):
+        return None
+    if np.any((least < -tol) & (second - least <= _TIE_MARGIN)):
+        return None
+    meta = replace(fit.meta, constraints=fit.meta.constraints + appended)
+    return replace(fit, meta=meta)
+
+
 def _worst_slack(fit: FitResult, dataset: Dataset) -> float:
-    planes = fit.alpha[:, None] + fit.beta @ dataset.inputs.T
-    return float((planes - fit.y_hat[None, :]).min())
+    return float(_slack(fit, dataset).min())
 
 
-def _dispatch(problem: OptProblem, hint) -> Solution:
+def _solve_master(problem: OptProblem, hint) -> tuple[Solution, LpSession | None]:
+    """Cold solve of a freshly built master; a pure LP keeps its session."""
     if problem.is_mip:
-        return solve_mip(problem, incumbent_hint=hint)
+        return solve_mip(problem, incumbent_hint=hint), None
     if problem.has_quad:
-        return solve_qp(problem)
-    return solve_lp(problem)
+        return solve_qp(problem), None
+    session = LpSession.for_problem(problem)
+    return session.solve(), session

@@ -241,10 +241,28 @@ def _pair_arrays(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray]
     return pairs[:, 0], pairs[:, 1]
 
 
+def _afriat_matrix(dataset: Dataset, pi: np.ndarray, ph: np.ndarray, n_cols: int) -> sparse.csr_matrix:
+    n, d = dataset.n, dataset.d
+    X = dataset.inputs
+    m = pi.shape[0]
+    r = np.arange(m)
+    rows = np.concatenate([r, r, np.repeat(r, d)])
+    beta_cols = (n + pi[:, None] * d + np.arange(d)[None, :]).ravel()
+    cols = np.concatenate([ph, pi, beta_cols])
+    vals = np.concatenate([np.ones(m), -np.ones(m), -(X[ph] - X[pi]).ravel()])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(m, n_cols))
+
+
+def afriat_rows(dataset: Dataset, constraints, n_cols: int) -> sparse.csr_matrix:
+    """Afriat rows of the pairs (i, h), in order, in <= 0 form:
+    yhat_h - yhat_i - beta_i @ (x_h - x_i) <= 0, over `n_cols` columns that
+    start with the VarLayout continuous block."""
+    return _afriat_matrix(dataset, *_pair_arrays(dataset, constraints), n_cols)
+
+
 def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
     """Common constraint fabric shared by the quantile and expectile builders."""
     n, d = dataset.n, dataset.d
-    X, y = dataset.inputs, dataset.output
     lay = VarLayout(n, d)
     nv = lay.n_continuous
 
@@ -259,21 +277,12 @@ def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
     )
     eq_vals = np.concatenate([np.ones(n), np.ones(n), -np.ones(n)])
 
-    # Afriat rows in <= form: yhat_h - yhat_i - beta_i @ (x_h - x_i) <= 0.
     pi, ph = _pair_arrays(dataset, constraints)
     m = pi.shape[0]
-    r = np.arange(m)
-    af_rows = np.concatenate([r, r, np.repeat(r, d)])
-    beta_cols = (n + pi[:, None] * d + np.arange(d)[None, :]).ravel()
-    af_cols = np.concatenate([ph, pi, beta_cols])
-    af_vals = np.concatenate([np.ones(m), -np.ones(m), -(X[ph] - X[pi]).ravel()])
-
-    rows = np.concatenate([eq_rows, af_rows + n])
-    cols = np.concatenate([eq_cols, af_cols])
-    vals = np.concatenate([eq_vals, af_vals])
-    a = sparse.csr_matrix((vals, (rows, cols)), shape=(n + m, nv))
+    fit_rows = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, nv))
+    a = sparse.vstack([fit_rows, _afriat_matrix(dataset, pi, ph, nv)], format="csr")
     sense = np.array(["E"] * n + ["L"] * m)
-    rhs = np.concatenate([y, np.zeros(m)])
+    rhs = np.concatenate([dataset.output, np.zeros(m)])
 
     lower = np.full(nv, 0.0)
     lower[lay.yhat()] = -np.inf

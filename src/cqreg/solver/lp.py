@@ -1,7 +1,23 @@
-"""Linear-program solving on top of scipy's HiGHS interface.
+"""Linear programs on a HiGHS session.
 
-Keeps the dual values so every optimal solve can be certified by comparing
-primal and dual objectives.
+`LpSession` holds one HiGHS instance from the bindings that scipy ships
+(`scipy.optimize._highspy._core`, a private scipy API; `pyproject.toml`
+requires a scipy that has it).  The model is passed exactly as
+`scipy.optimize.linprog(method="highs")` passes it: column-wise, the `<=`
+rows first and the `=` rows after (as `split_rows` orders them),
+infinities mapped to `kHighsInf`, presolve on, dual simplex, the simplex
+and IPM iteration caps at _MAX_SIMPLEX_ITERS and no output.  The first
+solve of a session is therefore the cold solve `linprog` gives, bit for
+bit.
+
+`add_rows` appends `<=` rows.  HiGHS keeps the last basis, with the new
+rows basic, so the next `solve` hot-starts from it instead of presolving
+and solving from scratch.  That solve reaches an optimum of the same
+model, but not necessarily the vertex a cold solve picks when there are
+several; `min_nonbasic_dual` tells a caller whether the optimum is unique.
+
+Every optimal solve carries its dual objective, so it can be certified by
+comparing primal and dual objectives.
 """
 
 from __future__ import annotations
@@ -9,18 +25,28 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+from scipy.optimize._highspy import _core
 
 from ..model import OptProblem
 from .base import Solution, SolverError, Status
 
 _MAX_SIMPLEX_ITERS = 100_000
 
-_STATUS_MAP = {
-    0: Status.OPTIMAL,
-    1: Status.ITERATION_LIMIT,
-    2: Status.INFEASIBLE,
-    3: Status.UNBOUNDED,
+_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "on"),
+    ("simplex_strategy", 1),  # dual simplex
+    ("simplex_iteration_limit", _MAX_SIMPLEX_ITERS),
+    ("ipm_iteration_limit", _MAX_SIMPLEX_ITERS),
+)
+
+_STATUS = {
+    _core.HighsModelStatus.kOptimal: Status.OPTIMAL,
+    _core.HighsModelStatus.kIterationLimit: Status.ITERATION_LIMIT,
+    _core.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
 }
 
 
@@ -36,11 +62,128 @@ def split_rows(problem: OptProblem):
     return a_ub, b_ub, a_eq, b_eq
 
 
-def _bounds_list(lower: np.ndarray, upper: np.ndarray) -> list[tuple]:
-    return [
-        (None if lo == -np.inf else lo, None if up == np.inf else up)
-        for lo, up in zip(lower, upper)
-    ]
+def _highs_inf(values: np.ndarray) -> np.ndarray:
+    return np.clip(np.asarray(values, dtype=float), -_core.kHighsInf, _core.kHighsInf)
+
+
+class LpSession:
+    """One HiGHS model: min c @ x s.t. a_ub @ x <= b_ub, a_eq @ x == b_eq,
+    lower <= x <= upper, kept between solves so rows can be appended and
+    the model re-solved from the last basis."""
+
+    def __init__(self, c, a_ub, b_ub, a_eq, b_eq, lower: np.ndarray, upper: np.ndarray):
+        n_cols = c.shape[0]
+        empty = np.zeros(0)
+        b_ub = empty if b_ub is None else b_ub
+        b_eq = empty if b_eq is None else b_eq
+        blocks = [m for m in (a_ub, a_eq) if m is not None]
+        a = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, n_cols))
+        self._lower = _highs_inf(lower)
+        self._upper = _highs_inf(upper)
+        self._row_upper = _highs_inf(np.concatenate([b_ub, b_eq]))
+        self._le = np.concatenate([np.ones(b_ub.size, dtype=bool), np.zeros(b_eq.size, dtype=bool)])
+
+        lp = _core.HighsLp()
+        lp.num_col_ = n_cols
+        lp.num_row_ = a.shape[0]
+        lp.a_matrix_.num_col_ = n_cols
+        lp.a_matrix_.num_row_ = a.shape[0]
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = a.indptr
+        lp.a_matrix_.index_ = a.indices
+        lp.a_matrix_.value_ = a.data
+        lp.col_cost_ = c
+        lp.col_lower_ = self._lower
+        lp.col_upper_ = self._upper
+        lp.row_lower_ = np.where(self._le, -_core.kHighsInf, self._row_upper)
+        lp.row_upper_ = self._row_upper
+
+        self._highs = _core._Highs()
+        for key, value in _OPTIONS:
+            self._highs.setOptionValue(key, value)
+        if self._highs.passModel(lp) == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the LP model")
+
+    @classmethod
+    def for_problem(cls, problem: OptProblem) -> LpSession:
+        """A session holding a pure LP."""
+        if problem.is_mip:
+            raise ValueError("problem has integrality flags; use solve_mip")
+        if problem.has_quad:
+            raise ValueError("problem has a quadratic objective; use solve_qp")
+        return cls(problem.obj_linear, *split_rows(problem), problem.lower, problem.upper)
+
+    def add_rows(self, a, rhs: np.ndarray) -> None:
+        """Append the rows a @ x <= rhs; the next solve starts from the current basis."""
+        a = sparse.csr_array(a)
+        m = a.shape[0]
+        rhs = _highs_inf(rhs)
+        status = self._highs.addRows(
+            m,
+            np.full(m, -_core.kHighsInf),
+            rhs,
+            a.nnz,
+            a.indptr[:-1].astype(np.int32),
+            a.indices.astype(np.int32),
+            a.data,
+        )
+        if status == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the appended rows")
+        self._row_upper = np.concatenate([self._row_upper, rhs])
+        self._le = np.concatenate([self._le, np.ones(m, dtype=bool)])
+
+    def solve(self) -> Solution:
+        """Solve the current model, from the last basis when there is one."""
+        start = time.perf_counter()
+        self._highs.run()
+        model_status = self._highs.getModelStatus()
+        status = _STATUS.get(model_status)
+        if status is None:
+            raise SolverError(f"LP solve failed: {self._highs.modelStatusToString(model_status)}")
+        info = self._highs.getInfo()
+        iterations = info.simplex_iteration_count or info.ipm_iteration_count
+        if status is not Status.OPTIMAL:
+            return Solution(status, None, float("nan"), iterations, 0, time.perf_counter() - start)
+        solution = self._highs.getSolution()
+        x = np.array(solution.col_value)
+        # Nonbasic columns sit at the bound their reduced cost prices.
+        nonbasic = self._nonbasic()[0]
+        dual = float(self._row_upper @ np.array(solution.row_dual))
+        dual += float(np.array(solution.col_dual)[nonbasic] @ x[nonbasic])
+        return Solution(
+            status=status,
+            x=x,
+            objective=float(info.objective_function_value),
+            iterations=int(iterations),
+            wall_time=time.perf_counter() - start,
+            dual_objective=dual,
+        )
+
+    def min_nonbasic_dual(self) -> float:
+        """Smallest |reduced cost| over the nonbasic columns that are not fixed
+        and the nonbasic `<=` rows of the last basis (inf when there are none).
+
+        When it is nonzero the basis is dual nondegenerate: moving any
+        nonbasic variable off its bound raises the objective, so the basis's
+        vertex is the only optimum.
+        """
+        cols, rows = self._nonbasic()
+        cols &= self._lower < self._upper
+        rows &= self._le
+        solution = self._highs.getSolution()
+        reduced = np.concatenate(
+            [np.array(solution.col_dual)[cols], np.array(solution.row_dual)[rows]]
+        )
+        return float(np.abs(reduced).min()) if reduced.size else float("inf")
+
+    def _nonbasic(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of the nonbasic columns and rows of the last basis."""
+        _, basic = self._highs.getBasicVariables()
+        cols = np.ones(self._lower.size, dtype=bool)
+        rows = np.ones(self._le.size, dtype=bool)
+        cols[basic[basic >= 0]] = False
+        rows[-1 - basic[basic < 0]] = False
+        return cols, rows
 
 
 def solve_arrays(
@@ -52,48 +195,10 @@ def solve_arrays(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> Solution:
-    """Low-level HiGHS call shared by solve_lp and the branch-and-bound nodes."""
-    start = time.perf_counter()
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=_bounds_list(lower, upper),
-        method="highs",
-        options={"maxiter": _MAX_SIMPLEX_ITERS},
-    )
-    elapsed = time.perf_counter() - start
-    status = _STATUS_MAP.get(res.status)
-    if status is None:
-        raise SolverError(f"LP solve failed: {res.message}")
-    dual = None
-    if status is Status.OPTIMAL:
-        dual = 0.0
-        if b_eq is not None:
-            dual += float(b_eq @ res.eqlin.marginals)
-        if b_ub is not None:
-            dual += float(b_ub @ res.ineqlin.marginals)
-        finite_lo = lower != -np.inf
-        finite_up = upper != np.inf
-        dual += float(lower[finite_lo] @ res.lower.marginals[finite_lo])
-        dual += float(upper[finite_up] @ res.upper.marginals[finite_up])
-    return Solution(
-        status=status,
-        x=res.x if res.x is not None else None,
-        objective=float(res.fun) if res.fun is not None else float("nan"),
-        iterations=int(res.nit),
-        wall_time=elapsed,
-        dual_objective=dual,
-    )
+    """One cold HiGHS solve; shared by solve_lp and the branch-and-bound nodes."""
+    return LpSession(c, a_ub, b_ub, a_eq, b_eq, lower, upper).solve()
 
 
 def solve_lp(problem: OptProblem) -> Solution:
     """Solve a pure LP to optimality (deterministic for a fixed problem)."""
-    if problem.is_mip:
-        raise ValueError("problem has integrality flags; use solve_mip")
-    if problem.has_quad:
-        raise ValueError("problem has a quadratic objective; use solve_qp")
-    a_ub, b_ub, a_eq, b_eq = split_rows(problem)
-    return solve_arrays(problem.obj_linear, a_ub, b_ub, a_eq, b_eq, problem.lower, problem.upper)
+    return LpSession.for_problem(problem).solve()

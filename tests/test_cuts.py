@@ -6,6 +6,7 @@ from cqreg import (
     Dataset,
     EstimatorSpec,
     L0Penalty,
+    L1Penalty,
     build_cqr,
     build_cer,
     fit,
@@ -16,7 +17,7 @@ from cqreg import (
 )
 from cqreg.cuts import MST, SPANNING_PATH, CutLoopLimitError
 from cqreg.estimators import make_builder
-from cqreg.model import extract_fit
+from cqreg.model import extract_fit, validate_fit
 from tests.conftest import make_instance
 
 
@@ -164,3 +165,39 @@ class TestSolveWithCuts:
 
         full = solve_qp(builder(ALL_PAIRS))
         assert abs(result.objective - full.objective) <= 1e-4
+
+
+def _rebuild_every_round(builder, ds, tol):
+    """The loop with no session: rebuild the master and cold-solve it each round."""
+    active = initial_constraints(ds, MST)
+    present = set(active)
+    added = []
+    while True:
+        problem = builder(active)
+        result = extract_fit(problem, ds, solve_lp(problem))
+        new = [(i, m) for i, m, _ in separate(result, ds, tol) if (i, m) not in present]
+        added.append(len(new))
+        if not new:
+            return result, tuple(added)
+        active.extend(new)
+        present.update(new)
+
+
+class TestHotStartedLoop:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("lam", [None, 0.01, 0.1, 1.0, 10.0])
+    def test_matches_rebuilt_loop(self, seed, lam):
+        ds = make_instance(30, 3, seed=seed)
+        penalty = None if lam is None else L1Penalty(lam)
+        builder = make_builder(ds, EstimatorSpec("quantile", 0.5, penalty=penalty))
+        result, stats = solve_with_cuts(builder, ds, tol=1e-6)
+        ref, ref_added = _rebuild_every_round(builder, ds, 1e-6)
+        assert stats.added == ref_added
+        assert result.objective == pytest.approx(ref.objective, abs=1e-9)
+        assert validate_fit(result, ds) == []
+        assert result.meta.constraints == stats.constraints
+        assert 0 <= stats.warm < stats.iterations
+        # At lam = 10 the penalty flattens the fit within two rounds and the
+        # second master is dual degenerate, so it is cold-solved.
+        if lam is not None and lam < 10:
+            assert stats.warm > 0
