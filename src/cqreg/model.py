@@ -419,7 +419,8 @@ def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
         status=str(solution.status),
         iterations=int(getattr(solution, "iterations", 0)),
         nodes=int(getattr(solution, "nodes", 0)),
-        constraints=int(np.count_nonzero(problem.sense == "L")),
+        # Afriat rows: the `<=` rows less the coupling and CARD rows of add_l0.
+        constraints=int(np.count_nonzero(problem.sense == "L")) - (lay.n * lay.d + 1 if lay.has_z else 0),
         wall_time=float(getattr(solution, "wall_time", 0.0)),
     )
     return FitResult(alpha, beta, eps_plus, eps_minus, y_hat, z, float(solution.objective), meta)

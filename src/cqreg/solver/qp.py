@@ -5,9 +5,19 @@ with P diagonal PSD, which covers every expectile problem built here.
 Equality rows are encoded as l == u, finite variable bounds as identity
 rows.  The engine is a Mehrotra predictor-corrector iteration on the
 slack form (equalities kept explicit, each finite inequality side given a
-nonnegative slack), with Ruiz equilibration and a dense factorization of
-the reduced augmented system; the row count only enters through a sparse
-normal-matrix product, so the n(n-1) domination rows stay cheap.
+nonnegative slack), with Ruiz equilibration and one sparse LU factorization
+per iteration of the reduced augmented system
+
+    K = [A_in' W A_in + P + delta I, A_eq'; A_eq, -delta I].
+
+K is symmetric quasi-definite, so it has a factorization with diagonal
+pivots under any symmetric ordering (Vanderbei 1995); SuperLU takes the
+diagonal pivot unless it is tiny against its column.  Its sparsity pattern is
+fixed within one solve: it is built once, together with a map from every
+same-row nonzero pair of A_in to its slot, and each iteration only refills
+the values.  The minimum-degree ordering of the first factorization is
+kept for the rest of the solve.  The inequality rows enter K through
+those pairs alone, so the n(n-1) domination rows stay cheap.
 
 These problems are LP-like (the curvature lives on the residual split
 variables only) and heavily degenerate at noiseless optima; the
@@ -25,7 +35,6 @@ import time
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
 from ..model import OptProblem
@@ -35,17 +44,6 @@ _EPS_TARGET = 1e-9  # interior-point stopping (scaled residuals and gap)
 _EPS_FINAL = 1e-6   # contract: KKT residual at acceptance
 _DELTA = 1e-9       # static regularization of the augmented system
 _MAX_IPM_ITERS = 200
-_DENSE_DIM_CAP = 4000  # dense factorization cutoff for nv + #equalities
-
-
-def _colmax(a: sparse.spmatrix) -> np.ndarray:
-    m = np.abs(a).max(axis=0)
-    return np.asarray(m.todense()).ravel() if sparse.issparse(m) else np.asarray(m).ravel()
-
-
-def _rowmax(a: sparse.spmatrix) -> np.ndarray:
-    m = np.abs(a).max(axis=1)
-    return np.asarray(m.todense()).ravel() if sparse.issparse(m) else np.asarray(m).ravel()
 
 
 class QpContext:
@@ -78,20 +76,30 @@ class QpContext:
         self._equilibrate()
 
     def _equilibrate(self) -> None:
-        """Ruiz scaling of the KKT block matrix plus cost normalization."""
+        """Ruiz scaling of the KKT block matrix plus cost normalization.
+
+        Works on the CSR data array: row and column maxima by
+        `np.maximum.at`, scaling as (dr[row] * a) * dx[col], which is what
+        the products diag(dr) @ a @ diag(dx) compute entry by entry.
+        """
+        rows = np.repeat(np.arange(self.m, dtype=np.int32), np.diff(self.a0.indptr))
+        cols = self.a0.indices
+        data = self.a0.data.astype(float)
         d = np.ones(self.nv)
         e = np.ones(self.m)
         p = self.p_diag0.copy()
-        a = self.a0.astype(float).copy()
         for _ in range(10):
-            cnorm = np.maximum(np.abs(p), _colmax(a)) if self.m else np.abs(p)
-            rnorm = _rowmax(a) if self.m else np.empty(0)
+            mag = np.abs(data)
+            cnorm = np.abs(p)
+            np.maximum.at(cnorm, cols, mag)
+            rnorm = np.zeros(self.m)
+            np.maximum.at(rnorm, rows, mag)
             dx = 1.0 / np.sqrt(np.maximum(cnorm, 1e-12))
             dr = 1.0 / np.sqrt(np.maximum(rnorm, 1e-12))
             dx[cnorm < 1e-12] = 1.0
             dr[rnorm < 1e-12] = 1.0
             p *= dx * dx
-            a = sparse.diags(dr) @ a @ sparse.diags(dx)
+            data = (dr[rows] * data) * dx[cols]
             d *= dx
             e *= dr
         q = (self.q0 * d).astype(float)
@@ -100,7 +108,7 @@ class QpContext:
         self.d, self.e, self.c = d, e, c
         self.p_s = c * p
         self.q_s = c * q
-        self.a_s = a.tocsr()
+        self.a_s = sparse.csr_matrix((data, cols.copy(), self.a0.indptr.copy()), shape=self.a0.shape)
         self.l_s = self.l0 * e
         self.u_s = self.u0 * e
 
@@ -161,17 +169,23 @@ class QpContext:
             and r_s <= _EPS_FINAL
         )
 
+    def _scaled_bounds(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None):
+        """Scaled row bounds (l_s, u_s) under the variable bounds of a node;
+        None keeps the problem's own."""
+        if lower is None and upper is None:
+            return self.l_s, self.u_s
+        lo = self.problem.lower if lower is None else lower
+        up = self.problem.upper if upper is None else upper
+        nb = self.problem.a.shape[0]
+        l_s = self.l_s.copy()
+        u_s = self.u_s.copy()
+        l_s[nb:] = lo[self.bounded] * self.e[nb:]
+        u_s[nb:] = up[self.bounded] * self.e[nb:]
+        return l_s, u_s
+
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
         start = time.perf_counter()
-        l_s, u_s = self.l_s, self.u_s
-        if lower is not None or upper is not None:
-            lo = self.problem.lower if lower is None else lower
-            up = self.problem.upper if upper is None else upper
-            nb = self.problem.a.shape[0]
-            l_s = self.l_s.copy()
-            u_s = self.u_s.copy()
-            l_s[nb:] = lo[self.bounded] * self.e[nb:]
-            u_s[nb:] = up[self.bounded] * self.e[nb:]
+        l_s, u_s = self._scaled_bounds(lower, upper)
         x_s, y_row, status, iters = self._ipm(l_s, u_s)
         z_s = np.clip(self.a_s @ x_s, l_s, u_s) if self.m else np.zeros(0)
         if status in (Status.INFEASIBLE, Status.UNBOUNDED):
@@ -209,11 +223,11 @@ class QpContext:
         a_eq = self.a_s[eq]
         b_eq = u_s[eq]
         a_up, cap_up = self.a_s[up], u_s[up]
-        a_lo, cap_lo = -self.a_s[lo], -l_s[lo]
-        a_in = sparse.vstack([a_up, a_lo]).tocsr() if (up.any() or lo.any()) else None
-        cap = np.concatenate([cap_up, cap_lo])
+        a_in = sparse.vstack([a_up, -self.a_s[lo]], format="csr")
+        cap = np.concatenate([cap_up, -l_s[lo]])
         m_eq, m_in = a_eq.shape[0], cap.shape[0]
-        dense = nv + m_eq <= _DENSE_DIM_CAP
+        a_eq_t, a_in_t = a_eq.T, a_in.T
+        kkt = _Kkt(a_in, a_eq, p)
 
         x = np.zeros(nv)
         y = np.zeros(m_eq)
@@ -225,46 +239,12 @@ class QpContext:
             s = np.zeros(0)
             z = np.zeros(0)
 
-        def factor(w):
-            if m_in:
-                awa = (a_in.multiply(w[:, None])).T @ a_in
-            else:
-                awa = sparse.csr_matrix((nv, nv))
-            if dense:
-                k = np.zeros((nv + m_eq, nv + m_eq))
-                k[:nv, :nv] = awa.toarray()
-                k[np.arange(nv), np.arange(nv)] += p + _DELTA
-                if m_eq:
-                    ae = a_eq.toarray()
-                    k[:nv, nv:] = ae.T
-                    k[nv:, :nv] = ae
-                    k[nv + np.arange(m_eq), nv + np.arange(m_eq)] -= _DELTA
-                return ("dense", lu_factor(k, check_finite=False))
-            blocks = awa + sparse.diags(p + _DELTA)
-            k = sparse.bmat(
-                [
-                    [blocks, a_eq.T if m_eq else None],
-                    [a_eq if m_eq else None, -_DELTA * sparse.identity(m_eq) if m_eq else None],
-                ],
-                format="csc",
-            ) if m_eq else blocks.tocsc()
-            return ("sparse", splu(k))
-
-        def solve_kkt(fact, rhs1, rhs2):
-            rhs = np.concatenate([rhs1, rhs2])
-            kind, f = fact
-            if kind == "dense":
-                out = lu_solve(f, rhs, check_finite=False)
-            else:
-                out = f.solve(rhs)
-            return out[:nv], out[nv:]
-
         status = Status.ITERATION_LIMIT
         it = 0
         for it in range(1, _MAX_IPM_ITERS + 1):
-            r_d = p * x + q + (a_eq.T @ y if m_eq else 0.0)
+            r_d = p * x + q + (a_eq_t @ y if m_eq else 0.0)
             if m_in:
-                r_d = r_d + a_in.T @ z
+                r_d = r_d + a_in_t @ z
             r_eq = (a_eq @ x - b_eq) if m_eq else np.zeros(0)
             if m_in:
                 r_in = a_in @ x + s - cap
@@ -293,16 +273,20 @@ class QpContext:
                 break
 
             w = np.clip(z / np.maximum(s, 1e-300), 1e-12, 1e16) if m_in else np.zeros(0)
-            fact = factor(w)
+            try:
+                solve = kkt.factor(w)
+            except RuntimeError:  # a pivot is exactly zero: K is singular in floating point
+                break
 
             def direction(rc):
                 # Eliminate ds, dz; solve the augmented system for dx, dy.
                 if m_in:
                     tmp = (z * r_in - rc) / np.maximum(s, 1e-300)
-                    rhs1 = -r_d - a_in.T @ tmp
+                    rhs1 = -r_d - a_in_t @ tmp
                 else:
                     rhs1 = -r_d
-                dx, dy = solve_kkt(fact, rhs1, -r_eq)
+                out = solve(np.concatenate([rhs1, -r_eq]))
+                dx, dy = out[:nv], out[nv:]
                 if m_in:
                     ds = -r_in - a_in @ dx
                     dz = -(rc + z * ds) / np.maximum(s, 1e-300)
@@ -342,6 +326,94 @@ class QpContext:
             y_row[up] += z_up
             y_row[lo] -= z_lo
         return x, y_row, status, it
+
+
+class _Kkt:
+    """The reduced augmented matrix K of one solve, on a fixed CSC pattern.
+
+    Entry K[j, k] of A_in' W A_in is the sum over rows r of
+    w_r * a_rj * a_rk, so K's data is const + weight_map @ w for a sparse
+    weight_map with one entry a_rj * a_rk per same-row nonzero pair (j, k)
+    of A_in, in the row of K's data slot for (j, k) and the column r.  The
+    rest of K is const.
+
+    The first factorization orders K by minimum degree on K + K'.  The
+    ordering depends on the pattern alone, so K is then relabelled by it
+    once and later factorizations keep it (SuperLU's NATURAL ordering of
+    the relabelled K).
+    """
+
+    def __init__(self, a_in: sparse.csr_matrix, a_eq: sparse.csr_matrix, p: np.ndarray):
+        nv, m_eq = p.size, a_eq.shape[0]
+        size = nv + m_eq
+        # Pair t couples nonzeros first[t] and second[t] of the same row.
+        lens = np.diff(a_in.indptr).astype(np.int32)
+        per = np.repeat(lens, lens)
+        first = np.repeat(np.arange(a_in.nnz, dtype=np.int32), per)
+        within = np.arange(first.size, dtype=np.int32) - np.repeat(np.cumsum(per) - per, per)
+        second = np.repeat(np.repeat(a_in.indptr[:-1].astype(np.int32), lens), per) + within
+        del per, within
+        eq = a_eq.tocoo()
+        eq_row, eq_col = nv + eq.row.astype(np.int64), eq.col.astype(np.int64)
+        # Entry (row, col) of K has the key col * size + row, its CSC order.
+        key = np.concatenate(
+            [
+                a_in.indices[first].astype(np.int64) * size + a_in.indices[second],
+                np.arange(size) * (size + 1),
+                eq_row * size + eq_col,
+                eq_col * size + eq_row,
+            ]
+        )
+        keys, slot = np.unique(key, return_inverse=True)
+        del key
+        n_pair = first.size
+        self.weight_map = sparse.csr_matrix(
+            (
+                a_in.data[first] * a_in.data[second],
+                (slot[:n_pair], np.repeat(np.arange(a_in.shape[0], dtype=np.int32), lens * lens)),
+            ),
+            shape=(keys.size, a_in.shape[0]),
+        )
+        del first, second
+        const = np.concatenate([p + _DELTA, np.full(m_eq, -_DELTA), eq.data, eq.data])
+        self.const = np.bincount(slot[n_pair:], weights=const, minlength=keys.size)
+        indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+        self.k = sparse.csc_matrix(
+            (self.const, (keys % size).astype(np.int32), indptr.astype(np.int32)), shape=(size, size)
+        )
+        self.perm = self.inv = None
+
+    def factor(self, w: np.ndarray):
+        """Factor K at inequality weights w; returns a solve function."""
+        self.k.data = self.const + self.weight_map @ w
+        if self.perm is not None:
+            lu = _splu(self.k, "NATURAL")
+            return lambda rhs: lu.solve(rhs[self.inv])[self.perm]
+        lu = _splu(self.k, "MMD_AT_PLUS_A")
+        self._relabel(lu.perm_c)
+        return lu.solve
+
+    def _relabel(self, perm: np.ndarray) -> None:
+        """Move K to the labels perm[j] of its rows and columns j."""
+        size = self.k.shape[0]
+        col = perm[np.repeat(np.arange(size), np.diff(self.k.indptr))]
+        row = perm[self.k.indices]
+        order = np.argsort(col.astype(np.int64) * size + row)
+        self.weight_map = self.weight_map[order]
+        self.const = self.const[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=size))])
+        self.k = sparse.csc_matrix(
+            (self.const, row[order].astype(np.int32), indptr.astype(np.int32)), shape=self.k.shape
+        )
+        self.perm, self.inv = perm, np.argsort(perm)
+
+
+def _splu(k: sparse.csc_matrix, ordering: str):
+    # Diagonal pivots, unless one is below 10% of its column: a delta-sized
+    # pivot (the equality row of a fixed variable) taken early loses the
+    # digits of the variable's own diagonal, and lower thresholds leave more
+    # ill-conditioned solves at the iteration cap.
+    return splu(k, permc_spec=ordering, diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:

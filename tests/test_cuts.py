@@ -166,6 +166,14 @@ class TestSolveWithCuts:
         full = solve_qp(builder(ALL_PAIRS))
         assert abs(result.objective - full.objective) <= 1e-4
 
+    def test_l1_cer_cut_loop_at_paper_size(self):
+        # The masters of this loop need more IPM iterations round by round;
+        # each must still end optimal.
+        ds = make_instance(100, 6, seed=0)
+        result = fit(ds, EstimatorSpec("expectile", 0.5, penalty=L1Penalty(0.1), solve="cuts"))
+        assert result.meta.status == "optimal"
+        assert validate_fit(result, ds, tol=0.01) == []
+
 
 def _rebuild_every_round(builder, ds, tol):
     """The loop with no session: rebuild the master and cold-solve it each round."""

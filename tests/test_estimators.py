@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from cqreg import (
     returns_to_scale,
     support,
 )
+from cqreg.cuts import solve_with_cuts
+from cqreg.estimators import make_builder
 from cqreg.model import FitMeta, FitResult
 from tests.conftest import make_instance
 
@@ -76,6 +80,15 @@ class TestFit:
         assert result.meta.status == "optimal"
         assert result.meta.constraints == small_noisy.n * (small_noisy.n - 1)
         assert result.meta.wall_time >= 0.0
+        # L0 fits count Afriat rows only, not the coupling and CARD rows.
+        for family in ("quantile", "expectile"):
+            spec = EstimatorSpec(family, 0.5)
+            penalty = L0Penalty(2, anchor_big_m(small_noisy, spec, 2.0))
+            full = fit(small_noisy, replace(spec, penalty=penalty))
+            assert full.meta.constraints == small_noisy.n * (small_noisy.n - 1)
+            builder = make_builder(small_noisy, replace(spec, penalty=penalty, solve="cuts"))
+            cut, stats = solve_with_cuts(builder, small_noisy)
+            assert cut.meta.constraints == stats.constraints
 
 
 class TestSupport:

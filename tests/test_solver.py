@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
@@ -14,6 +18,7 @@ from cqreg import (
     Status,
     add_l0,
     add_l1,
+    anchor_big_m,
     build_cer,
     build_cqr,
     export_mps,
@@ -212,6 +217,186 @@ class TestSolveQp:
         )
         sol = solve_qp(problem)
         assert sol.status is Status.INFEASIBLE
+
+
+def _colmax(a: sparse.spmatrix) -> np.ndarray:
+    m = np.abs(a).max(axis=0)
+    return np.asarray(m.todense()).ravel() if sparse.issparse(m) else np.asarray(m).ravel()
+
+
+def _rowmax(a: sparse.spmatrix) -> np.ndarray:
+    m = np.abs(a).max(axis=1)
+    return np.asarray(m.todense()).ravel() if sparse.issparse(m) else np.asarray(m).ravel()
+
+
+def _ruiz_by_sparse_products(ctx):
+    """Reference Ruiz equilibration of a QpContext's stacked rows through
+    sparse diagonal products and scipy row/column maxima: (d, e, c, a_s)."""
+    d = np.ones(ctx.nv)
+    e = np.ones(ctx.m)
+    p = ctx.p_diag0.copy()
+    a = ctx.a0.astype(float).copy()
+    for _ in range(10):
+        cnorm = np.maximum(np.abs(p), _colmax(a)) if ctx.m else np.abs(p)
+        rnorm = _rowmax(a) if ctx.m else np.empty(0)
+        dx = 1.0 / np.sqrt(np.maximum(cnorm, 1e-12))
+        dr = 1.0 / np.sqrt(np.maximum(rnorm, 1e-12))
+        dx[cnorm < 1e-12] = 1.0
+        dr[rnorm < 1e-12] = 1.0
+        p *= dx * dx
+        a = sparse.diags(dr) @ a @ sparse.diags(dx)
+        d *= dx
+        e *= dr
+    q = ctx.q0 * d
+    cost = max(np.abs(p).mean() if p.size else 0.0, np.abs(q).max() if q.size else 0.0)
+    c = 1.0 / min(max(cost, 1e-6), 1e6)
+    return d, e, c, a.tocsr()
+
+
+def _relaxed_l0_cer(ds, level, k):
+    problem = add_l0(build_cer(ds, level, ALL_PAIRS), L0Penalty(k, 5.0))
+    return problem, replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+
+
+def _kkt_residual(ctx, lower=None, upper=None) -> float:
+    """Largest unscaled primal, dual and sign residual of the IPM's point
+    under the given variable bounds."""
+    l_s, u_s = ctx._scaled_bounds(lower, upper)
+    x_s, y_row, _, _ = ctx._ipm(l_s, u_s)
+    z_s = np.clip(ctx.a_s @ x_s, l_s, u_s)
+    r_prim, r_dual, r_sign, _, _ = ctx._residuals(x_s, y_row, z_s, l_s / ctx.e, u_s / ctx.e)
+    return max(r_prim, r_dual, r_sign)
+
+
+class TestQpContext:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["cer", "l1-cer", "l0-cer-relaxed"])
+    def test_equilibration_matches_sparse_products(self, kind, seed):
+        ds = make_instance(15, 3, seed=seed)
+        if kind == "cer":
+            problem = build_cer(ds, 0.3, ALL_PAIRS)
+        elif kind == "l1-cer":
+            problem = add_l1(build_cer(ds, 0.5, ALL_PAIRS), L1Penalty(0.05))
+        else:
+            _, problem = _relaxed_l0_cer(ds, 0.5, 2)
+        ctx = qp.QpContext(problem)
+        d, e, c, a_s = _ruiz_by_sparse_products(ctx)
+        assert np.array_equal(ctx.d, d)
+        assert np.array_equal(ctx.e, e)
+        assert ctx.c == c
+        assert np.array_equal(ctx.a_s.toarray(), a_s.toarray())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        level=st.floats(0.1, 0.9),
+        lam=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+    )
+    def test_optimal_status_meets_the_kkt_contract(self, n, d, seed, level, lam):
+        ds = make_instance(n, d, seed=seed)
+        problem = build_cer(ds, level, ALL_PAIRS)
+        if lam is not None:
+            problem = add_l1(problem, L1Penalty(lam))
+        ctx = qp.QpContext(problem)
+        if ctx.solve().status is Status.OPTIMAL:
+            assert _kkt_residual(ctx) <= 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        level=st.floats(0.1, 0.9),
+        fixed=st.lists(st.sampled_from([None, 0.0, 1.0]), min_size=3, max_size=3),
+    )
+    def test_node_bounds_turn_fixed_selectors_into_equalities(self, n, d, seed, level, fixed):
+        ds = make_instance(n, d, seed=seed)
+        k = max(1, sum(v == 1.0 for v in fixed[:d]))
+        problem, relaxed = _relaxed_l0_cer(ds, level, k)
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        for j, v in zip(np.flatnonzero(problem.integer), fixed):
+            if v is not None:
+                lower[j] = upper[j] = v
+        ctx = qp.QpContext(relaxed)
+        l_s, u_s = ctx._scaled_bounds(lower, upper)
+        n_fixed = sum(v is not None for v in fixed[:d])
+        assert np.count_nonzero(l_s == u_s) == n + n_fixed
+        if ctx.solve(lower, upper).status is Status.OPTIMAL:
+            assert _kkt_residual(ctx, lower, upper) <= 1e-6
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(3, 12),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        fix=st.integers(0, 3),
+        log_w=st.lists(st.floats(-12.0, 16.0), min_size=1, max_size=8),
+    )
+    def test_kkt_factor_solves_the_assembled_matrix(self, n, d, seed, fix, log_w):
+        # The backward error against K = [A_in' W A_in + P + delta I, A_eq';
+        # A_eq, -delta I] assembled densely, at the first factorization (which
+        # picks the ordering) and at a later one (which reuses it).
+        ds = make_instance(n, d, seed=seed)
+        problem, relaxed = _relaxed_l0_cer(ds, 0.5, max(1, min(fix, d)))
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        z_cols = np.flatnonzero(problem.integer)[: min(fix, d)]
+        lower[z_cols] = upper[z_cols] = 1.0
+        ctx = qp.QpContext(relaxed)
+        l_s, u_s = ctx._scaled_bounds(lower, upper)
+        eq = l_s == u_s
+        a_eq = ctx.a_s[eq]
+        a_in = sparse.vstack([ctx.a_s[~eq & (u_s != np.inf)], -ctx.a_s[~eq & (l_s != -np.inf)]], format="csr")
+        kkt = qp._Kkt(a_in, a_eq, ctx.p_s)
+        nv, m_eq = ctx.nv, a_eq.shape[0]
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            w = 10.0 ** rng.choice(log_w, size=a_in.shape[0])
+            k = np.zeros((nv + m_eq, nv + m_eq))
+            k[:nv, :nv] = (a_in.T @ sparse.diags(w) @ a_in).toarray() + np.diag(ctx.p_s + qp._DELTA)
+            k[:nv, nv:] = a_eq.T.toarray()
+            k[nv:, :nv] = a_eq.toarray()
+            k[nv:, nv:] = -qp._DELTA * np.eye(m_eq)
+            rhs = rng.normal(size=nv + m_eq)
+            x = kkt.factor(w)(rhs)
+            scale = np.abs(k).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+            assert np.abs(k @ x - rhs).max() <= 1e-12 * scale
+
+    def test_one_input_l1_instance_converges(self):
+        # The IPM stalls here, with a dual residual near 0.2, when the KKT
+        # factorization accepts diagonal pivots down to 1% of their column.
+        ds = make_instance(11, 1, seed=5107)
+        problem = add_l1(build_cer(ds, 0.3754365847698602, ALL_PAIRS), L1Penalty(0.008868101110142553))
+        ctx = qp.QpContext(problem)
+        assert ctx.solve().status is Status.OPTIMAL
+        assert _kkt_residual(ctx) <= 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="the IPM stalls with a dual residual near 0.65 (ROADMAP item 3)")
+    def test_known_one_input_stall(self):
+        problem = build_cer(make_instance(11, 1, seed=9764), 0.27777399363978295, ALL_PAIRS)
+        assert solve_qp(problem).status is Status.OPTIMAL
+
+    @pytest.mark.xfail(strict=True, reason="a node optimum misses the 1e-6 sign residual (ROADMAP item 3)")
+    def test_known_node_sign_residual_miss(self):
+        ds = make_instance(9, 2, seed=1967)
+        level = 0.2947941696224661
+        m = anchor_big_m(ds, EstimatorSpec("expectile", level), 2.0)
+        problem = add_l0(build_cer(ds, level, ALL_PAIRS), L0Penalty(1, m))
+        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        lower[np.flatnonzero(problem.integer)[0]] = 1.0
+        assert qp.QpContext(relaxed).solve(lower, upper).status is Status.OPTIMAL
+
+    @pytest.mark.xfail(strict=True, reason="a feasible node is reported infeasible (ROADMAP item 3)")
+    def test_known_false_infeasible_node(self):
+        # z fixed at 1 with k = 1 leaves the cardinality row no interior, and
+        # its multiplier grows past the IPM's infeasibility threshold.
+        problem, relaxed = _relaxed_l0_cer(make_instance(3, 1, seed=1032), 0.625, 1)
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        z = np.flatnonzero(problem.integer)[0]
+        lower[z] = upper[z] = 1.0
+        assert qp.QpContext(relaxed).solve(lower, upper).status is not Status.INFEASIBLE
 
 
 class TestSolveMip:
