@@ -15,9 +15,9 @@ pivots under any symmetric ordering (Vanderbei 1995); SuperLU takes the
 diagonal pivot unless it is tiny against its column.  Its sparsity pattern is
 fixed within one solve: it is built once, together with a map from every
 same-row nonzero pair of A_in to its slot, and each iteration only refills
-the values.  The minimum-degree ordering of the first factorization is
-kept for the rest of the solve.  The inequality rows enter K through
-those pairs alone, so the n(n-1) domination rows stay cheap.
+the values and factors them under a minimum-degree ordering of K + K'.
+The inequality rows enter K through those pairs alone, so the n(n-1)
+domination rows stay cheap.
 
 These problems are LP-like (the curvature lives on the residual split
 variables only) and heavily degenerate at noiseless optima; the
@@ -38,7 +38,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from ..model import OptProblem
-from .base import Solution, Status
+from .base import Solution, SolverError, Status
 
 _EPS_TARGET = 1e-9  # interior-point stopping (scaled residuals and gap)
 _EPS_FINAL = 1e-6   # contract: KKT residual at acceptance
@@ -275,8 +275,8 @@ class QpContext:
             w = np.clip(z / np.maximum(s, 1e-300), 1e-12, 1e16) if m_in else np.zeros(0)
             try:
                 solve = kkt.factor(w)
-            except RuntimeError:  # a pivot is exactly zero: K is singular in floating point
-                break
+            except RuntimeError as exc:  # a pivot is exactly zero
+                raise SolverError(f"KKT matrix singular at interior-point iteration {it}") from exc
 
             def direction(rc):
                 # Eliminate ds, dz; solve the augmented system for dx, dy.
@@ -336,11 +336,6 @@ class _Kkt:
     weight_map with one entry a_rj * a_rk per same-row nonzero pair (j, k)
     of A_in, in the row of K's data slot for (j, k) and the column r.  The
     rest of K is const.
-
-    The first factorization orders K by minimum degree on K + K'.  The
-    ordering depends on the pattern alone, so K is then relabelled by it
-    once and later factorizations keep it (SuperLU's NATURAL ordering of
-    the relabelled K).
     """
 
     def __init__(self, a_in: sparse.csr_matrix, a_eq: sparse.csr_matrix, p: np.ndarray):
@@ -381,39 +376,16 @@ class _Kkt:
         self.k = sparse.csc_matrix(
             (self.const, (keys % size).astype(np.int32), indptr.astype(np.int32)), shape=(size, size)
         )
-        self.perm = self.inv = None
 
     def factor(self, w: np.ndarray):
         """Factor K at inequality weights w; returns a solve function."""
         self.k.data = self.const + self.weight_map @ w
-        if self.perm is not None:
-            lu = _splu(self.k, "NATURAL")
-            return lambda rhs: lu.solve(rhs[self.inv])[self.perm]
-        lu = _splu(self.k, "MMD_AT_PLUS_A")
-        self._relabel(lu.perm_c)
+        # Diagonal pivots, unless one is below 10% of its column: a
+        # delta-sized pivot (the equality row of a fixed variable) taken early
+        # loses the digits of the variable's own diagonal, and lower
+        # thresholds leave more ill-conditioned solves at the iteration cap.
+        lu = splu(self.k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
         return lu.solve
-
-    def _relabel(self, perm: np.ndarray) -> None:
-        """Move K to the labels perm[j] of its rows and columns j."""
-        size = self.k.shape[0]
-        col = perm[np.repeat(np.arange(size), np.diff(self.k.indptr))]
-        row = perm[self.k.indices]
-        order = np.argsort(col.astype(np.int64) * size + row)
-        self.weight_map = self.weight_map[order]
-        self.const = self.const[order]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=size))])
-        self.k = sparse.csc_matrix(
-            (self.const, row[order].astype(np.int32), indptr.astype(np.int32)), shape=self.k.shape
-        )
-        self.perm, self.inv = perm, np.argsort(perm)
-
-
-def _splu(k: sparse.csc_matrix, ordering: str):
-    # Diagonal pivots, unless one is below 10% of its column: a delta-sized
-    # pivot (the equality row of a fixed variable) taken early loses the
-    # digits of the variable's own diagonal, and lower thresholds leave more
-    # ill-conditioned solves at the iteration cap.
-    return splu(k, permc_spec=ordering, diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
