@@ -137,10 +137,16 @@ def accuracy(support_hat, support_true, k_true: int) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Long-format aggregate of one sweep: one row per (method, tau, metric)."""
+    """Long-format aggregate of one sweep: one row per (method, tau, metric).
+
+    `failures` counts the replication cells that failed and were left out;
+    `fold_failures` counts the CV fold fits that failed while tuning the
+    cells that remain.
+    """
 
     rows: tuple[dict[str, Any], ...]
     failures: int = 0
+    fold_failures: int = 0
 
     def to_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -150,7 +156,8 @@ class MetricsReport:
 
     def to_json(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"rows": list(self.rows), "failures": self.failures}, handle, indent=2)
+            doc = {"rows": list(self.rows), "failures": self.failures, "fold_failures": self.fold_failures}
+            json.dump(doc, handle, indent=2)
             handle.write("\n")
 
 
@@ -160,12 +167,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int]:
-    """Worker: one replication of every method at every tau."""
+def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
+    """Worker: one replication of every method at every tau; returns its
+    rows, failed cells and failed CV fold fits."""
     cfg, rep, methods, cv, solve = args
     scenario = generate_scenario(cfg, rep)
     rows: list[dict[str, Any]] = []
-    failures = 0
+    failures = fold_failures = 0
     for name in methods:
         family, penalty_kind = METHODS[name]
         for tau in cfg.taus:
@@ -176,6 +184,7 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int]:
                     final = fit(scenario.dataset, spec)
                 else:
                     report = cross_validate(scenario.dataset, spec, penalty_kind, cv)
+                    fold_failures += report.failures
                     penalty = chosen_penalty(scenario.dataset, spec, report)
                     final = fit(scenario.dataset, replace(spec, penalty=penalty))
             except RuntimeError:
@@ -191,7 +200,7 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int]:
                     "accuracy": accuracy(support(final), scenario.support_true, cfg.k_true),
                 }
             )
-    return rows, failures
+    return rows, failures, fold_failures
 
 
 def default_workers() -> int:
@@ -223,10 +232,11 @@ def run_mc(
         results = [_replicate(job) for job in jobs]
 
     raw: list[dict[str, Any]] = []
-    failures = 0
-    for rows, failed in results:
+    failures = fold_failures = 0
+    for rows, failed, failed_folds in results:
         raw.extend(rows)
         failures += failed
+        fold_failures += failed_folds
 
     out: list[dict[str, Any]] = []
     for name in methods:
@@ -250,4 +260,4 @@ def run_mc(
                         "reps": int(values.size),
                     }
                 )
-    return MetricsReport(tuple(out), failures)
+    return MetricsReport(tuple(out), failures, fold_failures)

@@ -2,8 +2,13 @@
 
 The integer variables are the d selectors z, so the tree has at most 2^d
 leaves; each node solves an LP or diagonal-QP relaxation with tightened
-z bounds.  Relaxation machinery (constraint matrices, QP scaling and KKT
-factors) is built once and re-solved per node with different bounds.
+z bounds.  One relaxation model is built per `solve_mip`: an `LpSession`,
+or a `QpContext` with its constraint matrices, scaling and KKT pattern.
+A node re-solves it under its own bounds; an LP node is a cold solve after
+a bound change, so it gives the bits a fresh session would.  Only selector
+bounds differ between nodes, and a selector bound set that comes back (the
+root as the first tree node, or a hinted or probed point that is also a
+leaf) is solved once.
 After the root solve a round-up probe fixes every positive selector to 1;
 when the cardinality row allows it this proves optimality in two solves,
 otherwise it seeds the incumbent.  Children with z fixed to 1 are explored
@@ -19,7 +24,8 @@ import numpy as np
 
 from ..model import OptProblem
 from .base import Solution, Status
-from .lp import solve_arrays, split_rows
+from .lp import LpSession
+from .lp import solve_arrays  # noqa: F401  (bench/instrument.py wraps bnb.solve_arrays)
 from .qp import QpContext
 
 _INT_TOL = 1e-6
@@ -39,18 +45,14 @@ class _Relaxation:
 
     def __init__(self, problem: OptProblem):
         relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
-        self.quad = problem.has_quad
-        if self.quad:
-            self.ctx = QpContext(relaxed)
-        else:
-            self.parts = split_rows(relaxed)
-            self.c = relaxed.obj_linear
+        self.ctx = QpContext(relaxed) if problem.has_quad else None
+        self.session = None if problem.has_quad else LpSession.for_problem(relaxed)
 
     def solve(self, lower: np.ndarray, upper: np.ndarray) -> Solution:
-        if self.quad:
+        if self.session is None:
             return self.ctx.solve(lower=lower, upper=upper)
-        a_ub, b_ub, a_eq, b_eq = self.parts
-        return solve_arrays(self.c, a_ub, b_ub, a_eq, b_eq, lower, upper)
+        self.session.set_bounds(lower, upper)
+        return self.session.solve()
 
 
 def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
@@ -69,17 +71,20 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     relax = _Relaxation(problem)
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
 
-    nodes = 0
-    iters = 0
     best_x: np.ndarray | None = None
     best_obj = np.inf
+    # Keyed by selector bounds: the continuous bounds are the same at every node.
+    solved: dict[bytes, Solution] = {}
 
     def node_solve(lo, up) -> Solution:
-        nonlocal nodes, iters
-        nodes += 1
-        sol = relax.solve(lo, up)
-        iters += sol.iterations
-        return sol
+        key = lo[int_idx].tobytes() + up[int_idx].tobytes()
+        if key not in solved:
+            solved[key] = relax.solve(lo, up)
+        return solved[key]
+
+    def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
+        iters = sum(sol.iterations for sol in solved.values())
+        return Solution(status, x, objective, iters, len(solved), time.perf_counter() - start)
 
     def try_fixed(zfix: np.ndarray) -> None:
         """Solve with z pinned to an integral point; update the incumbent."""
@@ -95,11 +100,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
 
     root = node_solve(lower, upper)
     if root.status is Status.INFEASIBLE:
-        return Solution(Status.INFEASIBLE, None, np.nan, iters, nodes, time.perf_counter() - start)
+        return result(Status.INFEASIBLE, None, np.nan)
     if root.status is Status.UNBOUNDED:
-        return Solution(Status.UNBOUNDED, None, -np.inf, iters, nodes, time.perf_counter() - start)
+        return result(Status.UNBOUNDED, None, -np.inf)
     if int_idx.size == 0:
-        return Solution(root.status, root.x, root.objective, iters, nodes, time.perf_counter() - start)
+        return result(root.status, root.x, root.objective)
 
     if incumbent_hint is not None:
         try_fixed(np.rint(incumbent_hint).astype(float))
@@ -110,23 +115,19 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         # Already integral: pin and certify.
         try_fixed(np.rint(zroot).astype(float))
         if best_obj <= root.objective + _GAP:
-            return Solution(
-                Status.OPTIMAL, best_x, best_obj, iters, nodes, time.perf_counter() - start
-            )
+            return result(Status.OPTIMAL, best_x, best_obj)
     else:
         # Round-up probe: selecting every positive z is feasible whenever the
         # cardinality row allows it and proves optimality when the big-M rows
         # were already slack at the root.
         try_fixed((zroot > _INT_TOL).astype(float))
         if best_x is not None and best_obj <= root.objective + _GAP:
-            return Solution(
-                Status.OPTIMAL, best_x, best_obj, iters, nodes, time.perf_counter() - start
-            )
+            return result(Status.OPTIMAL, best_x, best_obj)
 
     stack = [_Node(lower, upper, root.objective)]
     limited = False
     while stack:
-        if nodes >= _MAX_NODES:
+        if len(solved) >= _MAX_NODES:
             limited = True
             break
         node = stack.pop()
@@ -160,9 +161,6 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         stack.append(_Node(lo0, up0, sol.objective))
         stack.append(_Node(lo1, up1, sol.objective))
 
-    elapsed = time.perf_counter() - start
     if best_x is None:
-        status = Status.ITERATION_LIMIT if limited else Status.INFEASIBLE
-        return Solution(status, None, np.nan, iters, nodes, elapsed)
-    status = Status.ITERATION_LIMIT if limited else Status.OPTIMAL
-    return Solution(status, best_x, best_obj, iters, nodes, elapsed)
+        return result(Status.ITERATION_LIMIT if limited else Status.INFEASIBLE, None, np.nan)
+    return result(Status.ITERATION_LIMIT if limited else Status.OPTIMAL, best_x, best_obj)

@@ -10,6 +10,11 @@ and IPM iteration caps at _MAX_SIMPLEX_ITERS and no output.  The first
 solve of a session is therefore the cold solve `linprog` gives, bit for
 bit.
 
+`set_bounds` replaces the column bounds and clears the solver, so the
+next `solve` is again the cold solve a fresh session with those bounds
+gives, bit for bit, without stacking the matrices or passing the model
+anew.  Branch-and-bound re-solves its one relaxation this way per node.
+
 `add_rows` appends `<=` rows.  HiGHS keeps the last basis, with the new
 rows basic, so the next `solve` hot-starts from it instead of presolving
 and solving from scratch.  That solve reaches an optimum of the same
@@ -132,6 +137,19 @@ class LpSession:
         self._row_upper = np.concatenate([self._row_upper, rhs])
         self._le = np.concatenate([self._le, np.ones(m, dtype=bool)])
 
+    def set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Replace every column's bounds and drop the basis, so the next solve
+        is the cold solve a fresh session with these bounds gives."""
+        self._lower = _highs_inf(lower)
+        self._upper = _highs_inf(upper)
+        self._highs.clearSolver()
+        n_cols = self._lower.size
+        status = self._highs.changeColsBounds(
+            n_cols, np.arange(n_cols, dtype=np.int32), self._lower, self._upper
+        )
+        if status == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the column bounds")
+
     def solve(self) -> Solution:
         """Solve the current model, from the last basis when there is one."""
         start = time.perf_counter()
@@ -195,7 +213,8 @@ def solve_arrays(
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> Solution:
-    """One cold HiGHS solve; shared by solve_lp and the branch-and-bound nodes."""
+    """One cold HiGHS solve of a fresh session (no caller in the package;
+    bench/instrument.py wraps its name in `bnb`)."""
     return LpSession(c, a_ub, b_ub, a_eq, b_eq, lower, upper).solve()
 
 

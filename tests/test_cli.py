@@ -1,21 +1,25 @@
 import json
 
+import numpy as np
 import pytest
 
 from cqreg import cli
 from cqreg.cli import EXIT_DATA, EXIT_FLAGS, EXIT_OK, EXIT_SOLVER, main
+from cqreg import ALL_PAIRS, L0Penalty, add_l0, build_cqr
 from tests.conftest import make_instance
+
+
+def write_csv(path, ds):
+    lines = ["x1,x2,x3,y"] + [
+        ",".join(repr(float(v)) for v in (*row, y)) for row, y in zip(ds.inputs, ds.output)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.fixture
 def csv_path(tmp_path):
-    ds = make_instance(12, 3, seed=3)
-    lines = ["x1,x2,x3,y"] + [
-        ",".join(repr(float(v)) for v in (*row, y)) for row, y in zip(ds.inputs, ds.output)
-    ]
-    path = tmp_path / "data.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return write_csv(tmp_path / "data.csv", make_instance(12, 3, seed=3))
 
 
 def run(*argv):
@@ -84,3 +88,24 @@ def test_fit_then_verify_round_trip(csv_path, tmp_path, capsys, flags):
     assert len(doc["observations"]) == 12
     assert run("verify", "--result", out) == EXIT_OK
     assert "ok: all invariants hold" in capsys.readouterr().out
+
+
+def test_export_lists_columns_in_order_with_selectors_marked(tmp_path):
+    ds = make_instance(6, 3, seed=3)
+    path = write_csv(tmp_path / "data.csv", ds)
+    out = tmp_path / "model.mps"
+    args = fit_args(path, out, "--penalty", "l0", "--k", 1, "--big-m", 2.0)
+    assert run("export", *args[1:]) == EXIT_OK
+    columns = out.read_text().split("\nCOLUMNS\n")[1].split("\nRHS\n")[0].splitlines()
+    seen, markers = [], []
+    for line in columns:
+        name = line.split()[0]
+        if "'MARKER'" in line:
+            markers.append((line.split()[-1], len(seen)))
+        elif name not in seen:
+            seen.append(name)
+    problem = add_l0(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(1, 2.0))
+    assert seen == list(problem.var_names)
+    z = np.flatnonzero(problem.integer)
+    assert list(z) == list(range(z[0], z[-1] + 1))
+    assert markers == [("'INTORG'", z[0]), ("'INTEND'", z[-1] + 1)]

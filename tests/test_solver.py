@@ -24,6 +24,7 @@ from cqreg import (
     build_cqr,
     export_mps,
     fit,
+    l0_oracle,
     solve_lp,
     solve_mip,
     solve_qp,
@@ -106,6 +107,8 @@ class TestLpSession:
             _core._Highs: (
                 "passModel",
                 "addRows",
+                "changeColsBounds",
+                "clearSolver",
                 "run",
                 "setOptionValue",
                 "getModelStatus",
@@ -158,6 +161,34 @@ class TestLpSession:
         assert hot.status is Status.OPTIMAL
         assert hot.objective == pytest.approx(cold.objective, abs=1e-9)
         assert hot.dual_objective == pytest.approx(hot.objective, abs=1e-6)
+
+    def test_set_bounds_resolve_matches_fresh_session(self, small_noisy):
+        problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
+        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+        z = np.flatnonzero(problem.integer)
+        rng = np.random.default_rng(0)
+        # Free (-1), excluded (0) or selected (1) per selector; all three
+        # selected breaks the cardinality row (k = 2), so that node is
+        # infeasible and the feasible one after it must not see it.
+        fixings = [rng.integers(-1, 2, size=z.size) for _ in range(12)]
+        fixings[4:6] = [np.ones(z.size, dtype=int), np.array([1, 0, -1])]
+        session = LpSession.for_problem(relaxed)
+        statuses = []
+        for fixed in fixings:
+            lower, upper = problem.lower.copy(), problem.upper.copy()
+            lower[z[fixed == 1]] = 1.0
+            upper[z[fixed == 0]] = 0.0
+            session.set_bounds(lower, upper)
+            got = session.solve()
+            want = LpSession.for_problem(replace(relaxed, lower=lower, upper=upper)).solve()
+            statuses.append(got.status)
+            assert got.status is want.status
+            assert got.iterations == want.iterations
+            if want.optimal:
+                assert np.array_equal(got.x, want.x)
+                assert got.objective == want.objective
+                assert got.dual_objective == want.dual_objective
+        assert statuses[4:6] == [Status.INFEASIBLE, Status.OPTIMAL]
 
 
 class TestSolveQp:
@@ -530,6 +561,64 @@ class TestSolveMip:
         assert sol.status is Status.OPTIMAL
         z = sol.x[problem.integer]
         assert z.sum() <= 1
+
+
+    @pytest.mark.parametrize("n", [12, 16, 20])
+    @pytest.mark.parametrize("master", ["full", "cuts"])
+    def test_matches_fresh_session_at_every_node(self, monkeypatch, n, master):
+        ds = make_instance(n, 3, seed=n)
+        spec = EstimatorSpec("quantile", 0.5)
+        pairs = ALL_PAIRS if master == "full" else initial_constraints(ds)
+        problem = add_l0(build_cqr(ds, 0.5, pairs), L0Penalty(2, anchor_big_m(ds, spec, 1.0)))
+        kept = solve_mip(problem)
+
+        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+
+        def fresh(self, lower, upper):
+            return LpSession.for_problem(replace(relaxed, lower=lower, upper=upper)).solve()
+
+        monkeypatch.setattr(bnb._Relaxation, "solve", fresh)
+        rebuilt = solve_mip(problem)
+        assert kept.status is rebuilt.status is Status.OPTIMAL
+        assert np.array_equal(kept.x, rebuilt.x)
+        assert kept.objective == rebuilt.objective
+        assert kept.nodes == rebuilt.nodes
+
+    def test_repeated_bounds_are_solved_once(self, monkeypatch, small_noisy):
+        problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(1, 1.0))
+        bounds = []
+        original = bnb._Relaxation.solve
+
+        def recording(self, lower, upper):
+            bounds.append((lower[problem.integer].tobytes(), upper[problem.integer].tobytes()))
+            return original(self, lower, upper)
+
+        monkeypatch.setattr(bnb._Relaxation, "solve", recording)
+        sol = solve_mip(problem, incumbent_hint=np.array([1.0, 0.0, 0.0]))
+        assert len(bounds) == len(set(bounds)) == sol.nodes
+
+    # Bertsimas, King and Mazumder (2016): the big-M MIP against enumeration.
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 12),
+        d=st.integers(1, 3),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+        level=st.floats(0.1, 0.9),
+    )
+    def test_matches_exhaustive_subsets(self, n, d, k, seed, level):
+        ds = make_instance(n, d, seed=seed)
+        k = min(k, d)
+        spec = EstimatorSpec("quantile", level)
+        big_m = anchor_big_m(ds, spec, 10.0)
+        sol = solve_mip(add_l0(build_cqr(ds, level, ALL_PAIRS), L0Penalty(k, big_m)))
+        oracle_obj, subset = l0_oracle(ds, spec, k)
+        assert sol.status is Status.OPTIMAL
+        # Every selector-feasible point is a restricted fit, so the MIP
+        # cannot beat the best one; big-M binds only if its slopes reach it.
+        assert sol.objective >= oracle_obj - 1e-9
+        if np.abs(fit(ds.restrict(sorted(subset)), spec).beta).max() < big_m:
+            assert sol.objective == pytest.approx(oracle_obj, abs=1e-6)
 
 
 def _capped_l0_cer(monkeypatch):
