@@ -18,7 +18,6 @@ from .estimators import (
     expectile_to_quantile,
     fit,
     l0_oracle,
-    returns_to_scale,
     support,
 )
 from .mc import (

@@ -1,7 +1,8 @@
 """Batch command-line surface: fit, tune, simulate, export, verify.
 
 Exit codes: 0 success, 2 malformed input data, 3 invalid flags or flag
-combinations, 4 solver or verification failure.
+combinations, 4 solver or verification failure.  `main` maps a ValueError
+from any command to 3 and a RuntimeError to 4.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse variant that reports flag problems with exit code 3."""
 
     def error(self, message):
-        raise CliError(f"invalid flags: {message}", EXIT_FLAGS)
+        raise ValueError(message)
 
 
 def load_csv(path: str, output_col: str, id_col: str | None = None) -> Dataset:
@@ -114,37 +115,27 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> Dataset:
 
 def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
     if args.penalty == "l1" and args.lam is None:
-        raise CliError("invalid flags: --penalty l1 requires --lam", EXIT_FLAGS)
+        raise ValueError("--penalty l1 requires --lam")
     if args.penalty == "l0":
         if args.k is None:
-            raise CliError("invalid flags: --penalty l0 requires --k", EXIT_FLAGS)
+            raise ValueError("--penalty l0 requires --k")
         if args.big_m is None and args.m_mult is None:
-            raise CliError(
-                "invalid flags: --penalty l0 requires --big-m or --m-mult", EXIT_FLAGS
-            )
+            raise ValueError("--penalty l0 requires --big-m or --m-mult")
         if args.k > dataset.d:
-            raise CliError(
-                f"invalid flags: --k {args.k} exceeds the {dataset.d} input columns",
-                EXIT_FLAGS,
-            )
-    try:
-        spec = EstimatorSpec(
-            family=args.family,
-            level=args.level,
-            penalty=L1Penalty(args.lam) if args.penalty == "l1" else None,
-            solve=args.solve,
-            strategy=args.init,
-            tol=args.tol,
-        )
-        if args.penalty == "l0":
-            big_m = args.big_m
-            if big_m is None:
-                big_m = anchor_big_m(dataset, spec, args.m_mult)
-            spec = replace(spec, penalty=L0Penalty(args.k, big_m))
-    except ValueError as exc:
-        raise CliError(f"invalid flags: {exc}", EXIT_FLAGS) from exc
-    except RuntimeError as exc:
-        raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
+            raise ValueError(f"--k {args.k} exceeds the {dataset.d} input columns")
+    spec = EstimatorSpec(
+        family=args.family,
+        level=args.level,
+        penalty=L1Penalty(args.lam) if args.penalty == "l1" else None,
+        solve=args.solve,
+        strategy=args.init,
+        tol=args.tol,
+    )
+    if args.penalty == "l0":
+        big_m = args.big_m
+        if big_m is None:
+            big_m = anchor_big_m(dataset, spec, args.m_mult)
+        spec = replace(spec, penalty=L0Penalty(args.k, big_m))
     return spec
 
 
@@ -300,23 +291,20 @@ def _parse_floats(raw: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in raw.split(","))
     except ValueError as exc:
-        raise CliError(f"invalid flags: {flag} expects comma-separated numbers", EXIT_FLAGS) from exc
+        raise ValueError(f"{flag} expects comma-separated numbers") from exc
 
 
 def _parse_ints(raw: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in raw.split(","))
     except ValueError as exc:
-        raise CliError(f"invalid flags: {flag} expects comma-separated integers", EXIT_FLAGS) from exc
+        raise ValueError(f"{flag} expects comma-separated integers") from exc
 
 
 def _cmd_fit(args) -> int:
     dataset = load_csv(args.data, args.output_col, args.id_col)
     spec = _spec_from_args(args, dataset)
-    try:
-        result = fit(dataset, spec)
-    except RuntimeError as exc:
-        raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
+    result = fit(dataset, spec)
     doc = _result_document(dataset, spec, result)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
@@ -334,7 +322,7 @@ def _cv_config_from_args(args, preset: str | None = None) -> CVConfig:
     lam = None
     if getattr(args, "lambda_grid", None):
         lam = _parse_floats(args.lambda_grid, "--lambda-grid")
-    elif getattr(args, "lambda_count", None):
+    elif getattr(args, "lambda_count", None) is not None:
         lam = default_lambda_grid(args.lambda_count)
     if lam is not None:
         cfg = replace(cfg, lambda_grid=lam)
@@ -347,25 +335,15 @@ def _cv_config_from_args(args, preset: str | None = None) -> CVConfig:
 
 def _cmd_tune(args) -> int:
     dataset = load_csv(args.data, args.output_col, args.id_col)
-    if args.folds > dataset.n:
-        raise CliError(
-            f"invalid flags: --folds {args.folds} exceeds n={dataset.n}", EXIT_FLAGS
-        )
-    try:
-        cfg = _cv_config_from_args(args, args.preset)
-        spec = EstimatorSpec(
-            family=args.family,
-            level=args.level,
-            solve=args.solve,
-            strategy=args.init,
-            tol=args.tol,
-        )
-    except ValueError as exc:
-        raise CliError(f"invalid flags: {exc}", EXIT_FLAGS) from exc
-    try:
-        report = cross_validate(dataset, spec, args.penalty, cfg)
-    except RuntimeError as exc:
-        raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
+    cfg = _cv_config_from_args(args, args.preset)
+    spec = EstimatorSpec(
+        family=args.family,
+        level=args.level,
+        solve=args.solve,
+        strategy=args.init,
+        tol=args.tol,
+    )
+    report = cross_validate(dataset, spec, args.penalty, cfg)
     payload = report.to_dict()
     payload["schema_version"] = SCHEMA_VERSION
     payload["tool"] = {"name": "cqreg", "version": __version__}
@@ -381,23 +359,17 @@ def _cmd_tune(args) -> int:
 def _cmd_simulate(args) -> int:
     taus = _parse_floats(args.tau, "--tau")
     methods = tuple(m.strip() for m in args.methods.split(","))
-    try:
-        cfg = MCConfig(
-            n=args.n,
-            d=args.d,
-            k_true=args.k_true,
-            rho=args.rho,
-            taus=taus,
-            replications=args.reps,
-            seed=args.seed,
-            exponent_mode=args.exponent_mode,
-        )
-        cv = _cv_config_from_args(args)
-        report = run_mc(cfg, methods, cv, workers=args.workers)
-    except ValueError as exc:
-        raise CliError(f"invalid flags: {exc}", EXIT_FLAGS) from exc
-    except RuntimeError as exc:
-        raise CliError(f"solver failure: {exc}", EXIT_SOLVER) from exc
+    cfg = MCConfig(
+        n=args.n,
+        d=args.d,
+        k_true=args.k_true,
+        rho=args.rho,
+        taus=taus,
+        replications=args.reps,
+        seed=args.seed,
+        exponent_mode=args.exponent_mode,
+    )
+    report = run_mc(cfg, methods, _cv_config_from_args(args), workers=args.workers)
     report.to_csv(args.out)
     if args.json_out:
         report.to_json(args.json_out)
@@ -477,6 +449,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        print(f"invalid flags: {exc}", file=sys.stderr)
+        return EXIT_FLAGS
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":  # pragma: no cover

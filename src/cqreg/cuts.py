@@ -131,7 +131,7 @@ def separate(fit: FitResult, dataset: Dataset, tol: float) -> list[tuple[int, in
 
 
 def solve_with_cuts(
-    builder: Callable[[list[tuple[int, int]]], OptProblem],
+    builder: Callable[[np.ndarray], OptProblem],
     dataset: Dataset,
     strategy: str = MST,
     tol: float = 0.01,
@@ -139,54 +139,54 @@ def solve_with_cuts(
 ) -> tuple[FitResult, CutLoopStats]:
     """Run the reduced-master loop until the full system is tol-feasible.
 
-    `builder` maps a list of (i, h) pairs to the master problem (any
-    objective and extra penalty blocks).  Pure-LP masters are re-solved
+    `builder` maps an (m, 2) int array of (i, h) pairs to the master problem
+    (any objective and extra penalty blocks).  Pure-LP masters are re-solved
     from the previous basis when the module's acceptance rule allows;
     masters with binary selectors are re-solved as MIPs each round,
     warm-started from the previous round's selection.
     """
     if max_rounds is None:
         max_rounds = max(1, math.ceil(dataset.n * dataset.n / 2))
-    # A copy: rows are appended to `active`, never to the seed list.
-    active = list(initial_constraints(dataset, strategy))
-    present = set(active)
+    # (m, 2) pairs in the order their rows sit in the master.
+    active = np.asarray(initial_constraints(dataset, strategy), dtype=int).reshape(-1, 2)
+    present = np.zeros((dataset.n, dataset.n), dtype=bool)
+    present[active[:, 0], active[:, 1]] = True
     added: list[int] = []
     warm = 0
     fit: FitResult | None = None
     hint = None
     problem: OptProblem | None = None
     session: LpSession | None = None
-    built = 0  # len(active) when `problem` was built
-    new_pairs: list[tuple[int, int]] = []
     for _ in range(max_rounds):
         fit = None
         if session is not None:
             session.add_rows(afriat_rows(dataset, new_pairs, problem.n_vars), np.zeros(len(new_pairs)))
-            fit = _hot_fit(session, problem, dataset, tol, len(active) - built)
+            fit = _hot_fit(session, problem, dataset, tol)
             if fit is None:
                 session = None
             else:
                 warm += 1
         if fit is None:
             problem = builder(active)
-            built = len(active)
             sol, session = _solve_master(problem, hint)
             if sol.status is not Status.OPTIMAL:
                 raise RuntimeError(f"master solve ended with status {sol.status}")
             fit = extract_fit(problem, dataset, sol)
+        fit = replace(fit, meta=replace(fit.meta, constraints=len(active)))
         if fit.z is not None:
             hint = fit.z
         violated = separate(fit, dataset, tol)
+        found = np.array([(i, m) for i, m, _ in violated], dtype=int).reshape(-1, 2)
         # A reported pair can already be present only when tol undercuts the
         # master's own feasibility tolerance; that is a fixed point.
-        new_pairs = [(i, m) for i, m, _ in violated if (i, m) not in present]
+        new_pairs = found[~present[found[:, 0], found[:, 1]]]
         added.append(len(new_pairs))
-        if not new_pairs:
+        if len(new_pairs) == 0:
             worst = _worst_slack(fit, dataset)
             stats = CutLoopStats(len(added), tuple(added), len(active), worst, warm)
             return fit, stats
-        active.extend(new_pairs)
-        present.update(new_pairs)
+        active = np.concatenate([active, new_pairs])
+        present[new_pairs[:, 0], new_pairs[:, 1]] = True
     worst = _worst_slack(fit, dataset)
     stats = CutLoopStats(len(added), tuple(added), len(active), worst, warm)
     raise CutLoopLimitError(
@@ -194,12 +194,10 @@ def solve_with_cuts(
     )
 
 
-def _hot_fit(
-    session: LpSession, problem: OptProblem, dataset: Dataset, tol: float, appended: int
-) -> FitResult | None:
+def _hot_fit(session: LpSession, problem: OptProblem, dataset: Dataset, tol: float) -> FitResult | None:
     """The session's hot-started optimum when it provably gives the cold
     solve's separation (see the module docstring), else None.  `problem` is
-    the master the session was built from; `appended` rows were added since."""
+    the master the session was built from, before rows were appended."""
     sol = session.solve()
     if not sol.optimal or session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
         return None
@@ -210,8 +208,7 @@ def _hot_fit(
         return None
     if np.any((least < -tol) & (second - least <= _TIE_MARGIN)):
         return None
-    meta = replace(fit.meta, constraints=fit.meta.constraints + appended)
-    return replace(fit, meta=meta)
+    return fit
 
 
 def _worst_slack(fit: FitResult, dataset: Dataset) -> float:

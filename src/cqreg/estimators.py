@@ -144,20 +144,6 @@ def expectile_to_quantile(fit_result: FitResult, threshold: float = 1e-6) -> flo
     return float(np.count_nonzero(fit_result.eps_minus > threshold) / fit_result.n)
 
 
-def returns_to_scale(fit_result: FitResult, threshold: float = 1e-6) -> list[str]:
-    """Per-observation label from the intercept sign: negative intercepts mean
-    increasing returns to scale, positive decreasing, near-zero constant."""
-    labels = []
-    for a in fit_result.alpha:
-        if a < -threshold:
-            labels.append("increasing")
-        elif a > threshold:
-            labels.append("decreasing")
-        else:
-            labels.append("constant")
-    return labels
-
-
 def anchor_big_m(dataset: Dataset, spec: EstimatorSpec, multiplier: float) -> float:
     """Coefficient cap from an unpenalized anchor fit at the same family and
     level: multiplier times the largest fitted coefficient (floored away from

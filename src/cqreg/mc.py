@@ -204,9 +204,6 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
 
 
 def default_workers() -> int:
-    raw = os.environ.get("CQREG_THREADS")
-    if raw is not None:
-        return max(1, int(raw))
     return os.cpu_count() or 1
 
 

@@ -66,10 +66,16 @@ class L0Penalty:
 
 @dataclass(frozen=True)
 class VarLayout:
-    """Index layout of problems built here: [yhat(n), beta(n*d), eps+(n), eps-(n), z(d)?]."""
+    """Index layout of problems built here.
+
+    Columns are [yhat(n), beta(n*d), eps+(n), eps-(n), z(d)?].  Rows are the
+    n residual-split rows, then `afriat` Afriat rows starting at row n, then
+    any penalty block.
+    """
 
     n: int
     d: int
+    afriat: int = 0
     has_z: bool = False
 
     @property
@@ -107,7 +113,8 @@ class OptProblem:
     `a` with senses 'L' (<=) or 'E' (==) against `rhs`, and bounds
     lower <= x <= upper.  `integer` marks binary selection variables.
     The quadratic term, when present, must have nonnegative entries
-    (diagonal PSD), which covers every problem built here.
+    (diagonal PSD), which covers every problem built here.  Problems carry
+    no column or row names; `export_mps` derives them from `layout`.
     """
 
     obj_linear: np.ndarray
@@ -118,8 +125,6 @@ class OptProblem:
     lower: np.ndarray
     upper: np.ndarray
     integer: np.ndarray
-    var_names: tuple[str, ...]
-    row_names: tuple[str, ...]
     layout: VarLayout | None = None
 
     def __post_init__(self) -> None:
@@ -143,8 +148,6 @@ class OptProblem:
                 raise ValueError("quadratic term must be PSD (nonnegative diagonal)")
         if not set(np.unique(self.sense)) <= {"L", "E"}:
             raise ValueError("constraint senses must be 'L' or 'E'")
-        if len(self.var_names) != nv or len(self.row_names) != m:
-            raise ValueError("name lists do not match problem dimensions")
 
     @property
     def n_vars(self) -> int:
@@ -231,10 +234,8 @@ def _pair_arrays(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray]
         h = np.tile(np.arange(n), n)
         keep = i != h
         return i[keep], h[keep]
-    pairs = np.asarray([(int(i), int(h)) for (i, h) in constraints], dtype=int)
-    if pairs.size == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    if pairs.min() < 0 or pairs.max() >= n:
+    pairs = np.asarray(constraints, dtype=int).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError("constraint pair indices out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("constraint pairs must have i != h")
@@ -263,7 +264,9 @@ def afriat_rows(dataset: Dataset, constraints, n_cols: int) -> sparse.csr_matrix
 def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
     """Common constraint fabric shared by the quantile and expectile builders."""
     n, d = dataset.n, dataset.d
-    lay = VarLayout(n, d)
+    pi, ph = _pair_arrays(dataset, constraints)
+    m = pi.shape[0]
+    lay = VarLayout(n, d, afriat=m)
     nv = lay.n_continuous
 
     # Residual split rows: yhat_i + eps+_i - eps-_i = y_i.
@@ -277,8 +280,6 @@ def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
     )
     eq_vals = np.concatenate([np.ones(n), np.ones(n), -np.ones(n)])
 
-    pi, ph = _pair_arrays(dataset, constraints)
-    m = pi.shape[0]
     fit_rows = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, nv))
     a = sparse.vstack([fit_rows, _afriat_matrix(dataset, pi, ph, nv)], format="csr")
     sense = np.array(["E"] * n + ["L"] * m)
@@ -288,38 +289,28 @@ def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
     lower[lay.yhat()] = -np.inf
     upper = np.full(nv, np.inf)
     integer = np.zeros(nv, dtype=bool)
-
-    var_names = (
-        [f"YH{i + 1}" for i in range(n)]
-        + [f"B{i + 1}_{j + 1}" for i in range(n) for j in range(d)]
-        + [f"EP{i + 1}" for i in range(n)]
-        + [f"EN{i + 1}" for i in range(n)]
-    )
-    row_names = [f"FIT{i + 1}" for i in range(n)] + [
-        f"A{i + 1}_{h + 1}" for i, h in zip(pi.tolist(), ph.tolist())
-    ]
-    return [a, sense, rhs, lower, upper, integer, tuple(var_names), tuple(row_names)], lay
+    return [a, sense, rhs, lower, upper, integer], lay
 
 
 def build_cqr(dataset: Dataset, tau: float, constraints=ALL_PAIRS) -> OptProblem:
     """Quantile LP: minimize tau * sum(eps+) + (1 - tau) * sum(eps-)."""
     _check_level(tau, "tau")
-    (a, sense, rhs, lower, upper, integer, vnames, rnames), lay = _build_base(dataset, constraints)
+    (a, sense, rhs, lower, upper, integer), lay = _build_base(dataset, constraints)
     obj = np.zeros(lay.n_continuous)
     obj[lay.eps_plus()] = tau
     obj[lay.eps_minus()] = 1.0 - tau
-    return OptProblem(obj, None, a, sense, rhs, lower, upper, integer, vnames, rnames, lay)
+    return OptProblem(obj, None, a, sense, rhs, lower, upper, integer, lay)
 
 
 def build_cer(dataset: Dataset, tilde_tau: float, constraints=ALL_PAIRS) -> OptProblem:
     """Expectile QP: minimize tilde_tau * sum(eps+^2) + (1 - tilde_tau) * sum(eps-^2)."""
     _check_level(tilde_tau, "tilde_tau")
-    (a, sense, rhs, lower, upper, integer, vnames, rnames), lay = _build_base(dataset, constraints)
+    (a, sense, rhs, lower, upper, integer), lay = _build_base(dataset, constraints)
     obj = np.zeros(lay.n_continuous)
     quad = np.zeros(lay.n_continuous)
     quad[lay.eps_plus()] = tilde_tau
     quad[lay.eps_minus()] = 1.0 - tilde_tau
-    return OptProblem(obj, quad, a, sense, rhs, lower, upper, integer, vnames, rnames, lay)
+    return OptProblem(obj, quad, a, sense, rhs, lower, upper, integer, lay)
 
 
 def _require_layout(problem: OptProblem) -> VarLayout:
@@ -349,7 +340,6 @@ def add_l0(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
     if penalty.k > d:
         raise ValueError(f"k={penalty.k} exceeds the number of input variables d={d}")
     nv = problem.n_vars
-    new_lay = VarLayout(n, d, has_z=True)
 
     # n*d coupling rows, 2 nonzeros each, then the cardinality row.
     r = np.arange(n * d)
@@ -368,11 +358,7 @@ def add_l0(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
     lower = np.concatenate([problem.lower, np.zeros(d)])
     upper = np.concatenate([problem.upper, np.ones(d)])
     integer = np.concatenate([problem.integer, np.ones(d, dtype=bool)])
-    var_names = problem.var_names + tuple(f"Z{j + 1}" for j in range(d))
-    row_names = problem.row_names + tuple(
-        f"BM{i + 1}_{j + 1}" for i in range(n) for j in range(d)
-    ) + ("CARD",)
-    return OptProblem(obj, quad, a, sense, rhs, lower, upper, integer, var_names, row_names, new_lay)
+    return OptProblem(obj, quad, a, sense, rhs, lower, upper, integer, replace(lay, has_z=True))
 
 
 def add_l1_budget(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
@@ -397,8 +383,7 @@ def add_l1_budget(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
     rhs = np.concatenate([problem.rhs, np.full(n, penalty.big_m * penalty.k)])
     upper = problem.upper.copy()
     upper[lay.beta_all()] = np.minimum(upper[lay.beta_all()], penalty.big_m)
-    row_names = problem.row_names + tuple(f"L1B{i + 1}" for i in range(n))
-    return replace(problem, a=a, sense=sense, rhs=rhs, upper=upper, row_names=row_names)
+    return replace(problem, a=a, sense=sense, rhs=rhs, upper=upper)
 
 
 def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
@@ -419,8 +404,7 @@ def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
         status=str(solution.status),
         iterations=int(getattr(solution, "iterations", 0)),
         nodes=int(getattr(solution, "nodes", 0)),
-        # Afriat rows: the `<=` rows less the coupling and CARD rows of add_l0.
-        constraints=int(np.count_nonzero(problem.sense == "L")) - (lay.n * lay.d + 1 if lay.has_z else 0),
+        constraints=lay.afriat,
         wall_time=float(getattr(solution, "wall_time", 0.0)),
     )
     return FitResult(alpha, beta, eps_plus, eps_minus, y_hat, z, float(solution.objective), meta)

@@ -56,6 +56,23 @@ class TestExitCodes:
         assert run(*args) == EXIT_FLAGS
         assert capsys.readouterr().err.startswith("invalid flags:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--penalty", "l0", "--k-grid", 5),
+            ("--penalty", "l0", "--m-multipliers", -1),
+            ("--penalty", "l1", "--lambda-grid", -1),
+            ("--penalty", "l1", "--lambda-count", 0),
+            ("--penalty", "l1", "--folds", 13),
+        ],
+        ids=lambda f: " ".join(map(str, f)),
+    )
+    def test_bad_tune_value_is_a_flag_error(self, csv_path, tmp_path, capsys, flags):
+        args = ("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile",
+                "--level", 0.5, "--out", tmp_path / "cv.json", *flags)
+        assert run(*args) == EXIT_FLAGS
+        assert capsys.readouterr().err.startswith("invalid flags:")
+
     def test_anchor_failure_is_a_solver_error(self, csv_path, tmp_path, capsys, monkeypatch):
         def failing_anchor(*args):
             raise RuntimeError("anchor solve failed")
@@ -105,7 +122,13 @@ def test_export_lists_columns_in_order_with_selectors_marked(tmp_path):
         elif name not in seen:
             seen.append(name)
     problem = add_l0(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(1, 2.0))
-    assert seen == list(problem.var_names)
+    assert seen == (
+        [f"YH{i}" for i in range(1, 7)]
+        + [f"B{i}_{j}" for i in range(1, 7) for j in range(1, 4)]
+        + [f"EP{i}" for i in range(1, 7)]
+        + [f"EN{i}" for i in range(1, 7)]
+        + ["Z1", "Z2", "Z3"]
+    )
     z = np.flatnonzero(problem.integer)
     assert list(z) == list(range(z[0], z[-1] + 1))
     assert markers == [("'INTORG'", z[0]), ("'INTEND'", z[-1] + 1)]

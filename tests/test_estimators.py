@@ -12,7 +12,6 @@ from cqreg import (
     expectile_to_quantile,
     fit,
     l0_oracle,
-    returns_to_scale,
     support,
 )
 from cqreg.cuts import solve_with_cuts
@@ -21,10 +20,10 @@ from cqreg.model import FitMeta, FitResult
 from tests.conftest import make_instance
 
 
-def fake_fit(beta, alpha=None, eps_minus=None, z=None):
+def fake_fit(beta, eps_minus=None, z=None):
     n, d = beta.shape
     return FitResult(
-        alpha=np.zeros(n) if alpha is None else np.asarray(alpha, dtype=float),
+        alpha=np.zeros(n),
         beta=np.asarray(beta, dtype=float),
         eps_plus=np.zeros(n),
         eps_minus=np.zeros(n) if eps_minus is None else np.asarray(eps_minus, dtype=float),
@@ -154,10 +153,6 @@ class TestConversions:
     def test_half_negative(self):
         eps_minus = np.array([1.0] * 5 + [0.0] * 5)
         assert expectile_to_quantile(fake_fit(np.zeros((10, 1)), eps_minus=eps_minus)) == 0.5
-
-    def test_returns_to_scale_labels(self):
-        labels = returns_to_scale(fake_fit(np.zeros((3, 1)), alpha=[-10.249, 0.0, 0.5]))
-        assert labels == ["increasing", "constant", "decreasing"]
 
 
 class TestLambdaPath:

@@ -246,6 +246,12 @@ class TestRelaxation:
             relaxed = solve_lp(add_l1_budget(build_cqr(ds, 0.5, ALL_PAIRS), pen))
             assert relaxed.objective <= hard.objective + 1e-8
 
+    def test_fit_counts_afriat_rows_only(self):
+        ds = make_instance(10, 3)
+        problem = add_l1_budget(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
+        result = extract_fit(problem, ds, solve_lp(problem))
+        assert result.meta.constraints == 90  # n(n-1); the n budget rows are not Afriat rows
+
 
 class TestFitResultInvariants:
     @pytest.mark.parametrize("family", ["quantile", "expectile"])

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from cqreg import (
     Status,
     add_l0,
     add_l1,
+    add_l1_budget,
     anchor_big_m,
     build_cer,
     build_cqr,
@@ -33,6 +35,7 @@ from cqreg.cuts import initial_constraints, separate
 from cqreg.model import afriat_rows, extract_fit
 from cqreg.solver import bnb, qp
 from cqreg.solver.lp import LpSession, split_rows
+from cqreg.solver.mps import _names
 from tests.conftest import make_instance
 
 
@@ -40,7 +43,6 @@ def lp(c, rows, sense, rhs, lower=None, upper=None, quad=None, integer=None):
     c = np.asarray(c, dtype=float)
     nv = c.shape[0]
     a = sparse.csr_matrix(np.asarray(rows, dtype=float).reshape(-1, nv))
-    m = a.shape[0]
     return OptProblem(
         obj_linear=c,
         obj_quad=None if quad is None else np.asarray(quad, dtype=float),
@@ -50,8 +52,6 @@ def lp(c, rows, sense, rhs, lower=None, upper=None, quad=None, integer=None):
         lower=np.full(nv, -np.inf) if lower is None else np.asarray(lower, dtype=float),
         upper=np.full(nv, np.inf) if upper is None else np.asarray(upper, dtype=float),
         integer=np.zeros(nv, dtype=bool) if integer is None else np.asarray(integer, dtype=bool),
-        var_names=tuple(f"X{j + 1}" for j in range(nv)),
-        row_names=tuple(f"R{i + 1}" for i in range(m)),
     )
 
 
@@ -225,8 +225,6 @@ class TestSolveQp:
             base.lower,
             base.upper,
             base.integer,
-            base.var_names,
-            base.row_names,
             base.layout,
         )
         ls_sol = solve_qp(ls)
@@ -494,8 +492,6 @@ class TestSolveMip:
             lower,
             upper,
             problem.integer,
-            problem.var_names,
-            problem.row_names,
             problem.layout,
         )
         sol = solve_mip(fixed)
@@ -521,8 +517,6 @@ class TestSolveMip:
             problem.lower,
             problem.upper,
             np.zeros(problem.n_vars, dtype=bool),
-            problem.var_names,
-            problem.row_names,
             problem.layout,
         )
         root = solve_lp(relaxed)
@@ -654,6 +648,19 @@ class TestCappedNode:
         assert sol.status is not Status.OPTIMAL
 
 
+def _l0_cqr_full():
+    return add_l0(build_cqr(make_instance(6, 3, seed=3), 0.5, ALL_PAIRS), L0Penalty(1, 2.0))
+
+
+def _cer_cut_master():
+    ds = make_instance(8, 2, seed=4)
+    return build_cer(ds, 0.8, initial_constraints(ds))
+
+
+def _l1_budget_cqr():
+    return add_l1_budget(build_cqr(make_instance(6, 3, seed=5), 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
+
+
 class TestExportMps:
     def test_sections_present(self):
         sol = lp([1.0], [[-1.0]], "L", [-3.0])
@@ -686,9 +693,27 @@ class TestExportMps:
             if len(parts) >= 3 and parts[0] != "MARKER1" and not parts[0].startswith("MARKER"):
                 if parts[0] not in seen:
                     seen.append(parts[0])
-        expected = [name for name in problem.var_names if name in set(seen)]
-        assert seen == expected
+        assert seen == _names(problem)[0]
 
     def test_identical_output(self, small_noisy):
         problem = build_cqr(small_noisy, 0.9, ALL_PAIRS)
         assert export_mps(problem) == export_mps(problem)
+
+    def test_names_without_layout(self):
+        text = export_mps(lp([1.0, 1.0], [[-1.0, 0.0], [1.0, 1.0]], "LE", [-3.0, 5.0]))
+        assert " L  R1\n E  R2\n" in text
+        assert "    X2        R2        1\n" in text
+
+    # Reference digests of the export text, names and number formats included.
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (_l0_cqr_full, "da2c58c35e52809a51da4fea941d5ad26f6f4918ed49480ce2e74ffdf5a27ca5"),
+            (_cer_cut_master, "3bdecfc4648ff80627deff4433a285ffdde8afa5a6dc22412af9fbc38b01787c"),
+            (_l1_budget_cqr, "76e4a359288057d247737cc24b99f263a823e64bc18c448f93d929607950443d"),
+        ],
+        ids=["l0-cqr-full", "cer-cut-master", "l1-budget-cqr"],
+    )
+    def test_pinned_text(self, make, digest):
+        assert hashlib.sha256(export_mps(make()).encode()).hexdigest() == digest
+
