@@ -13,7 +13,7 @@ per iteration of the reduced augmented system
 K is symmetric quasi-definite, so it has a factorization with diagonal
 pivots under any symmetric ordering (Vanderbei 1995); SuperLU takes the
 diagonal pivot unless it is tiny against its column.  Its sparsity pattern is
-fixed within one solve: it is built once, together with a map from every
+fixed for one row partition: it is built once, together with a map from every
 same-row nonzero pair of A_in to its slot, and each iteration only refills
 the values and factors them under a minimum-degree ordering of K + K'.
 The inequality rows enter K through those pairs alone, so the n(n-1)
@@ -27,6 +27,23 @@ dozen steps where operator-splitting stalls in the tail.
 A context can be re-solved under different bound vectors (used by
 branch-and-bound, where only the selection-variable bounds change
 between nodes).
+
+What does not depend on the costs is built once per constraint system and
+kept in a one-entry memo: the stacked rows, their Ruiz scaling and scaled
+P, and, for the last row partition solved (which rows are equalities,
+upper and lower sides), the row slices, their transposes and the pattern
+of K.  A cross-validation fold solves the same system at every lambda of
+its grid, since the shrinkage penalty is a cost bump on beta.  The key is
+exact bitwise equality of the constraint matrix's CSR arrays and shape,
+of the quadratic costs and of the set of bounded columns; a system that
+differs replaces the entry.  Each solve recomputes the cost scale, the
+scaled costs and the constant part of K.  The memo's arrays are
+read-only, so a caller cannot change what a later solve reads.
+
+The products with the row slices and the refill of K call scipy's private
+kernels `_sparsetools.csr_matvec` and `csc_matvec` directly: they are what
+`@` dispatches to, so every iterate has the bits `@` gives, without the
+dispatch cost of each call.
 """
 
 from __future__ import annotations
@@ -35,6 +52,7 @@ import time
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from ..model import OptProblem
@@ -44,6 +62,8 @@ _EPS_TARGET = 1e-9  # interior-point stopping (scaled residuals and gap)
 _EPS_FINAL = 1e-6   # contract: KKT residual at acceptance
 _DELTA = 1e-9       # static regularization of the augmented system
 _MAX_IPM_ITERS = 200
+
+_memo: _System | None = None  # the constraint system of the last QpContext
 
 
 class QpContext:
@@ -55,8 +75,6 @@ class QpContext:
         if problem.is_mip:
             raise ValueError("problem has integrality flags; use solve_mip")
         self.problem = problem
-        nv = problem.n_vars
-        self.p_diag0 = 2.0 * (problem.obj_quad if problem.obj_quad is not None else np.zeros(nv))
         self.q0 = problem.obj_linear.astype(float)
 
         # Stack constraint rows and finite-bound identity rows into l <= Ax <= u.
@@ -64,53 +82,23 @@ class QpContext:
         lo_rows = np.where(is_eq, problem.rhs, -np.inf)
         up_rows = problem.rhs.astype(float)
         bounded = np.flatnonzero((problem.lower != -np.inf) | (problem.upper != np.inf))
-        eye = sparse.csr_matrix(
-            (np.ones(bounded.size), (np.arange(bounded.size), bounded)),
-            shape=(bounded.size, nv),
-        )
-        self.a0 = sparse.vstack([problem.a, eye]).tocsr() if bounded.size else problem.a.tocsr()
+        self.system = _system(problem.a.tocsr(), problem.obj_quad, bounded)
+        self.a0, self.p_diag0 = self.system.a0, self.system.p_diag0
+        self.d, self.e, self.a_s = self.system.d, self.system.e, self.system.a_s
         self.l0 = np.concatenate([lo_rows, problem.lower[bounded]])
         self.u0 = np.concatenate([up_rows, problem.upper[bounded]])
         self.bounded = bounded
         self.m, self.nv = self.a0.shape
-        self._equilibrate()
 
-    def _equilibrate(self) -> None:
-        """Ruiz scaling of the KKT block matrix plus cost normalization.
-
-        Works on the CSR data array: row and column maxima by
-        `np.maximum.at`, scaling as (dr[row] * a) * dx[col], which is what
-        the products diag(dr) @ a @ diag(dx) compute entry by entry.
-        """
-        rows = np.repeat(np.arange(self.m, dtype=np.int32), np.diff(self.a0.indptr))
-        cols = self.a0.indices
-        data = self.a0.data.astype(float)
-        d = np.ones(self.nv)
-        e = np.ones(self.m)
-        p = self.p_diag0.copy()
-        for _ in range(10):
-            mag = np.abs(data)
-            cnorm = np.abs(p)
-            np.maximum.at(cnorm, cols, mag)
-            rnorm = np.zeros(self.m)
-            np.maximum.at(rnorm, rows, mag)
-            dx = 1.0 / np.sqrt(np.maximum(cnorm, 1e-12))
-            dr = 1.0 / np.sqrt(np.maximum(rnorm, 1e-12))
-            dx[cnorm < 1e-12] = 1.0
-            dr[rnorm < 1e-12] = 1.0
-            p *= dx * dx
-            data = (dr[rows] * data) * dx[cols]
-            d *= dx
-            e *= dr
-        q = (self.q0 * d).astype(float)
+        # Cost normalization on top of the system's Ruiz scaling.
+        p = self.system.p
+        q = (self.q0 * self.d).astype(float)
         cost = max(np.abs(p).mean() if p.size else 0.0, np.abs(q).max() if q.size else 0.0)
-        c = 1.0 / min(max(cost, 1e-6), 1e6)
-        self.d, self.e, self.c = d, e, c
-        self.p_s = c * p
-        self.q_s = c * q
-        self.a_s = sparse.csr_matrix((data, cols.copy(), self.a0.indptr.copy()), shape=self.a0.shape)
-        self.l_s = self.l0 * e
-        self.u_s = self.u0 * e
+        self.c = 1.0 / min(max(cost, 1e-6), 1e6)
+        self.p_s = self.c * p
+        self.q_s = self.c * q
+        self.l_s = self.l0 * self.e
+        self.u_s = self.u0 * self.e
 
     def _unscaled(self, x_s, y_s, z_s):
         x = self.d * x_s
@@ -220,19 +208,17 @@ class QpContext:
         eq = l_s == u_s
         up = ~eq & (u_s != np.inf)
         lo = ~eq & (l_s != -np.inf)
-        a_eq = self.a_s[eq]
+        part = self.system.partition(eq, up, lo)
         b_eq = u_s[eq]
-        a_up, cap_up = self.a_s[up], u_s[up]
-        a_in = sparse.vstack([a_up, -self.a_s[lo]], format="csr")
-        cap = np.concatenate([cap_up, -l_s[lo]])
-        m_eq, m_in = a_eq.shape[0], cap.shape[0]
-        a_eq_t, a_in_t = a_eq.T, a_in.T
-        kkt = _Kkt(a_in, a_eq, p)
+        cap = np.concatenate([u_s[up], -l_s[lo]])
+        m_eq, m_in = part.m_eq, part.m_in
+        a_eq, a_eq_t, a_in, a_in_t = part.a_eq, part.a_eq_t, part.a_in, part.a_in_t
+        kkt = _Kkt(part, p)
 
         x = np.zeros(nv)
         y = np.zeros(m_eq)
         if m_in:
-            gap0 = cap - (a_in @ x)
+            gap0 = cap - a_in(x)
             s = np.maximum(gap0, 1.0)
             z = np.ones(m_in)
         else:
@@ -242,12 +228,12 @@ class QpContext:
         status = Status.ITERATION_LIMIT
         it = 0
         for it in range(1, _MAX_IPM_ITERS + 1):
-            r_d = p * x + q + (a_eq_t @ y if m_eq else 0.0)
+            r_d = p * x + q + (a_eq_t(y) if m_eq else 0.0)
             if m_in:
-                r_d = r_d + a_in_t @ z
-            r_eq = (a_eq @ x - b_eq) if m_eq else np.zeros(0)
+                r_d = r_d + a_in_t(z)
+            r_eq = (a_eq(x) - b_eq) if m_eq else np.zeros(0)
             if m_in:
-                r_in = a_in @ x + s - cap
+                r_in = a_in(x) + s - cap
                 mu = float(s @ z) / m_in
             else:
                 r_in = np.zeros(0)
@@ -282,13 +268,13 @@ class QpContext:
                 # Eliminate ds, dz; solve the augmented system for dx, dy.
                 if m_in:
                     tmp = (z * r_in - rc) / np.maximum(s, 1e-300)
-                    rhs1 = -r_d - a_in_t @ tmp
+                    rhs1 = -r_d - a_in_t(tmp)
                 else:
                     rhs1 = -r_d
                 out = solve(np.concatenate([rhs1, -r_eq]))
                 dx, dy = out[:nv], out[nv:]
                 if m_in:
-                    ds = -r_in - a_in @ dx
+                    ds = -r_in - a_in(dx)
                     dz = -(rc + z * ds) / np.maximum(s, 1e-300)
                 else:
                     ds = np.zeros(0)
@@ -322,25 +308,144 @@ class QpContext:
         if m_eq:
             y_row[eq] = y
         if m_in:
-            z_up, z_lo = z[: a_up.shape[0]], z[a_up.shape[0] :]
+            z_up, z_lo = z[: part.n_up], z[part.n_up :]
             y_row[up] += z_up
             y_row[lo] -= z_lo
         return x, y_row, status, it
 
 
-class _Kkt:
-    """The reduced augmented matrix K of one solve, on a fixed CSC pattern.
+def _same(x: np.ndarray, y: np.ndarray) -> bool:
+    """Bitwise equality: 0.0 and -0.0 differ, as they can in the iterates."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _freeze(*items: np.ndarray | sparse.spmatrix) -> None:
+    """Make arrays, and the arrays of sparse matrices, read-only."""
+    for item in items:
+        for a in (item.data, item.indices, item.indptr) if sparse.issparse(item) else (item,):
+            a.flags.writeable = False
+
+
+def _matvec(a: sparse.csr_matrix | sparse.csc_matrix):
+    """x -> a @ x for a CSR or CSC matrix, by a direct call of the kernel
+    `@` dispatches to: the same bits, without the dispatch cost per call."""
+    kernel = _sparsetools.csr_matvec if a.format == "csr" else _sparsetools.csc_matvec
+    (rows, cols), indptr, indices, data = a.shape, a.indptr, a.indices, a.data
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows)
+        kernel(rows, cols, indptr, indices, data, x, out)
+        return out
+
+    return matvec
+
+
+def _system(a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> _System:
+    """The memo's system if it is this one, else a new one that replaces it."""
+    global _memo
+    system = _memo
+    if system is None or not system.matches(a, quad, bounded):
+        system = _memo = None  # let the old entry go before the new one is built
+        system = _memo = _System(a, quad, bounded)
+    return system
+
+
+class _System:
+    """The cost-independent part of a QP: the stacked rows A0 (constraint
+    rows, then one identity row per bounded column), their Ruiz scaling
+    d, e with the scaled A_s = diag(e) A0 diag(d) and scaled P, and the
+    row split of the last partition solved.  Every array is read-only."""
+
+    def __init__(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray):
+        self.key = (a.shape, a.indptr.copy(), a.indices.copy(), a.data.copy(), quad.copy(), bounded.copy())
+        eye = sparse.csr_matrix(
+            (np.ones(bounded.size), (np.arange(bounded.size), bounded)),
+            shape=(bounded.size, a.shape[1]),
+        )
+        # A copy, not `a`: freezing must not reach the caller's matrix.
+        self.a0 = sparse.vstack([a, eye]).tocsr() if bounded.size else a.copy()
+        self.p_diag0 = 2.0 * quad
+        self._equilibrate()
+        _freeze(*self.key[1:], self.a0, self.p_diag0, self.d, self.e, self.p, self.a_s)
+        self._part: _Partition | None = None
+
+    def matches(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> bool:
+        shape, indptr, indices, data, q, b = self.key
+        return (
+            a.shape == shape
+            and _same(a.indptr, indptr)
+            and _same(a.indices, indices)
+            and _same(a.data, data)
+            and _same(quad, q)
+            and _same(bounded, b)
+        )
+
+    def _equilibrate(self) -> None:
+        """Ruiz scaling of the KKT block matrix.
+
+        Works on the CSR data array: row and column maxima by
+        `np.maximum.at`, scaling as (dr[row] * a) * dx[col], which is what
+        the products diag(dr) @ a @ diag(dx) compute entry by entry.
+        """
+        m, nv = self.a0.shape
+        rows = np.repeat(np.arange(m, dtype=np.int32), np.diff(self.a0.indptr))
+        cols = self.a0.indices
+        data = self.a0.data.astype(float)
+        d = np.ones(nv)
+        e = np.ones(m)
+        p = self.p_diag0.copy()
+        for _ in range(10):
+            mag = np.abs(data)
+            cnorm = np.abs(p)
+            np.maximum.at(cnorm, cols, mag)
+            rnorm = np.zeros(m)
+            np.maximum.at(rnorm, rows, mag)
+            dx = 1.0 / np.sqrt(np.maximum(cnorm, 1e-12))
+            dr = 1.0 / np.sqrt(np.maximum(rnorm, 1e-12))
+            dx[cnorm < 1e-12] = 1.0
+            dr[rnorm < 1e-12] = 1.0
+            p *= dx * dx
+            data = (dr[rows] * data) * dx[cols]
+            d *= dx
+            e *= dr
+        self.d, self.e, self.p = d, e, p
+        self.a_s = sparse.csr_matrix((data, cols, self.a0.indptr), shape=self.a0.shape)
+
+    def partition(self, eq: np.ndarray, up: np.ndarray, lo: np.ndarray) -> _Partition:
+        """The row split for these masks, built when they differ from the last."""
+        part = self._part
+        if part is None or not all(map(_same, (eq, up, lo), part.masks)):
+            part = self._part = None  # let the old split go before the new one is built
+            part = self._part = _Partition(self.a_s, eq, up, lo)
+        return part
+
+
+class _Partition:
+    """One split of the scaled rows into equalities A_eq and inequalities
+    A_in (upper sides, then negated lower sides): the products x -> A x and
+    y -> A' y of each, and the CSC pattern of K for them.
 
     Entry K[j, k] of A_in' W A_in is the sum over rows r of
     w_r * a_rj * a_rk, so K's data is const + weight_map @ w for a sparse
     weight_map with one entry a_rj * a_rk per same-row nonzero pair (j, k)
     of A_in, in the row of K's data slot for (j, k) and the column r.  The
-    rest of K is const.
+    rest of K is const: P + delta I, -delta I and A_eq, summed into the
+    slots `const_slot` by `_Kkt` for each solve's scaled P.
     """
 
-    def __init__(self, a_in: sparse.csr_matrix, a_eq: sparse.csr_matrix, p: np.ndarray):
-        nv, m_eq = p.size, a_eq.shape[0]
-        size = nv + m_eq
+    def __init__(self, a_s: sparse.csr_matrix, eq: np.ndarray, up: np.ndarray, lo: np.ndarray):
+        a_eq = a_s[eq]
+        a_up = a_s[up]
+        a_in = sparse.vstack([a_up, -a_s[lo]], format="csr")
+        self.masks = (eq, up, lo)
+        _freeze(a_eq, a_in, *self.masks)
+        self.n_up = a_up.shape[0]
+        self.m_eq, self.m_in = a_eq.shape[0], a_in.shape[0]
+        self.a_eq, self.a_eq_t = _matvec(a_eq), _matvec(a_eq.T)
+        self.a_in, self.a_in_t = _matvec(a_in), _matvec(a_in.T)
+
+        nv = a_s.shape[1]
+        self.size = size = nv + self.m_eq
         # Pair t couples nonzeros first[t] and second[t] of the same row.
         lens = np.diff(a_in.indptr).astype(np.int32)
         per = np.repeat(lens, lens)
@@ -348,8 +453,8 @@ class _Kkt:
         within = np.arange(first.size, dtype=np.int32) - np.repeat(np.cumsum(per) - per, per)
         second = np.repeat(np.repeat(a_in.indptr[:-1].astype(np.int32), lens), per) + within
         del per, within
-        eq = a_eq.tocoo()
-        eq_row, eq_col = nv + eq.row.astype(np.int64), eq.col.astype(np.int64)
+        eq_coo = a_eq.tocoo()
+        eq_row, eq_col = nv + eq_coo.row.astype(np.int64), eq_coo.col.astype(np.int64)
         # Entry (row, col) of K has the key col * size + row, its CSC order.
         key = np.concatenate(
             [
@@ -370,16 +475,26 @@ class _Kkt:
             shape=(keys.size, a_in.shape[0]),
         )
         del first, second
-        const = np.concatenate([p + _DELTA, np.full(m_eq, -_DELTA), eq.data, eq.data])
-        self.const = np.bincount(slot[n_pair:], weights=const, minlength=keys.size)
-        indptr = np.searchsorted(keys, np.arange(size + 1) * size)
-        self.k = sparse.csc_matrix(
-            (self.const, (keys % size).astype(np.int32), indptr.astype(np.int32)), shape=(size, size)
-        )
+        self.refill = _matvec(self.weight_map)
+        self.const_slot = slot[n_pair:].copy()  # not a view that keeps every pair's slot
+        self.eq_data = eq_coo.data
+        self.indices = (keys % size).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
+        _freeze(self.weight_map, self.const_slot, self.eq_data, self.indices, self.indptr)
+
+
+class _Kkt:
+    """K of one solve: a partition's pattern with the constant part at scaled P."""
+
+    def __init__(self, part: _Partition, p: np.ndarray):
+        const = np.concatenate([p + _DELTA, np.full(part.m_eq, -_DELTA), part.eq_data, part.eq_data])
+        self.const = np.bincount(part.const_slot, weights=const, minlength=part.weight_map.shape[0])
+        self.refill = part.refill
+        self.k = sparse.csc_matrix((self.const, part.indices, part.indptr), shape=(part.size, part.size))
 
     def factor(self, w: np.ndarray):
         """Factor K at inequality weights w; returns a solve function."""
-        self.k.data = self.const + self.weight_map @ w
+        self.k.data = self.const + self.refill(w)
         # Diagonal pivots, unless one is below 10% of its column: a
         # delta-sized pivot (the equality row of a fixed variable) taken early
         # loses the digits of the variable's own diagonal, and lower

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cqreg import cli
 from cqreg.cli import EXIT_DATA, EXIT_FLAGS, EXIT_OK, EXIT_SOLVER, main
-from cqreg import ALL_PAIRS, L0Penalty, add_l0, build_cqr
+from cqreg import ALL_PAIRS, CVConfig, L0Penalty, add_l0, build_cqr
+from cqreg.tuning import default_lambda_grid
 from tests.conftest import make_instance
 
 
@@ -64,6 +66,7 @@ class TestExitCodes:
             ("--penalty", "l1", "--lambda-grid", -1),
             ("--penalty", "l1", "--lambda-count", 0),
             ("--penalty", "l1", "--folds", 13),
+            ("--penalty", "l0", "--preset", "sdg"),  # k up to 11 at d=3
         ],
         ids=lambda f: " ".join(map(str, f)),
     )
@@ -72,6 +75,15 @@ class TestExitCodes:
                 "--level", 0.5, "--out", tmp_path / "cv.json", *flags)
         assert run(*args) == EXIT_FLAGS
         assert capsys.readouterr().err.startswith("invalid flags:")
+
+    def test_sdg_preset_with_lambda_count_replaces_only_lambda(self, csv_path, tmp_path):
+        args = cli._build_parser().parse_args(
+            ["tune", "--data", str(csv_path), "--output-col", "y", "--family", "quantile",
+             "--level", "0.5", "--penalty", "l1", "--preset", "sdg", "--lambda-count", "5",
+             "--out", str(tmp_path / "cv.json")]
+        )
+        cfg = cli._cv_config_from_args(args, args.preset)
+        assert cfg == replace(CVConfig.sdg(), lambda_grid=default_lambda_grid(5))
 
     def test_anchor_failure_is_a_solver_error(self, csv_path, tmp_path, capsys, monkeypatch):
         def failing_anchor(*args):

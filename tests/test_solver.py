@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,7 @@ from cqreg import (
     build_cqr,
     export_mps,
     fit,
+    kfold_split,
     l0_oracle,
     solve_lp,
     solve_mip,
@@ -402,8 +406,9 @@ class TestQpContext:
     )
     def test_kkt_factor_solves_the_assembled_matrix(self, n, d, seed, fix, log_w):
         # The backward error against K = [A_in' W A_in + P + delta I, A_eq';
-        # A_eq, -delta I] assembled densely, at two weight vectors on one
-        # pattern.
+        # A_eq, -delta I] assembled densely, on one pattern at two cost
+        # scalings of P (as two lambdas of one system get) times two weight
+        # vectors.
         ds = make_instance(n, d, seed=seed)
         problem, relaxed = _relaxed_l0_cer(ds, 0.5, max(1, min(fix, d)))
         lower, upper = problem.lower.copy(), problem.upper.copy()
@@ -412,22 +417,25 @@ class TestQpContext:
         ctx = qp.QpContext(relaxed)
         l_s, u_s = ctx._scaled_bounds(lower, upper)
         eq = l_s == u_s
+        up, lo = ~eq & (u_s != np.inf), ~eq & (l_s != -np.inf)
         a_eq = ctx.a_s[eq]
-        a_in = sparse.vstack([ctx.a_s[~eq & (u_s != np.inf)], -ctx.a_s[~eq & (l_s != -np.inf)]], format="csr")
-        kkt = qp._Kkt(a_in, a_eq, ctx.p_s)
+        a_in = sparse.vstack([ctx.a_s[up], -ctx.a_s[lo]], format="csr")
+        part = qp._Partition(ctx.a_s, eq, up, lo)
         nv, m_eq = ctx.nv, a_eq.shape[0]
         rng = np.random.default_rng(seed)
-        for _ in range(2):
-            w = 10.0 ** rng.choice(log_w, size=a_in.shape[0])
-            k = np.zeros((nv + m_eq, nv + m_eq))
-            k[:nv, :nv] = (a_in.T @ sparse.diags(w) @ a_in).toarray() + np.diag(ctx.p_s + qp._DELTA)
-            k[:nv, nv:] = a_eq.T.toarray()
-            k[nv:, :nv] = a_eq.toarray()
-            k[nv:, nv:] = -qp._DELTA * np.eye(m_eq)
-            rhs = rng.normal(size=nv + m_eq)
-            x = kkt.factor(w)(rhs)
-            scale = np.abs(k).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
-            assert np.abs(k @ x - rhs).max() <= 1e-12 * scale
+        for p in (ctx.p_s, ctx.p_s * 10.0 ** rng.uniform(-3, 3)):
+            kkt = qp._Kkt(part, p)
+            for _ in range(2):
+                w = 10.0 ** rng.choice(log_w, size=a_in.shape[0])
+                k = np.zeros((nv + m_eq, nv + m_eq))
+                k[:nv, :nv] = (a_in.T @ sparse.diags(w) @ a_in).toarray() + np.diag(p + qp._DELTA)
+                k[:nv, nv:] = a_eq.T.toarray()
+                k[nv:, :nv] = a_eq.toarray()
+                k[nv:, nv:] = -qp._DELTA * np.eye(m_eq)
+                rhs = rng.normal(size=nv + m_eq)
+                x = kkt.factor(w)(rhs)
+                scale = np.abs(k).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+                assert np.abs(k @ x - rhs).max() <= 1e-12 * scale
 
     def test_one_input_l1_instance_converges(self):
         # Minimum-degree ordering refreshed at every factorization; an
@@ -472,6 +480,166 @@ class TestQpContext:
         z = np.flatnonzero(problem.integer)[0]
         lower[z] = upper[z] = 1.0
         assert qp.QpContext(relaxed).solve(lower, upper).status is not Status.INFEASIBLE
+
+
+def _bits(sol) -> tuple:
+    return sol.status, sol.iterations, None if sol.x is None else sol.x.tobytes()
+
+
+class TestSystemMemo:
+    """The one-entry memo of a constraint system's scaling and KKT pattern
+    changes no bit of any solve."""
+
+    @pytest.fixture(autouse=True)
+    def live_systems(self):
+        # Every system the memo has held; after each solve at most one of
+        # them may still be alive (no context keeps one here).  The memo is
+        # cleared by assignment: monkeypatch would keep each old entry alive.
+        qp._memo = None
+        yield []
+        qp._memo = None
+
+    @staticmethod
+    def _check_one_live(seen):
+        seen.append(weakref.ref(qp._memo))
+        seen[:] = [ref for ref in seen if ref() is not None]
+        assert all(ref() is qp._memo for ref in seen)
+
+    def _same_bits_hot_and_cold(self, seen, solve) -> bool:
+        """Solve, solve again, and solve after clearing the memo; whether
+        the first solve reused the system the memo held before it."""
+        entering = qp._memo
+        first = _bits(solve())
+        reused = qp._memo is entering
+        del entering
+        held = qp._memo
+        second = _bits(solve())
+        assert qp._memo is held  # the second solve reused the system
+        self._check_one_live(seen)
+        qp._memo = None
+        cold = _bits(solve())
+        assert qp._memo is not held
+        del held
+        assert first == second == cold
+        self._check_one_live(seen)
+        return reused
+
+    def test_lambda_sweep_on_one_fold(self, live_systems):
+        ds = make_instance(20, 3, seed=5)
+        train = ds.subset(np.flatnonzero(kfold_split(ds.n, 5, 0) != 0))
+        base = build_cer(train, 0.5, ALL_PAIRS)
+        reused = []
+        for lam in np.logspace(-3, -1, 10):
+            problem = add_l1(base, L1Penalty(float(lam)))
+            reused.append(self._same_bits_hot_and_cold(live_systems, lambda: qp.QpContext(problem).solve()))
+        # Every lambda after the first starts on the previous one's system.
+        assert reused == [False] + [True] * 9
+
+    def test_sample_cases(self, live_systems):
+        for case in range(300):
+            assert not self._same_bits_hot_and_cold(live_systems, lambda: _sample_solve(case))
+
+    def test_alternating_systems_and_partitions(self, live_systems):
+        ds = make_instance(8, 3, seed=11)
+        problem, relaxed = _relaxed_l0_cer(ds, 0.4, 2)
+        z = np.flatnonzero(problem.integer)
+        bounds = []
+        for fix_at, value in ((z[0], 1.0), (z[1], 0.0)):
+            lower, upper = problem.lower.copy(), problem.upper.copy()
+            lower[fix_at] = upper[fix_at] = value
+            bounds.append((lower, upper))
+        # Systems that differ only in the matrix's values ("a", "c"), only
+        # in the quadratic costs ("a", "b") or only in which columns are
+        # bounded ("b", "d"), beside a relaxed L0 problem solved under two
+        # node partitions.
+        other = {
+            "a": add_l1(build_cer(make_instance(8, 3, seed=12), 0.4, ALL_PAIRS), L1Penalty(0.01)),
+            "b": build_cer(make_instance(8, 3, seed=12), 0.7, ALL_PAIRS),
+            "c": build_cer(make_instance(8, 3, seed=13), 0.4, ALL_PAIRS),
+        }
+        free = np.flatnonzero(other["b"].upper == np.inf)[0]
+        other["d"] = replace(other["b"], upper=np.where(np.arange(other["b"].n_vars) == free, 1e3, other["b"].upper))
+        solves = {f"n{i}": lambda i=i: qp.QpContext(relaxed).solve(*bounds[i]) for i in range(2)}
+        solves.update({key: lambda key=key: solve_qp(other[key]) for key in other})
+        cold = {}
+        for key, solve in solves.items():
+            qp._memo = None
+            cold[key] = _bits(solve())
+        ctx = qp.QpContext(relaxed)  # one B&B context across node partitions
+        for key in ("n0", "n1", "a", "b", "d", "n0", "a", "c", "n1", "n1", "b", "d", "b", "n0", "c", "a"):
+            assert _bits(solves[key]()) == cold[key]
+            if key in ("n0", "n1"):
+                assert _bits(ctx.solve(*bounds[int(key[1])])) == cold[key]
+            # Alive: the memo's system, and the one the B&B context holds.
+            live_systems.append(weakref.ref(qp._memo))
+            assert all(ref() in (None, qp._memo, ctx.system) for ref in live_systems)
+
+    def test_threads_sharing_the_memo(self):
+        # Threads that alternate systems and partitions on the shared memo
+        # still get the bits of a cold solve.
+        problem, relaxed = _relaxed_l0_cer(make_instance(6, 2, seed=21), 0.6, 1)
+        z = np.flatnonzero(problem.integer)
+        fixed = []
+        for j in z:
+            lower, upper = problem.lower.copy(), problem.upper.copy()
+            lower[j] = upper[j] = 1.0
+            fixed.append((lower, upper))
+        other = build_cer(make_instance(6, 2, seed=22), 0.6, ALL_PAIRS)
+        solves = [lambda b=b: qp.QpContext(relaxed).solve(*b) for b in fixed] + [lambda: solve_qp(other)]
+        cold = []
+        for solve in solves:
+            qp._memo = None
+            cold.append(_bits(solve()))
+        results, errors = [], []
+
+        def worker(offset):
+            try:
+                for i in range(12):
+                    k = (i + offset) % len(solves)
+                    results.append(_bits(solves[k]()) == cold[k])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == [True] * 48
+
+    def test_kernels_match_the_operator(self):
+        # The iteration calls scipy's private matvec kernels directly; they
+        # must give the bits `@` gives, on CSR rows, their CSC transpose
+        # and a weight map.
+        ds = make_instance(10, 3, seed=2)
+        problem, relaxed = _relaxed_l0_cer(ds, 0.5, 2)
+        ctx = qp.QpContext(relaxed)
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        lower[np.flatnonzero(problem.integer)[0]] = 1.0
+        ctx.solve(lower, upper)
+        weight_map = ctx.system._part.weight_map
+        rng = np.random.default_rng(0)
+        for mat in (ctx.a_s, ctx.a_s.T, weight_map):
+            assert mat.format in ("csr", "csc")
+            x = rng.normal(size=mat.shape[1]) * 10.0 ** rng.uniform(-8, 8, size=mat.shape[1])
+            assert qp._matvec(mat)(x).tobytes() == (mat @ x).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        ctx = qp.QpContext(build_cer(make_instance(6, 2, seed=1), 0.5, ALL_PAIRS))
+        before = _bits(ctx.solve())
+        for arr in (ctx.a_s.data, ctx.a_s.indices, ctx.d, ctx.e, ctx.a0.data, ctx.p_diag0):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            ctx.a_s *= 2.0
+        assert _bits(ctx.solve()) == before
 
 
 class TestSolveMip:

@@ -60,3 +60,23 @@ class TestTieBreak:
         report = cross_validate(make_instance(12, 3), EstimatorSpec("quantile", 0.5), "l0", cfg)
         assert report.mean_loss.count(min(report.mean_loss)) == 5
         assert report.chosen_params == {"k": 1, "m_multiplier": 1.0}
+
+
+class TestSdgPreset:
+    def test_grids(self):
+        cfg = CVConfig.sdg(folds=4, seed=7)
+        assert (cfg.folds, cfg.seed) == (4, 7)
+        assert len(cfg.lambda_grid) == 100
+        assert cfg.lambda_grid[0] == 0.1 and cfg.lambda_grid[-1] == 3.0
+        assert np.allclose(np.diff(cfg.lambda_grid), 2.9 / 99, rtol=0, atol=1e-12)
+        assert cfg.k_grid == tuple(range(1, 12))
+        assert cfg.m_multipliers == (0.1, 0.5, 0.8, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0)
+
+    def test_l0_needs_eleven_inputs(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the grid check comes before any fit")
+
+        monkeypatch.setattr(tuning, "anchor_big_m", no_fit)
+        monkeypatch.setattr(tuning, "fit", no_fit)
+        with pytest.raises(ValueError, match="k grid exceeds d=10"):
+            cross_validate(make_instance(12, 10), EstimatorSpec("quantile", 0.5), "l0", CVConfig.sdg())
