@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import sys
 from dataclasses import replace
 
@@ -412,17 +413,18 @@ def _cmd_verify(args) -> int:
             meta=FitMeta(status=doc["solver"]["status"]),
         )
         spec_doc = doc["spec"]
-    except (KeyError, TypeError, ValueError) as exc:
+        tol = args.tol
+        if tol is None:
+            # Cut-mode fits only guarantee feasibility at their loop tolerance.
+            tol = float(spec_doc["tol"]) if spec_doc.get("solve") == "cuts" else 1e-6
+            if not (np.isfinite(tol) and tol > 0):
+                raise ValueError(f"spec.tol must be finite and positive, got {tol}")
+        big_m = k = None
+        penalty = spec_doc.get("penalty")
+        if penalty and penalty.get("kind") == "l0":
+            big_m, k = float(penalty["big_m"]), operator.index(penalty["k"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed result document: {exc}", EXIT_DATA) from exc
-    tol = args.tol
-    if tol is None:
-        # Cut-mode fits only guarantee feasibility at their loop tolerance.
-        tol = spec_doc["tol"] if spec_doc.get("solve") == "cuts" else 1e-6
-    big_m = None
-    k = None
-    penalty = spec_doc.get("penalty")
-    if penalty and penalty.get("kind") == "l0":
-        big_m, k = penalty["big_m"], penalty["k"]
     violations = validate_fit(result, dataset, tol=tol, big_m=big_m, k=k)
     if violations:
         for message in violations:

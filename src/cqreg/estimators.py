@@ -56,8 +56,8 @@ class EstimatorSpec:
             raise ValueError(f"solve must be 'full' or 'cuts', got {self.solve!r}")
         if self.strategy not in (MST, SPANNING_PATH):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 def make_builder(dataset: Dataset, spec: EstimatorSpec) -> Callable[[object], OptProblem]:

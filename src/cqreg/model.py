@@ -417,7 +417,10 @@ def validate_fit(
     big_m: float | None = None,
     k: int | None = None,
 ) -> list[str]:
-    """Check every fitted-model invariant; returns a list of violation messages."""
+    """Check every fitted-model invariant; returns a list of violation messages.
+    A NaN tol would pass every check, so tol must be finite and >= 0."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     problems: list[str] = []
     X, y = dataset.inputs, dataset.output
     if np.any(fit.beta < -tol):

@@ -4,11 +4,11 @@
 (`scipy.optimize._highspy._core`, a private scipy API; `pyproject.toml`
 requires a scipy that has it).  The model is passed exactly as
 `scipy.optimize.linprog(method="highs")` passes it: column-wise, the `<=`
-rows first and the `=` rows after (as `split_rows` orders them),
-infinities mapped to `kHighsInf`, presolve on, dual simplex, the simplex
-and IPM iteration caps at _MAX_SIMPLEX_ITERS and no output.  The first
-solve of a session is therefore the cold solve `linprog` gives, bit for
-bit.
+rows first and the `=` rows after (as `split_rows` orders them; a sense
+without rows is a 0-row block), infinities mapped to `kHighsInf`,
+presolve on, dual simplex, the simplex and IPM iteration caps at
+_MAX_SIMPLEX_ITERS and no output.  The first solve of a session is
+therefore the cold solve `linprog` gives, bit for bit.
 
 `set_bounds` replaces the column bounds and clears the solver, so the
 next `solve` is again the cold solve a fresh session with those bounds
@@ -56,15 +56,11 @@ _STATUS = {
 
 
 def split_rows(problem: OptProblem):
-    """Partition the constraint rows into (A_ub, b_ub, A_eq, b_eq) for HiGHS."""
+    """Partition the constraint rows into (A_ub, b_ub, A_eq, b_eq) for HiGHS;
+    a sense with no rows gives a 0-row block."""
     is_eq = problem.sense == "E"
     a = problem.a.tocsr()
-    a_eq = a[is_eq] if is_eq.any() else None
-    b_eq = problem.rhs[is_eq] if is_eq.any() else None
-    is_le = ~is_eq
-    a_ub = a[is_le] if is_le.any() else None
-    b_ub = problem.rhs[is_le] if is_le.any() else None
-    return a_ub, b_ub, a_eq, b_eq
+    return a[~is_eq], problem.rhs[~is_eq], a[is_eq], problem.rhs[is_eq]
 
 
 def _highs_inf(values: np.ndarray) -> np.ndarray:
@@ -78,11 +74,7 @@ class LpSession:
 
     def __init__(self, c, a_ub, b_ub, a_eq, b_eq, lower: np.ndarray, upper: np.ndarray):
         n_cols = c.shape[0]
-        empty = np.zeros(0)
-        b_ub = empty if b_ub is None else b_ub
-        b_eq = empty if b_eq is None else b_eq
-        blocks = [m for m in (a_ub, a_eq) if m is not None]
-        a = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, n_cols))
+        a = sparse.csc_array(sparse.vstack([a_ub, a_eq]))
         self._lower = _highs_inf(lower)
         self._upper = _highs_inf(upper)
         self._row_upper = _highs_inf(np.concatenate([b_ub, b_eq]))
@@ -192,7 +184,7 @@ class LpSession:
         reduced = np.concatenate(
             [np.array(solution.col_dual)[cols], np.array(solution.row_dual)[rows]]
         )
-        return float(np.abs(reduced).min()) if reduced.size else float("inf")
+        return float(np.min(np.abs(reduced), initial=np.inf))
 
     def _nonbasic(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of the nonbasic columns and rows of the last basis."""

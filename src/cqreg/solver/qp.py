@@ -19,6 +19,12 @@ the values and factors them under a minimum-degree ordering of K + K'.
 The inequality rows enter K through those pairs alone, so the n(n-1)
 domination rows stay cheap.
 
+Every problem runs the same iteration.  A block without rows (no equality
+rows, or no finite inequality sides) is a zero-length vector: its products
+are zero, its maxima 0 and its step length 1.  A problem with no rows and
+no finite bounds at all is rejected with ValueError; every model built
+here has its n residual-split equality rows.
+
 These problems are LP-like (the curvature lives on the residual split
 variables only) and heavily degenerate at noiseless optima; the
 interior-point iteration is insensitive to that, converging in a few
@@ -82,6 +88,8 @@ class QpContext:
         lo_rows = np.where(is_eq, problem.rhs, -np.inf)
         up_rows = problem.rhs.astype(float)
         bounded = np.flatnonzero((problem.lower != -np.inf) | (problem.upper != np.inf))
+        if problem.a.shape[0] + bounded.size == 0:
+            raise ValueError("problem has no constraint rows and no finite bounds")
         self.system = _system(problem.a.tocsr(), problem.obj_quad, bounded)
         self.a0, self.p_diag0 = self.system.a0, self.system.p_diag0
         self.d, self.e, self.a_s = self.system.d, self.system.e, self.system.a_s
@@ -93,7 +101,7 @@ class QpContext:
         # Cost normalization on top of the system's Ruiz scaling.
         p = self.system.p
         q = (self.q0 * self.d).astype(float)
-        cost = max(np.abs(p).mean() if p.size else 0.0, np.abs(q).max() if q.size else 0.0)
+        cost = max(np.abs(p).mean(), np.abs(q).max())
         self.c = 1.0 / min(max(cost, 1e-6), 1e6)
         self.p_s = self.c * p
         self.q_s = self.c * q
@@ -116,36 +124,23 @@ class QpContext:
         stationarity alone.
         """
         x, y, z = self._unscaled(x_s, y_s, z_s)
-        ax = (self.a_s @ x_s) / self.e if self.m else np.zeros(0)
+        ax = (self.a_s @ x_s) / self.e
         px = self.p_diag0 * x
-        aty = self.a0.T @ y if self.m else np.zeros(self.nv)
-        r_prim = np.max(np.abs(ax - z)) if self.m else 0.0
+        aty = self.a0.T @ y
+        r_prim = np.max(np.abs(ax - z))
         r_dual = np.max(np.abs(px + self.q0 + aty))
-        s_prim = max(
-            np.max(np.abs(ax)) if self.m else 0.0, np.max(np.abs(z)) if self.m else 0.0, 1e-12
-        )
-        s_dual = max(
-            np.max(np.abs(px)),
-            np.max(np.abs(aty)),
-            np.max(np.abs(self.q0)) if self.q0.size else 0.0,
-            1e-12,
-        )
-        r_sign = 0.0
-        if self.m:
-            eq = lo == up
-            finite_u, finite_l = up != np.inf, lo != -np.inf
-            rel_u = np.ones(self.m)
-            rel_u[finite_u] = np.minimum(
-                1.0, (up[finite_u] - ax[finite_u]) / (1.0 + np.abs(up[finite_u]))
-            )
-            rel_l = np.ones(self.m)
-            rel_l[finite_l] = np.minimum(
-                1.0, (ax[finite_l] - lo[finite_l]) / (1.0 + np.abs(lo[finite_l]))
-            )
-            weight = np.abs(y) / (1.0 + np.abs(y))
-            err_u = np.where((y > 0) & ~eq, weight * np.maximum(rel_u, 0.0), 0.0)
-            err_l = np.where((y < 0) & ~eq, weight * np.maximum(rel_l, 0.0), 0.0)
-            r_sign = float(np.max(np.maximum(err_u, err_l)))
+        s_prim = max(np.max(np.abs(ax)), np.max(np.abs(z)), 1e-12)
+        s_dual = max(np.max(np.abs(px)), np.max(np.abs(aty)), np.max(np.abs(self.q0)), 1e-12)
+        eq = lo == up
+        finite_u, finite_l = up != np.inf, lo != -np.inf
+        rel_u = np.ones(self.m)
+        rel_u[finite_u] = np.minimum(1.0, (up[finite_u] - ax[finite_u]) / (1.0 + np.abs(up[finite_u])))
+        rel_l = np.ones(self.m)
+        rel_l[finite_l] = np.minimum(1.0, (ax[finite_l] - lo[finite_l]) / (1.0 + np.abs(lo[finite_l])))
+        weight = np.abs(y) / (1.0 + np.abs(y))
+        err_u = np.where((y > 0) & ~eq, weight * np.maximum(rel_u, 0.0), 0.0)
+        err_l = np.where((y < 0) & ~eq, weight * np.maximum(rel_l, 0.0), 0.0)
+        r_sign = float(np.max(np.maximum(err_u, err_l)))
         return r_prim, r_dual, r_sign, s_prim, s_dual
 
     def _acceptable(self, x_s, y_s, z_s, lo, up) -> bool:
@@ -175,7 +170,7 @@ class QpContext:
         start = time.perf_counter()
         l_s, u_s = self._scaled_bounds(lower, upper)
         x_s, y_row, status, iters = self._ipm(l_s, u_s)
-        z_s = np.clip(self.a_s @ x_s, l_s, u_s) if self.m else np.zeros(0)
+        z_s = np.clip(self.a_s @ x_s, l_s, u_s)
         if status in (Status.INFEASIBLE, Status.UNBOUNDED):
             return Solution(status, None, np.nan, iters, 0, time.perf_counter() - start)
         ok = self._acceptable(x_s, y_row, z_s, l_s / self.e, u_s / self.e)
@@ -195,70 +190,48 @@ class QpContext:
         Returns (x, row-space duals, status, iterations); the row-space dual
         of a two-sided row is the upper multiplier minus the lower one.
         """
-        nv, m = self.nv, self.m
+        nv = self.nv
         p, q = self.p_s, self.q_s
-        if m == 0:
-            free = p > 0
-            if np.any(~free & (q != 0)):
-                return np.zeros(nv), np.zeros(0), Status.UNBOUNDED, 0
-            x = np.zeros(nv)
-            x[free] = -q[free] / p[free]
-            return x, np.zeros(0), Status.OPTIMAL, 0
-
         eq = l_s == u_s
         up = ~eq & (u_s != np.inf)
         lo = ~eq & (l_s != -np.inf)
         part = self.system.partition(eq, up, lo)
         b_eq = u_s[eq]
         cap = np.concatenate([u_s[up], -l_s[lo]])
-        m_eq, m_in = part.m_eq, part.m_in
+        # An empty block is a zero-length vector: its products are zero, its
+        # maxima 0 and its step length 1.
+        m_in = part.m_in
         a_eq, a_eq_t, a_in, a_in_t = part.a_eq, part.a_eq_t, part.a_in, part.a_in_t
         kkt = _Kkt(part, p)
 
         x = np.zeros(nv)
-        y = np.zeros(m_eq)
-        if m_in:
-            gap0 = cap - a_in(x)
-            s = np.maximum(gap0, 1.0)
-            z = np.ones(m_in)
-        else:
-            s = np.zeros(0)
-            z = np.zeros(0)
+        y = np.zeros(part.m_eq)
+        s = np.maximum(cap - a_in(x), 1.0)
+        z = np.ones(m_in)
 
         status = Status.ITERATION_LIMIT
         it = 0
         for it in range(1, _MAX_IPM_ITERS + 1):
-            r_d = p * x + q + (a_eq_t(y) if m_eq else 0.0)
-            if m_in:
-                r_d = r_d + a_in_t(z)
-            r_eq = (a_eq(x) - b_eq) if m_eq else np.zeros(0)
-            if m_in:
-                r_in = a_in(x) + s - cap
-                mu = float(s @ z) / m_in
-            else:
-                r_in = np.zeros(0)
-                mu = 0.0
-            prim = max(
-                np.max(np.abs(r_eq)) if m_eq else 0.0,
-                np.max(np.abs(r_in)) if m_in else 0.0,
-            )
+            r_d = p * x + q + a_eq_t(y) + a_in_t(z)
+            r_eq = a_eq(x) - b_eq
+            r_in = a_in(x) + s - cap
+            mu = float(s @ z) / max(m_in, 1)
+            prim = max(np.max(np.abs(r_eq), initial=0.0), np.max(np.abs(r_in), initial=0.0))
             dual = np.max(np.abs(r_d))
             scale = 1.0 + max(
-                np.max(np.abs(x)),
-                np.max(np.abs(z)) if m_in else 0.0,
-                np.max(np.abs(y)) if m_eq else 0.0,
+                np.max(np.abs(x)), np.max(np.abs(z), initial=0.0), np.max(np.abs(y), initial=0.0)
             )
             if prim <= _EPS_TARGET * scale and dual <= _EPS_TARGET * scale and mu <= _EPS_TARGET * scale:
                 status = Status.OPTIMAL
                 break
-            if m_in and (np.max(z) > 1e12 or np.max(s) > 1e14):
+            if np.max(z, initial=0.0) > 1e12 or np.max(s, initial=0.0) > 1e14:
                 status = Status.INFEASIBLE
                 break
             if np.max(np.abs(x)) > 1e14:
                 status = Status.UNBOUNDED
                 break
 
-            w = np.clip(z / np.maximum(s, 1e-300), 1e-12, 1e16) if m_in else np.zeros(0)
+            w = np.clip(z / np.maximum(s, 1e-300), 1e-12, 1e16)
             try:
                 solve = kkt.factor(w)
             except RuntimeError as exc:  # a pivot is exactly zero
@@ -266,51 +239,33 @@ class QpContext:
 
             def direction(rc):
                 # Eliminate ds, dz; solve the augmented system for dx, dy.
-                if m_in:
-                    tmp = (z * r_in - rc) / np.maximum(s, 1e-300)
-                    rhs1 = -r_d - a_in_t(tmp)
-                else:
-                    rhs1 = -r_d
-                out = solve(np.concatenate([rhs1, -r_eq]))
+                tmp = (z * r_in - rc) / np.maximum(s, 1e-300)
+                out = solve(np.concatenate([-r_d - a_in_t(tmp), -r_eq]))
                 dx, dy = out[:nv], out[nv:]
-                if m_in:
-                    ds = -r_in - a_in(dx)
-                    dz = -(rc + z * ds) / np.maximum(s, 1e-300)
-                else:
-                    ds = np.zeros(0)
-                    dz = np.zeros(0)
+                ds = -r_in - a_in(dx)
+                dz = -(rc + z * ds) / np.maximum(s, 1e-300)
                 return dx, dy, ds, dz
 
-            # Affine (predictor) direction.
-            dx_a, dy_a, ds_a, dz_a = direction(s * z if m_in else np.zeros(0))
-            if m_in:
-                alpha_p = _step_len(s, ds_a)
-                alpha_d = _step_len(z, dz_a)
-                mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m_in
-                sigma = np.clip((mu_aff / max(mu, 1e-300)) ** 3, 1e-8, 1.0)
-                rc = s * z + ds_a * dz_a - sigma * mu
-                dx, dy, ds, dz = direction(rc)
-                alpha_p = 0.99995 * _step_len(s, ds)
-                alpha_d = 0.99995 * _step_len(z, dz)
-                alpha_p = min(1.0, alpha_p)
-                alpha_d = min(1.0, alpha_d)
-            else:
-                dx, dy = dx_a, dy_a
-                ds = dz = np.zeros(0)
-                alpha_p = alpha_d = 1.0
+            # Affine (predictor) direction, then the centered corrector.
+            dx_a, dy_a, ds_a, dz_a = direction(s * z)
+            alpha_p = _step_len(s, ds_a)
+            alpha_d = _step_len(z, dz_a)
+            mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / max(m_in, 1)
+            sigma = np.clip((mu_aff / max(mu, 1e-300)) ** 3, 1e-8, 1.0)
+            rc = s * z + ds_a * dz_a - sigma * mu
+            dx, dy, ds, dz = direction(rc)
+            alpha_p = min(1.0, 0.99995 * _step_len(s, ds))
+            alpha_d = min(1.0, 0.99995 * _step_len(z, dz))
             x = x + alpha_p * dx
             s = s + alpha_p * ds
             y = y + alpha_d * dy
             z = z + alpha_d * dz
 
         # Scatter inequality duals back to signed row-space multipliers.
-        y_row = np.zeros(m)
-        if m_eq:
-            y_row[eq] = y
-        if m_in:
-            z_up, z_lo = z[: part.n_up], z[part.n_up :]
-            y_row[up] += z_up
-            y_row[lo] -= z_lo
+        y_row = np.zeros(self.m)
+        y_row[eq] = y
+        y_row[up] += z[: part.n_up]
+        y_row[lo] -= z[part.n_up :]
         return x, y_row, status, it
 
 
@@ -362,8 +317,8 @@ class _System:
             (np.ones(bounded.size), (np.arange(bounded.size), bounded)),
             shape=(bounded.size, a.shape[1]),
         )
-        # A copy, not `a`: freezing must not reach the caller's matrix.
-        self.a0 = sparse.vstack([a, eye]).tocsr() if bounded.size else a.copy()
+        # A new matrix, not `a`: freezing must not reach the caller's matrix.
+        self.a0 = sparse.vstack([a, eye]).tocsr()
         self.p_diag0 = 2.0 * quad
         self._equilibrate()
         _freeze(*self.key[1:], self.a0, self.p_diag0, self.d, self.e, self.p, self.a_s)
@@ -505,11 +460,12 @@ class _Kkt:
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
+    return float(min(1.0, np.min(-v[neg] / dv[neg], initial=np.inf)))
 
 
 def solve_qp(problem: OptProblem) -> Solution:
-    """Solve a convex diagonal QP to KKT residual 1e-6 (deterministic)."""
+    """Solve a convex diagonal QP to KKT residual 1e-6 (deterministic).
+
+    Raises ValueError for a problem with no constraint rows and no finite
+    variable bounds."""
     return QpContext(problem).solve()

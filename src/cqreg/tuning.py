@@ -148,6 +148,8 @@ def cross_validate(
         tie_keys = [(-c["lambda"],) for c in candidates]
     else:
         k_grid = cfg.k_grid if cfg.k_grid is not None else tuple(range(1, d))
+        if not k_grid:
+            raise ValueError(f"default k grid {{1, ..., d-1}} is empty at d={d}; pass --k-grid")
         if max(k_grid) > d:
             raise ValueError(f"k grid exceeds d={d}")
         candidates = tuple(

@@ -12,7 +12,7 @@ from tests.conftest import make_instance
 
 
 def write_csv(path, ds):
-    lines = ["x1,x2,x3,y"] + [
+    lines = [",".join([*(f"x{j + 1}" for j in range(ds.d)), "y"])] + [
         ",".join(repr(float(v)) for v in (*row, y)) for row, y in zip(ds.inputs, ds.output)
     ]
     path.write_text("\n".join(lines) + "\n")
@@ -67,14 +67,52 @@ class TestExitCodes:
             ("--penalty", "l1", "--lambda-count", 0),
             ("--penalty", "l1", "--folds", 13),
             ("--penalty", "l0", "--preset", "sdg"),  # k up to 11 at d=3
+            ("--penalty", "l0", "--data", "one_input.csv"),  # default k grid empty at d=1
         ],
         ids=lambda f: " ".join(map(str, f)),
     )
-    def test_bad_tune_value_is_a_flag_error(self, csv_path, tmp_path, capsys, flags):
+    def test_bad_tune_value_is_a_flag_error(self, csv_path, tmp_path, capsys, monkeypatch, flags):
+        # A later --data replaces the first; one_input.csv is relative to tmp_path.
+        write_csv(tmp_path / "one_input.csv", make_instance(12, 1, seed=3))
+        monkeypatch.chdir(tmp_path)
         args = ("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile",
                 "--level", 0.5, "--out", tmp_path / "cv.json", *flags)
         assert run(*args) == EXIT_FLAGS
         assert capsys.readouterr().err.startswith("invalid flags:")
+
+    def test_nan_tol_is_a_flag_error(self, csv_path, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run(*fit_args(csv_path, out, "--solve", "cuts", "--tol", "nan")) == EXIT_FLAGS
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(*fit_args(csv_path, out)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["observations"][0]["y_hat"] += 100.0
+        out.write_text(json.dumps(doc))
+        assert run("verify", "--result", out, "--tol", "nan") == EXIT_FLAGS
+        assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"solve": "cuts"},
+            {"solve": "full", "penalty": {"kind": "l0", "k": 1}},
+            [{"solve": "full"}],
+            {"solve": "cuts", "tol": "loose"},
+            {"solve": "cuts", "tol": float("nan")},
+            {"solve": "full", "penalty": {"kind": "l0", "k": "two", "big_m": 1.0}},
+        ],
+        ids=["cuts-without-tol", "l0-without-big-m", "spec-is-a-list", "tol-not-a-number", "tol-nan",
+             "k-not-an-integer"],
+    )
+    def test_malformed_spec_fails_verify_as_data(self, csv_path, tmp_path, capsys, spec):
+        out = tmp_path / "r.json"
+        assert run(*fit_args(csv_path, out)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["spec"] = spec
+        out.write_text(json.dumps(doc))
+        assert run("verify", "--result", out) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("malformed result document:")
 
     def test_sdg_preset_with_lambda_count_replaces_only_lambda(self, csv_path, tmp_path):
         args = cli._build_parser().parse_args(

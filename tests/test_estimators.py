@@ -47,6 +47,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EstimatorSpec("quantile", 0.5, solve="warm")
 
+    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            EstimatorSpec("quantile", 0.5, tol=tol)
+
 
 class TestFit:
     def test_noiseless_additive_zero_objective(self):

@@ -270,6 +270,12 @@ class TestFitResultInvariants:
         result = fit(ds, EstimatorSpec("quantile", 0.5))
         assert validate_fit(result, ds) == []
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_rejects_tol_that_is_not_finite_and_nonnegative(self, small_noisy, tol):
+        result = fit(small_noisy, EstimatorSpec("quantile", 0.5))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            validate_fit(result, small_noisy, tol=tol)
+
     def test_extract_requires_layout(self, small_noisy):
         problem = build_cqr(small_noisy, 0.5, ALL_PAIRS)
         sol = solve_lp(problem)

@@ -102,6 +102,18 @@ class TestSolveLp:
         assert np.array_equal(a.x, b.x)
 
 
+def _rows_of_one_sense(problem: OptProblem, sense: str) -> OptProblem:
+    """The LP with rows of one sense only: "L" writes each equality as two
+    `<=` rows, "E" drops the `<=` rows."""
+    eq = problem.sense == "E"
+    if sense == "E":
+        a, rhs = problem.a[eq], problem.rhs[eq]
+    else:
+        a = sparse.vstack([problem.a[~eq], problem.a[eq], -problem.a[eq]], format="csr")
+        rhs = np.concatenate([problem.rhs[~eq], problem.rhs[eq], -problem.rhs[eq]])
+    return replace(problem, a=a, sense=np.full(a.shape[0], sense), rhs=rhs)
+
+
 class TestLpSession:
     def test_highs_bindings_present(self):
         # Private scipy API the session is built on; a scipy that drops any
@@ -128,14 +140,20 @@ class TestLpSession:
         missing = [name for owner, names in used.items() for name in names if not hasattr(owner, name)]
         assert missing == []
 
-    @pytest.mark.parametrize("instance", ["small_noisy", "noiseless_linear"])
+    @pytest.mark.parametrize("instance", ["small_noisy", "noiseless_linear", "le_rows_only", "eq_rows_only"])
     @pytest.mark.parametrize("lam", [None, 0.1])
-    def test_cold_solve_matches_linprog(self, request, instance, lam):
-        ds = request.getfixturevalue(instance)
-        problem = build_cqr(ds, 0.5, ALL_PAIRS)
+    def test_cold_solve_matches_linprog(self, request, small_noisy, instance, lam):
+        one_sense = {"le_rows_only": "L", "eq_rows_only": "E"}
+        if instance in one_sense:
+            # One block has no rows; HiGHS and linprog both get it as 0-row.
+            problem = _rows_of_one_sense(build_cqr(small_noisy, 0.5, ALL_PAIRS), one_sense[instance])
+        else:
+            problem = build_cqr(request.getfixturevalue(instance), 0.5, ALL_PAIRS)
         if lam is not None:
             problem = add_l1(problem, L1Penalty(lam))
         a_ub, b_ub, a_eq, b_eq = split_rows(problem)
+        assert (a_ub.shape[0] == 0) == (instance == "eq_rows_only")
+        assert (a_eq.shape[0] == 0) == (instance == "le_rows_only")
         ref = linprog(
             problem.obj_linear,
             A_ub=a_ub,
@@ -252,6 +270,27 @@ class TestSolveQp:
         sol = solve_qp(problem)
         assert sol.status is Status.INFEASIBLE
 
+    def test_equality_rows_and_free_columns(self):
+        # No inequality row at all: min 0.5 x0^2 + x1^2 + x2^2 - x0 - 2 x2
+        # s.t. x0 + x1 = 3, x1 - x2 = 1; the optimum is x = (1.8, 1.2, 0.2).
+        problem = lp(
+            [-1.0, 0.0, -2.0],
+            [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]],
+            "EE",
+            [3.0, 1.0],
+            quad=[0.5, 1.0, 1.0],
+        )
+        ctx = qp.QpContext(problem)
+        sol = ctx.solve()
+        assert sol.status is Status.OPTIMAL
+        assert _kkt_residual(ctx) <= 1e-6
+        assert np.allclose(sol.x, [1.8, 1.2, 0.2], rtol=0, atol=1e-6)
+
+    def test_problem_without_rows_or_bounds_is_rejected(self):
+        problem = lp([1.0, -1.0], np.zeros((0, 2)), "", [], quad=[1.0, 1.0])
+        with pytest.raises(ValueError, match="no constraint rows and no finite bounds"):
+            solve_qp(problem)
+
 
 def _colmax(a: sparse.spmatrix) -> np.ndarray:
     m = np.abs(a).max(axis=0)
@@ -271,8 +310,8 @@ def _ruiz_by_sparse_products(ctx):
     p = ctx.p_diag0.copy()
     a = ctx.a0.astype(float).copy()
     for _ in range(10):
-        cnorm = np.maximum(np.abs(p), _colmax(a)) if ctx.m else np.abs(p)
-        rnorm = _rowmax(a) if ctx.m else np.empty(0)
+        cnorm = np.maximum(np.abs(p), _colmax(a))
+        rnorm = _rowmax(a)
         dx = 1.0 / np.sqrt(np.maximum(cnorm, 1e-12))
         dr = 1.0 / np.sqrt(np.maximum(rnorm, 1e-12))
         dx[cnorm < 1e-12] = 1.0
@@ -282,7 +321,7 @@ def _ruiz_by_sparse_products(ctx):
         d *= dx
         e *= dr
     q = ctx.q0 * d
-    cost = max(np.abs(p).mean() if p.size else 0.0, np.abs(q).max() if q.size else 0.0)
+    cost = max(np.abs(p).mean(), np.abs(q).max())
     c = 1.0 / min(max(cost, 1e-6), 1e6)
     return d, e, c, a.tocsr()
 

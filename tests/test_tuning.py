@@ -62,6 +62,16 @@ class TestTieBreak:
         assert report.chosen_params == {"k": 1, "m_multiplier": 1.0}
 
 
+def test_l0_default_k_grid_at_one_input_is_rejected_before_any_fit(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("the grid check comes before any fit")
+
+    monkeypatch.setattr(tuning, "anchor_big_m", no_fit)
+    monkeypatch.setattr(tuning, "fit", no_fit)
+    with pytest.raises(ValueError, match=r"default k grid .* is empty at d=1; .*--k-grid"):
+        cross_validate(make_instance(12, 1), EstimatorSpec("quantile", 0.5), "l0", CVConfig())
+
+
 class TestSdgPreset:
     def test_grids(self):
         cfg = CVConfig.sdg(folds=4, seed=7)
