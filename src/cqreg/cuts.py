@@ -22,6 +22,17 @@ same master would lead to the same rows:
 Otherwise the master is rebuilt from the active pairs and cold-solved in a
 fresh session, which the loop keeps.  Masters with binary selectors or a
 quadratic objective are rebuilt and solved from scratch every round.
+
+The hot re-solve prices with Devex, not with the dual steepest edge of the
+cold solve.  The pricing rule only chooses the simplex path, and an
+accepted hot solve is the master's unique optimum, so the rule cannot
+change an accepted master, only how fast it is reached: a rejected one is
+rebuilt and cold-solved as before.
+
+Each round computes the slack matrix of its fit once; the tie checks,
+`separate` and the final worst slack all read it.  `initial_constraints`
+keeps its last result, so the lambda candidates of a CV fold, which share
+the fold's inputs, share one spanning tree.
 """
 
 from __future__ import annotations
@@ -74,16 +85,29 @@ class CutLoopLimitError(RuntimeError):
         self.stats = stats
 
 
+# The last call's key (strategy, float input shape and bytes) and its pairs.
+_seed_memo: tuple[tuple, list[tuple[int, int]]] | None = None
+
+
 def initial_constraints(dataset: Dataset, strategy: str = MST) -> list[tuple[int, int]]:
     """Seed pairs (i, h), hyperplane i dominating the fitted value at h, from a
     spanning structure on input-space Euclidean distances.
 
     MST keeps both directions of each tree edge (2(n-1) pairs); the spanning
     path is a greedy nearest-neighbor walk from the first observation (n-1
-    directed pairs).
+    directed pairs).  A repeat call on the same inputs returns a copy of
+    the last result.
     """
+    global _seed_memo
     X = dataset.inputs
-    n = dataset.n
+    key = (strategy, X.shape, X.tobytes())
+    if _seed_memo is None or _seed_memo[0] != key:
+        _seed_memo = (key, _seed_pairs(X, strategy))
+    return list(_seed_memo[1])
+
+
+def _seed_pairs(X: np.ndarray, strategy: str) -> list[tuple[int, int]]:
+    n = X.shape[0]
     if strategy == MST:
         dist = squareform(pdist(X))
         tree = minimum_spanning_tree(dist).tocoo()
@@ -114,14 +138,18 @@ def _slack(fit: FitResult, dataset: Dataset) -> np.ndarray:
     return planes - fit.y_hat[None, :]
 
 
-def separate(fit: FitResult, dataset: Dataset, tol: float) -> list[tuple[int, int, float]]:
+def separate(
+    fit: FitResult, dataset: Dataset, tol: float, slack: np.ndarray | None = None
+) -> list[tuple[int, int, float]]:
     """Most violated domination row per observation.
 
     For each i returns (i, m(i), v_i) where m(i) minimizes
     yhat_i + beta_i @ (x_m - x_i) - yhat_m over all m (ties to the lowest
-    index); only entries with v_i < -tol are reported.
+    index); only entries with v_i < -tol are reported.  `slack` is the
+    fit's slack matrix when the caller has it already.
     """
-    slack = _slack(fit, dataset)
+    if slack is None:
+        slack = _slack(fit, dataset)
     m_idx = np.argmin(slack, axis=1)
     values = slack[np.arange(fit.n), m_idx]
     return [
@@ -161,7 +189,7 @@ def solve_with_cuts(
         fit = None
         if session is not None:
             session.add_rows(afriat_rows(dataset, new_pairs, problem.n_vars), np.zeros(len(new_pairs)))
-            fit = _hot_fit(session, problem, dataset, tol)
+            fit, slack = _hot_fit(session, problem, dataset, tol)
             if fit is None:
                 session = None
             else:
@@ -172,47 +200,46 @@ def solve_with_cuts(
             if sol.status is not Status.OPTIMAL:
                 raise RuntimeError(f"master solve ended with status {sol.status}")
             fit = extract_fit(problem, dataset, sol)
+            slack = _slack(fit, dataset)
         fit = replace(fit, meta=replace(fit.meta, constraints=len(active)))
         if fit.z is not None:
             hint = fit.z
-        violated = separate(fit, dataset, tol)
+        violated = separate(fit, dataset, tol, slack=slack)
         found = np.array([(i, m) for i, m, _ in violated], dtype=int).reshape(-1, 2)
         # A reported pair can already be present only when tol undercuts the
         # master's own feasibility tolerance; that is a fixed point.
         new_pairs = found[~present[found[:, 0], found[:, 1]]]
         added.append(len(new_pairs))
         if len(new_pairs) == 0:
-            worst = _worst_slack(fit, dataset)
-            stats = CutLoopStats(len(added), tuple(added), len(active), worst, warm)
+            stats = CutLoopStats(len(added), tuple(added), len(active), float(slack.min()), warm)
             return fit, stats
         active = np.concatenate([active, new_pairs])
         present[new_pairs[:, 0], new_pairs[:, 1]] = True
-    worst = _worst_slack(fit, dataset)
-    stats = CutLoopStats(len(added), tuple(added), len(active), worst, warm)
+    stats = CutLoopStats(len(added), tuple(added), len(active), float(slack.min()), warm)
     raise CutLoopLimitError(
         f"no tol-feasible master after {max_rounds} resolves", fit, stats
     )
 
 
-def _hot_fit(session: LpSession, problem: OptProblem, dataset: Dataset, tol: float) -> FitResult | None:
-    """The session's hot-started optimum when it provably gives the cold
-    solve's separation (see the module docstring), else None.  `problem` is
-    the master the session was built from, before rows were appended."""
+def _hot_fit(
+    session: LpSession, problem: OptProblem, dataset: Dataset, tol: float
+) -> tuple[FitResult, np.ndarray] | tuple[None, None]:
+    """The session's hot-started optimum and its slack matrix when it
+    provably gives the cold solve's separation (see the module docstring),
+    else Nones.  `problem` is the master the session was built from, before
+    rows were appended."""
     sol = session.solve()
     if not sol.optimal or session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
-        return None
+        return None, None
     fit = extract_fit(problem, dataset, sol)
-    two = np.partition(_slack(fit, dataset), 1, axis=1)
+    slack = _slack(fit, dataset)
+    two = np.partition(slack, 1, axis=1)
     least, second = two[:, 0], two[:, 1]
     if np.any(np.abs(least + tol) <= _TIE_MARGIN):
-        return None
+        return None, None
     if np.any((least < -tol) & (second - least <= _TIE_MARGIN)):
-        return None
-    return fit
-
-
-def _worst_slack(fit: FitResult, dataset: Dataset) -> float:
-    return float(_slack(fit, dataset).min())
+        return None, None
+    return fit, slack
 
 
 def _solve_master(problem: OptProblem, hint) -> tuple[Solution, LpSession | None]:

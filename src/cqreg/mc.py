@@ -4,7 +4,7 @@ Scenarios follow an additive Cobb-Douglas design: inputs uniform on [1, 10],
 a randomly located true support of size k_true with exponents summing to
 0.8, and Gaussian noise whose variance is calibrated to the requested
 signal-to-noise ratio.  Ground-truth quantile curves come from the analytic
-Gaussian inverse CDF.
+Gaussian inverse CDF (`scipy.special.ndtri`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .data import Dataset
 from .estimators import EXPECTILE, QUANTILE, EstimatorSpec, fit, support
@@ -91,8 +91,10 @@ def expectile_level_for_quantile(tau: float) -> float:
     """
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
-    q = norm.ppf(tau)
-    below = q * norm.cdf(q) + norm.pdf(q)  # E[(q - X)+]
+    q = ndtri(tau)
+    # E[(q - X)+], with the normal density written out: importing
+    # scipy.stats for it would double the package's import time.
+    below = q * ndtr(q) + np.exp(-(q**2) / 2.0) / np.sqrt(2 * np.pi)
     above = below - q  # E[(X - q)+]
     return float(below / (below + above))
 
@@ -110,7 +112,7 @@ def generate_scenario(cfg: MCConfig, rep_index: int) -> MCScenario:
     sigma = float(np.sqrt(signal.var() / cfg.rho))
     noise = rng.normal(0.0, sigma, cfg.n)
     y = signal + noise
-    q_star = {float(t): signal + sigma * norm.ppf(t) for t in cfg.taus}
+    q_star = {float(t): signal + sigma * ndtri(t) for t in cfg.taus}
     return MCScenario(Dataset(X, y), frozenset(int(j) for j in omega), sigma, signal, q_star)
 
 
@@ -221,6 +223,8 @@ def run_mc(
             raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
     cv = cv if cv is not None else CVConfig()
     workers = workers if workers is not None else default_workers()
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(cfg, rep, tuple(methods), cv, solve) for rep in range(cfg.replications)]
     if workers > 1 and cfg.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -243,15 +243,22 @@ def _pair_arrays(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray]
 
 
 def _afriat_matrix(dataset: Dataset, pi: np.ndarray, ph: np.ndarray, n_cols: int) -> sparse.csr_matrix:
+    """CSR arrays written directly, in canonical form: each row holds the
+    two yhat columns in increasing order, then the d columns of beta_i."""
     n, d = dataset.n, dataset.d
     X = dataset.inputs
     m = pi.shape[0]
-    r = np.arange(m)
-    rows = np.concatenate([r, r, np.repeat(r, d)])
-    beta_cols = (n + pi[:, None] * d + np.arange(d)[None, :]).ravel()
-    cols = np.concatenate([ph, pi, beta_cols])
-    vals = np.concatenate([np.ones(m), -np.ones(m), -(X[ph] - X[pi]).ravel()])
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(m, n_cols))
+    width = d + 2
+    indices = np.empty((m, width), dtype=np.int32)
+    indices[:, 0] = np.minimum(pi, ph)
+    indices[:, 1] = np.maximum(pi, ph)
+    indices[:, 2:] = n + pi[:, None] * d + np.arange(d)
+    data = np.empty((m, width))
+    data[:, 0] = np.where(ph < pi, 1.0, -1.0)
+    data[:, 1] = -data[:, 0]
+    data[:, 2:] = -(X[ph] - X[pi])
+    indptr = np.arange(0, m * width + 1, width, dtype=np.int32)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, n_cols))
 
 
 def afriat_rows(dataset: Dataset, constraints, n_cols: int) -> sparse.csr_matrix:

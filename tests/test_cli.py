@@ -80,6 +80,15 @@ class TestExitCodes:
         assert run(*args) == EXIT_FLAGS
         assert capsys.readouterr().err.startswith("invalid flags:")
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_is_a_flag_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "mc.csv"
+        args = ("simulate", "--n", 8, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "cqr",
+                "--workers", workers, "--out", out)
+        assert run(*args) == EXIT_FLAGS
+        assert capsys.readouterr().err.startswith("invalid flags: workers must be at least 1")
+        assert not out.exists()
+
     def test_nan_tol_is_a_flag_error(self, csv_path, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(*fit_args(csv_path, out, "--solve", "cuts", "--tol", "nan")) == EXIT_FLAGS

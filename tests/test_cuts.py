@@ -191,21 +191,36 @@ def _rebuild_every_round(builder, ds, tol):
         present.update(new)
 
 
+def _check_hot_loop(ds, lam, tol):
+    """The hot-started loop against the rebuilt one; returns its stats."""
+    penalty = None if lam is None else L1Penalty(lam)
+    builder = make_builder(ds, EstimatorSpec("quantile", 0.5, penalty=penalty))
+    result, stats = solve_with_cuts(builder, ds, tol=tol)
+    ref, ref_added = _rebuild_every_round(builder, ds, tol)
+    assert stats.added == ref_added
+    assert result.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert result.meta.constraints == stats.constraints
+    assert 0 <= stats.warm < stats.iterations
+    return result, stats
+
+
 class TestHotStartedLoop:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("lam", [None, 0.01, 0.1, 1.0, 10.0])
     def test_matches_rebuilt_loop(self, seed, lam):
         ds = make_instance(30, 3, seed=seed)
-        penalty = None if lam is None else L1Penalty(lam)
-        builder = make_builder(ds, EstimatorSpec("quantile", 0.5, penalty=penalty))
-        result, stats = solve_with_cuts(builder, ds, tol=1e-6)
-        ref, ref_added = _rebuild_every_round(builder, ds, 1e-6)
-        assert stats.added == ref_added
-        assert result.objective == pytest.approx(ref.objective, abs=1e-9)
+        result, stats = _check_hot_loop(ds, lam, 1e-6)
         assert validate_fit(result, ds) == []
-        assert result.meta.constraints == stats.constraints
-        assert 0 <= stats.warm < stats.iterations
         # At lam = 10 the penalty flattens the fit within two rounds and the
         # second master is dual degenerate, so it is cold-solved.
         if lam is not None and lam < 10:
             assert stats.warm > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("lam", [0.01, 0.46])
+    def test_matches_rebuilt_loop_at_cv_fold_size(self, seed, lam):
+        # A training fold of the L1-CQR CV benchmark: n = 48 of 60, d = 6, the
+        # default tol; the loop runs many hot rounds here.
+        ds = make_instance(48, 6, seed=seed)
+        _, stats = _check_hot_loop(ds, lam, 0.01)
+        assert stats.warm > 0

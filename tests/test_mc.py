@@ -1,13 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+import cqreg
 from cqreg import CVConfig, L1Penalty, MCConfig, SolverError, expectile_level_for_quantile, run_mc
 from cqreg import tuning
+from cqreg.mc import generate_scenario
 
 
 def test_report_independent_of_worker_count():
@@ -51,3 +56,32 @@ def test_expectile_level_matches_gaussian_integrals(tau):
     above, _ = integrate.quad(lambda x: (x - q) * norm.pdf(x), q, np.inf, epsabs=1e-13, epsrel=1e-13)
     below, _ = integrate.quad(lambda x: (q - x) * norm.pdf(x), -np.inf, q, epsabs=1e-13, epsrel=1e-13)
     assert expectile_level_for_quantile(tau) == pytest.approx(below / (below + above), abs=1e-8)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_bad_worker_count_raises(workers):
+    cfg = MCConfig(n=8, d=2, k_true=1, replications=1)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_mc(cfg, ("cqr",), solve="full", workers=workers)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: this one has scipy.stats loaded by the tests.
+    src = os.path.dirname(os.path.dirname(cqreg.__file__))
+    code = "import sys, cqreg; print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("tau", [1e-6, 0.01, 0.1, 0.25, 0.5, 0.61, 0.75, 0.9, 0.99, 1 - 1e-6])
+def test_gaussian_quantities_equal_scipy_stats(tau):
+    # The closed forms replace scipy.stats.norm bit for bit.
+    q = norm.ppf(tau)
+    below = q * norm.cdf(q) + norm.pdf(q)
+    above = below - q
+    assert expectile_level_for_quantile(tau) == float(below / (below + above))
+    cfg = MCConfig(n=5, d=2, k_true=1, taus=(tau,), replications=1, seed=4)
+    scenario = generate_scenario(cfg, 0)
+    want = scenario.signal + scenario.sigma * norm.ppf(tau)
+    assert np.array_equal(scenario.q_star[float(tau)], want)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from cqreg import (
     solve_mip,
     solve_qp,
 )
-from cqreg.model import extract_fit, validate_fit
+from cqreg.model import _afriat_matrix, _pair_arrays, afriat_rows, extract_fit, validate_fit
 from tests.conftest import make_instance
 
 
@@ -152,6 +153,51 @@ class TestBuilders:
             build_cqr(ds, 0.5, [(0, 0)])
         with pytest.raises(ValueError):
             build_cqr(ds, 0.5, [(0, 5)])
+
+
+def _afriat_coo(dataset, pi, ph, n_cols):
+    """The Afriat rows built from COO triplets, the reference for the direct CSR."""
+    n, d = dataset.n, dataset.d
+    X = dataset.inputs
+    m = pi.shape[0]
+    r = np.arange(m)
+    rows = np.concatenate([r, r, np.repeat(r, d)])
+    beta_cols = (n + pi[:, None] * d + np.arange(d)[None, :]).ravel()
+    cols = np.concatenate([ph, pi, beta_cols])
+    vals = np.concatenate([np.ones(m), -np.ones(m), -(X[ph] - X[pi]).ravel()])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(m, n_cols))
+
+
+class TestAfriatMatrix:
+    @pytest.mark.parametrize("order", ["i<h", "i>h", "mixed", "all", "none"])
+    def test_direct_csr_equals_coo_construction(self, order):
+        # Integer inputs tie in some coordinates, so the data holds signed zeros.
+        ds = make_instance(15, 3, seed=4)
+        ds = Dataset(np.round(ds.inputs), ds.output)
+        rng = np.random.default_rng(5)
+        if order == "all":
+            pairs = ALL_PAIRS
+        else:
+            a, b = rng.integers(0, ds.n, size=(2, 60))
+            keep = a != b
+            lo, hi = np.minimum(a, b)[keep], np.maximum(a, b)[keep]
+            pairs = {
+                "i<h": np.column_stack([lo, hi]),
+                "i>h": np.column_stack([hi, lo]),
+                "mixed": np.column_stack([a[keep], b[keep]]),
+                "none": np.zeros((0, 2), dtype=int),
+            }[order]
+        pi, ph = _pair_arrays(ds, pairs)
+        n_cols = ds.n * (3 + ds.d) + 2
+        got = _afriat_matrix(ds, pi, ph, n_cols)
+        want = _afriat_coo(ds, pi, ph, n_cols)
+        assert type(got) is type(want)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+        assert np.array_equal(afriat_rows(ds, pairs, n_cols).toarray(), want.toarray())
 
 
 class TestL1:

@@ -184,6 +184,41 @@ class TestLpSession:
         assert hot.objective == pytest.approx(cold.objective, abs=1e-9)
         assert hot.dual_objective == pytest.approx(hot.objective, abs=1e-6)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_set_bounds_after_add_rows_is_a_cold_solve(self, seed):
+        # Solves after add_rows price with Devex; set_bounds must bring back
+        # the cold solve's pricing.  With every row a `<=` row, the appended
+        # rows sit last in the session as in a fresh session of the stacked
+        # model.  They are appended before the session's first solve: one
+        # solved before moves the later cold solve's x in its last bits,
+        # with either pricing.
+        ds = make_instance(30, 3, seed=seed)
+        base = _rows_of_one_sense(add_l1(build_cqr(ds, 0.5, initial_constraints(ds)), L1Penalty(0.1)), "L")
+        first = extract_fit(base, ds, solve_lp(base))
+        new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
+        rows = afriat_rows(ds, new, base.n_vars)
+        session = LpSession.for_problem(base)
+        session.add_rows(rows, np.zeros(len(new)))
+        assert session.solve().optimal
+        lower, upper = base.lower.copy(), base.upper.copy()
+        upper[base.layout.beta_all()] = 2.0
+        session.set_bounds(lower, upper)
+        got = session.solve()
+        stacked = replace(
+            base,
+            a=sparse.vstack([base.a, rows], format="csr"),
+            sense=np.full(base.n_rows + len(new), "L"),
+            rhs=np.concatenate([base.rhs, np.zeros(len(new))]),
+            lower=lower,
+            upper=upper,
+        )
+        want = LpSession.for_problem(stacked).solve()
+        assert got.status is want.status is Status.OPTIMAL
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.x, want.x)
+        assert got.objective == want.objective
+        assert got.dual_objective == want.dual_objective
+
     def test_set_bounds_resolve_matches_fresh_session(self, small_noisy):
         problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
         relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
