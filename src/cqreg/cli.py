@@ -351,6 +351,8 @@ def _cmd_tune(args) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+    if report.failures:
+        print(f"warning: {report.failures} CV fold fit(s) failed; their candidates were left out")
     chosen = ", ".join(f"{k}={v}" for k, v in report.chosen_params.items())
     print(f"chosen: {chosen} (mean OOF loss {report.mean_loss[report.chosen]:.6g})")
     print(f"report written to {args.out}")
@@ -376,6 +378,8 @@ def _cmd_simulate(args) -> int:
         report.to_json(args.json_out)
     if report.failures:
         print(f"warning: {report.failures} replication cell(s) failed and were excluded")
+    if report.fold_failures:
+        print(f"warning: {report.fold_failures} CV fold fit(s) failed; their candidates were left out")
     print(f"metrics written to {args.out}")
     return EXIT_OK
 

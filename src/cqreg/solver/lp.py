@@ -11,9 +11,13 @@ _MAX_SIMPLEX_ITERS and no output.  The first solve of a session is
 therefore the cold solve `linprog` gives, bit for bit.
 
 `set_bounds` replaces the column bounds and clears the solver, so the
-next `solve` is again the cold solve a fresh session with those bounds
-gives, bit for bit, without stacking the matrices or passing the model
-anew.  Branch-and-bound re-solves its one relaxation this way per node.
+next `solve` is again a cold solve, without stacking the matrices or
+passing the model anew.  Branch-and-bound re-solves its one relaxation
+this way per node.  It is the cold solve a fresh session with those
+bounds gives, bit for bit, only when every row was passed before the
+session's first solve: after `solve` and then `add_rows`, `x` and the
+objective can differ from the fresh session's in their last bits (with
+the same iteration count), so branch-and-cut must not rely on it.
 
 `add_rows` appends `<=` rows.  HiGHS keeps the last basis, with the new
 rows basic, so the next `solve` hot-starts from it instead of presolving
@@ -140,7 +144,10 @@ class LpSession:
 
     def set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
         """Replace every column's bounds and drop the basis, so the next solve
-        is the cold solve a fresh session with these bounds gives."""
+        is a cold solve.  It gives a fresh session's bits with these bounds
+        only if every row was passed before this session's first solve;
+        after `solve` and then `add_rows` the bits can differ (see the
+        module docstring)."""
         self._lower = _highs_inf(lower)
         self._upper = _highs_inf(upper)
         self._highs.clearSolver()

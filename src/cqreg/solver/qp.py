@@ -49,7 +49,9 @@ read-only, so a caller cannot change what a later solve reads.
 The products with the row slices and the refill of K call scipy's private
 kernels `_sparsetools.csr_matvec` and `csc_matvec` directly: they are what
 `@` dispatches to, so every iterate has the bits `@` gives, without the
-dispatch cost of each call.
+dispatch cost of each call.  The factorization likewise calls SuperLU's
+kernel `_superlu.gstrf` with the options `splu` would pass, into a value
+buffer of the solve's own, and gets the bits `splu` gives.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import time
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve import _superlu
 
 from ..model import OptProblem
 from .base import Solution, SolverError, Status
@@ -208,6 +210,7 @@ class QpContext:
         y = np.zeros(part.m_eq)
         s = np.maximum(cap - a_in(x), 1.0)
         z = np.ones(m_in)
+        rhs = np.empty(part.size)  # the augmented right-hand side, rewritten in place
 
         status = Status.ITERATION_LIMIT
         it = 0
@@ -216,43 +219,47 @@ class QpContext:
             r_eq = a_eq(x) - b_eq
             r_in = a_in(x) + s - cap
             mu = float(s @ z) / max(m_in, 1)
-            prim = max(np.max(np.abs(r_eq), initial=0.0), np.max(np.abs(r_in), initial=0.0))
-            dual = np.max(np.abs(r_d))
-            scale = 1.0 + max(
-                np.max(np.abs(x)), np.max(np.abs(z), initial=0.0), np.max(np.abs(y), initial=0.0)
-            )
+            prim = max(np.abs(r_eq).max(initial=0.0), np.abs(r_in).max(initial=0.0))
+            dual = np.abs(r_d).max()
+            x_max = np.abs(x).max()
+            scale = 1.0 + max(x_max, np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0))
             if prim <= _EPS_TARGET * scale and dual <= _EPS_TARGET * scale and mu <= _EPS_TARGET * scale:
                 status = Status.OPTIMAL
                 break
-            if np.max(z, initial=0.0) > 1e12 or np.max(s, initial=0.0) > 1e14:
+            if z.max(initial=0.0) > 1e12 or s.max(initial=0.0) > 1e14:
                 status = Status.INFEASIBLE
                 break
-            if np.max(np.abs(x)) > 1e14:
+            if x_max > 1e14:
                 status = Status.UNBOUNDED
                 break
 
-            w = np.clip(z / np.maximum(s, 1e-300), 1e-12, 1e16)
+            s_safe = np.maximum(s, 1e-300)
+            w = np.minimum(np.maximum(z / s_safe, 1e-12), 1e16)
             try:
                 solve = kkt.factor(w)
             except RuntimeError as exc:  # a pivot is exactly zero
                 raise SolverError(f"KKT matrix singular at interior-point iteration {it}") from exc
+            zr, sz = z * r_in, s * z
+            neg_rd, neg_rin = -r_d, -r_in
+            np.negative(r_eq, out=rhs[nv:])
 
             def direction(rc):
                 # Eliminate ds, dz; solve the augmented system for dx, dy.
-                tmp = (z * r_in - rc) / np.maximum(s, 1e-300)
-                out = solve(np.concatenate([-r_d - a_in_t(tmp), -r_eq]))
+                tmp = (zr - rc) / s_safe
+                np.subtract(neg_rd, a_in_t(tmp), out=rhs[:nv])
+                out = solve(rhs)
                 dx, dy = out[:nv], out[nv:]
-                ds = -r_in - a_in(dx)
-                dz = -(rc + z * ds) / np.maximum(s, 1e-300)
+                ds = neg_rin - a_in(dx)
+                dz = -(rc + z * ds) / s_safe
                 return dx, dy, ds, dz
 
             # Affine (predictor) direction, then the centered corrector.
-            dx_a, dy_a, ds_a, dz_a = direction(s * z)
+            dx_a, dy_a, ds_a, dz_a = direction(sz)
             alpha_p = _step_len(s, ds_a)
             alpha_d = _step_len(z, dz_a)
             mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / max(m_in, 1)
-            sigma = np.clip((mu_aff / max(mu, 1e-300)) ** 3, 1e-8, 1.0)
-            rc = s * z + ds_a * dz_a - sigma * mu
+            sigma = min(max((mu_aff / max(mu, 1e-300)) ** 3, 1e-8), 1.0)
+            rc = sz + ds_a * dz_a - sigma * mu
             dx, dy, ds, dz = direction(rc)
             alpha_p = min(1.0, 0.99995 * _step_len(s, ds))
             alpha_d = min(1.0, 0.99995 * _step_len(z, dz))
@@ -433,9 +440,17 @@ class _Partition:
         self.refill = _matvec(self.weight_map)
         self.const_slot = slot[n_pair:].copy()  # not a view that keeps every pair's slot
         self.eq_data = eq_coo.data
-        self.indices = (keys % size).astype(np.int32)
-        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
+        self.indices = (keys % size).astype(np.intc)
+        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc)
         _freeze(self.weight_map, self.const_slot, self.eq_data, self.indices, self.indptr)
+
+
+# The options `splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+# options={"SymmetricMode": True})` passes to `gstrf`, the kernel it ends in.
+# Its steps before that call (`sum_duplicates`, the float upcast and the index
+# cast) change nothing on K: its pattern is sorted without duplicates by
+# construction, its values are float64 and its index arrays `np.intc` already.
+_SUPERLU_OPTIONS = dict(DiagPivotThresh=0.1, ColPerm="MMD_AT_PLUS_A", PanelSize=None, Relax=None, SymmetricMode=True)
 
 
 class _Kkt:
@@ -444,23 +459,25 @@ class _Kkt:
     def __init__(self, part: _Partition, p: np.ndarray):
         const = np.concatenate([p + _DELTA, np.full(part.m_eq, -_DELTA), part.eq_data, part.eq_data])
         self.const = np.bincount(part.const_slot, weights=const, minlength=part.weight_map.shape[0])
-        self.refill = part.refill
-        self.k = sparse.csc_matrix((self.const, part.indices, part.indptr), shape=(part.size, part.size))
+        self.part = part
+        self.data = np.empty_like(self.const)  # the solve's own: threads share the memo's partition
 
     def factor(self, w: np.ndarray):
         """Factor K at inequality weights w; returns a solve function."""
-        self.k.data = self.const + self.refill(w)
+        part = self.part
+        np.add(self.const, part.refill(w), out=self.data)
         # Diagonal pivots, unless one is below 10% of its column: a
         # delta-sized pivot (the equality row of a fixed variable) taken early
         # loses the digits of the variable's own diagonal, and lower
         # thresholds leave more ill-conditioned solves at the iteration cap.
-        lu = splu(self.k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+        lu = _superlu.gstrf(part.size, self.data.size, self.data, part.indices, part.indptr,
+                            csc_construct_func=sparse.csc_array, ilu=False, options=_SUPERLU_OPTIONS)
         return lu.solve
 
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:
     neg = dv < 0
-    return float(min(1.0, np.min(-v[neg] / dv[neg], initial=np.inf)))
+    return min(1.0, -float((v[neg] / dv[neg]).max(initial=-np.inf)))
 
 
 def solve_qp(problem: OptProblem) -> Solution:

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqreg import cli
+from cqreg import cli, tuning
 from cqreg.cli import EXIT_DATA, EXIT_FLAGS, EXIT_OK, EXIT_SOLVER, main
-from cqreg import ALL_PAIRS, CVConfig, L0Penalty, add_l0, build_cqr
+from cqreg import ALL_PAIRS, CVConfig, L0Penalty, SolverError, add_l0, build_cqr
 from cqreg.tuning import default_lambda_grid
 from tests.conftest import make_instance
 
@@ -149,6 +149,33 @@ class TestExitCodes:
         out.write_text(json.dumps(doc))
         assert run("verify", "--result", out) == EXIT_SOLVER
         assert "FAIL: residual split identity violated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("command", ["tune", "simulate"])
+def test_failed_fold_fits_are_reported(csv_path, tmp_path, capsys, monkeypatch, command, inject):
+    # The first CV fold fit raises, as a failed solve does; its candidate
+    # drops out, the other still gets chosen, and the exit code stays 0.
+    original, calls = tuning.fit, []
+
+    def fold_fit(dataset, spec):
+        calls.append(spec)
+        if inject and len(calls) == 1:
+            raise SolverError("injected fold failure")
+        return original(dataset, spec)
+
+    monkeypatch.setattr(tuning, "fit", fold_fit)
+    if command == "tune":
+        args = ("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile", "--level", 0.5,
+                "--penalty", "l1", "--solve", "full", "--folds", 2, "--lambda-grid", "0.01,1",
+                "--out", tmp_path / "cv.json")
+    else:
+        args = ("simulate", "--n", 11, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "l1-cqr",
+                "--folds", 2, "--lambda-count", 2, "--workers", 1, "--out", tmp_path / "mc.csv")
+    assert run(*args) == EXIT_OK
+    assert len(calls) == 4
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert warnings == (["warning: 1 CV fold fit(s) failed; their candidates were left out"] if inject else [])
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
+from scipy.sparse.linalg import splu
 
 from cqreg import (
     ALL_PAIRS,
@@ -361,6 +362,33 @@ def _ruiz_by_sparse_products(ctx):
     return d, e, c, a.tocsr()
 
 
+def _step_len_by_min(v, dv):
+    """Reference step length: the least -v / dv over the negative directions,
+    capped at 1, in the form the IPM computed it before."""
+    neg = dv < 0
+    return float(min(1.0, np.min(-v[neg] / dv[neg], initial=np.inf)))
+
+
+def _clip_weights(z_over_s):
+    """Reference clip of the KKT weights to [1e-12, 1e16] by `np.clip`."""
+    return np.clip(z_over_s, 1e-12, 1e16)
+
+
+def _clip_sigma(ratio_cubed):
+    """Reference clip of the centering parameter to [1e-8, 1] by `np.clip`."""
+    return np.clip(ratio_cubed, 1e-8, 1.0)
+
+
+def _extreme_vectors(rng, size):
+    """Seeded vectors with signs, magnitudes from 1e-300 to 1e300, +-0.0 and
+    subnormals."""
+    v = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315, 1e-300, 1e300])
+    idx = rng.choice(size, size=size // 3, replace=False)
+    v[idx] = rng.choice(special, size=idx.size)
+    return v
+
+
 def _relaxed_l0_cer(ds, level, k):
     problem = add_l0(build_cer(ds, level, ALL_PAIRS), L0Penalty(k, 5.0))
     return problem, replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
@@ -510,6 +538,31 @@ class TestQpContext:
                 x = kkt.factor(w)(rhs)
                 scale = np.abs(k).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
                 assert np.abs(k @ x - rhs).max() <= 1e-12 * scale
+
+    def test_step_length_and_clips_match_the_references(self):
+        # The IPM's step length negates a max where it took a min of negated
+        # ratios, and clips by np.minimum/np.maximum and by Python min/max
+        # where it called np.clip: every result must keep the bits.
+        cases = [
+            (np.array([1.0, 2.0]), np.array([0.5, 0.0])),  # no negative direction
+            (np.array([0.0, -0.0, 0.0]), np.array([-1.0, -2.0, -5e-324])),
+            (np.array([], dtype=float), np.array([], dtype=float)),
+        ]
+        rng = np.random.default_rng(0)
+        for size in rng.integers(1, 40, size=300):
+            cases.append((_extreme_vectors(rng, size), _extreme_vectors(rng, size)))
+        with np.errstate(over="ignore", under="ignore"):
+            for v, dv in cases:
+                for vv in (v, np.abs(v)):
+                    new, ref = qp._step_len(vv, dv), _step_len_by_min(vv, dv)
+                    assert type(new) is float
+                    assert np.float64(new).tobytes() == np.float64(ref).tobytes()
+                w = np.abs(v) / np.maximum(np.abs(dv), 1e-300)
+                for x in (v, w):
+                    new = np.minimum(np.maximum(x, 1e-12), 1e16)
+                    assert new.tobytes() == _clip_weights(x).tobytes()
+                for r in map(float, np.concatenate([v, np.abs(v) ** 3, [1e-8, 1.0]])):
+                    assert np.float64(min(max(r, 1e-8), 1.0)).tobytes() == _clip_sigma(r).tobytes()
 
     def test_one_input_l1_instance_converges(self):
         # Minimum-degree ordering refreshed at every factorization; an
@@ -704,6 +757,38 @@ class TestSystemMemo:
             assert mat.format in ("csr", "csc")
             x = rng.normal(size=mat.shape[1]) * 10.0 ** rng.uniform(-8, 8, size=mat.shape[1])
             assert qp._matvec(mat)(x).tobytes() == (mat @ x).tobytes()
+
+    @pytest.mark.parametrize("fix", range(4))
+    def test_factor_matches_splu(self, fix):
+        # `_Kkt.factor` calls SuperLU's `gstrf` directly; its solves must
+        # have the bits of `splu`'s on K assembled from the same partition,
+        # with 0-3 selectors fixed and weights from 1e-12 to 1e16.
+        ds = make_instance(10, 3, seed=fix)
+        problem, relaxed = _relaxed_l0_cer(ds, 0.5, max(1, fix))
+        lower, upper = problem.lower.copy(), problem.upper.copy()
+        z_cols = np.flatnonzero(problem.integer)[:fix]
+        lower[z_cols] = upper[z_cols] = 1.0
+        ctx = qp.QpContext(relaxed)
+        l_s, u_s = ctx._scaled_bounds(lower, upper)
+        eq = l_s == u_s
+        part = qp._Partition(ctx.a_s, eq, ~eq & (u_s != np.inf), ~eq & (l_s != -np.inf))
+        assert part.m_eq == ds.n + fix
+        kkt = qp._Kkt(part, ctx.p_s)
+        rng = np.random.default_rng(fix)
+        for log_w in (-12.0, 0.0, 16.0, None, None, None):
+            size = part.m_in
+            w = 10.0 ** (rng.uniform(-12, 16, size=size) if log_w is None else np.full(size, log_w))
+            k = sparse.csc_matrix((kkt.const + part.refill(w), part.indices, part.indptr), shape=(part.size,) * 2)
+            b = rng.normal(size=part.size) * 10.0 ** rng.uniform(-8, 8, size=part.size)
+            ref = splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+            assert kkt.factor(w)(b).tobytes() == ref.solve(b).tobytes()
+
+    def test_private_kernels_present(self):
+        # Private scipy API the IPM calls; a scipy that drops any of it fails
+        # here rather than at the first fit.
+        used = {qp._sparsetools: ("csr_matvec", "csc_matvec"), qp._superlu: ("gstrf",)}
+        missing = [name for owner, names in used.items() for name in names if not hasattr(owner, name)]
+        assert missing == []
 
     def test_cached_arrays_are_read_only(self):
         ctx = qp.QpContext(build_cer(make_instance(6, 2, seed=1), 0.5, ALL_PAIRS))
