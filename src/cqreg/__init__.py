@@ -25,7 +25,9 @@ from .mc import (
     MCScenario,
     MetricsReport,
     accuracy,
+    exact_support,
     expectile_level_for_quantile,
+    false_positives,
     generate_scenario,
     prediction_error,
     run_mc,

@@ -43,7 +43,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
-from scipy.spatial.distance import pdist, squareform
 
 from .data import Dataset
 from .model import FitResult, OptProblem, afriat_rows, extract_fit
@@ -106,10 +105,28 @@ def initial_constraints(dataset: Dataset, strategy: str = MST) -> list[tuple[int
     return list(_seed_memo[1])
 
 
+def _distances(X: np.ndarray) -> np.ndarray:
+    """The n x n Euclidean distances between the rows of X.
+
+    Each squared distance is summed over the columns in order from zero and
+    then square-rooted, as `scipy.spatial.distance.pdist` does, so the
+    result equals `squareform(pdist(X))` bit for bit without importing
+    `scipy.spatial`.
+    """
+    acc = np.zeros((X.shape[0], X.shape[0]))
+    for col in X.T:
+        diff = col[:, None] - col[None, :]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
 def _seed_pairs(X: np.ndarray, strategy: str) -> list[tuple[int, int]]:
+    """Seed pairs of `strategy` from the distances of `_distances`, which
+    follow pdist's summation order, so ties and near-ties between edge
+    lengths break as they did when the distances came from pdist."""
     n = X.shape[0]
     if strategy == MST:
-        dist = squareform(pdist(X))
+        dist = _distances(X)
         tree = minimum_spanning_tree(dist).tocoo()
         edges = sorted(
             (min(int(a), int(b)), max(int(a), int(b))) for a, b in zip(tree.row, tree.col)
@@ -120,7 +137,7 @@ def _seed_pairs(X: np.ndarray, strategy: str) -> list[tuple[int, int]]:
             pairs.append((b, a))
         return pairs
     if strategy == SPANNING_PATH:
-        dist = squareform(pdist(X))
+        dist = _distances(X)
         visited = [0]
         remaining = set(range(1, n))
         while remaining:

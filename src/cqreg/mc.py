@@ -31,6 +31,8 @@ METHODS: dict[str, tuple[str, str | None]] = {
     "l0-cer": (EXPECTILE, "l0"),
 }
 
+_METRICS = ("prediction_error", "accuracy", "false_positives", "exact_support")
+
 _REPORT_COLUMNS = (
     "method",
     "family",
@@ -130,11 +132,23 @@ def prediction_error(q_hat: np.ndarray, q_star: np.ndarray) -> float:
 
 
 def accuracy(support_hat, support_true, k_true: int) -> float:
-    """Share of true variables recovered, in percent."""
+    """Share of true variables recovered, in percent.  A selected variable
+    outside the true support costs nothing here, so a dense fit scores 100;
+    `false_positives` and `exact_support` count what it misses."""
     if k_true < 1:
         raise ValueError("k_true must be at least 1")
     hits = len(frozenset(support_hat) & frozenset(support_true))
     return 100.0 * hits / k_true
+
+
+def false_positives(support_hat, support_true) -> int:
+    """Number of selected variables outside the true support."""
+    return len(frozenset(support_hat) - frozenset(support_true))
+
+
+def exact_support(support_hat, support_true) -> float:
+    """100 when the selected variables are exactly the true support, else 0."""
+    return 100.0 if frozenset(support_hat) == frozenset(support_true) else 0.0
 
 
 @dataclass(frozen=True)
@@ -192,6 +206,7 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
             except RuntimeError:
                 failures += 1
                 continue
+            selected = support(final)
             rows.append(
                 {
                     "method": name,
@@ -199,7 +214,9 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
                     "tau": float(tau),
                     "rep": rep,
                     "prediction_error": prediction_error(final.y_hat, scenario.q_star[float(tau)]),
-                    "accuracy": accuracy(support(final), scenario.support_true, cfg.k_true),
+                    "accuracy": accuracy(selected, scenario.support_true, cfg.k_true),
+                    "false_positives": false_positives(selected, scenario.support_true),
+                    "exact_support": exact_support(selected, scenario.support_true),
                 }
             )
     return rows, failures, fold_failures
@@ -244,7 +261,7 @@ def run_mc(
         family, _ = METHODS[name]
         for tau in cfg.taus:
             cell = [r for r in raw if r["method"] == name and r["tau"] == float(tau)]
-            for metric in ("prediction_error", "accuracy"):
+            for metric in _METRICS:
                 values = np.array([r[metric] for r in cell])
                 out.append(
                     {

@@ -2,7 +2,20 @@
 
 `LpSession` holds one HiGHS instance from the bindings that scipy ships
 (`scipy.optimize._highspy._core`, a private scipy API; `pyproject.toml`
-requires a scipy that has it).  The model is passed exactly as
+requires a scipy that has it).  `_load_core` loads that one extension
+from its file instead of importing it.  An import would first run
+`scipy.optimize`'s `__init__`, which loads all of `scipy.optimize` with
+`scipy.spatial`, `scipy.fft` and `scipy.constants`: about 10 MiB of
+resident memory in every process that fits, for one compiled module.
+The loaded module is registered in `sys.modules` under its dotted name,
+and an entry already there is reused, so a later `import scipy.optimize`
+finds the same module object: HiGHS's bindings are initialized once and
+`linprog` keeps working.  (The package `scipy.optimize._highspy` then
+lacks a `_core` attribute; import statements still find the module.)
+The loader relies on scipy's private file layout,
+`scipy/optimize/_highspy/_core.*` (scipy >= 1.17).
+
+The model is passed exactly as
 `scipy.optimize.linprog(method="highs")` passes it: column-wise, the `<=`
 rows first and the `=` rows after (as `split_rows` orders them; a sense
 without rows is a 0-row block), infinities mapped to `kHighsInf`,
@@ -37,14 +50,41 @@ comparing primal and dual objectives.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize._highspy import _core
 
 from ..model import OptProblem
 from .base import Solution, SolverError, Status
+
+
+def _load_core():
+    """scipy's HiGHS bindings, without importing `scipy.optimize`."""
+    name = "scipy.optimize._highspy._core"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None:
+        raise ImportError(f"scipy's HiGHS bindings are not in {directory}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_core = _load_core()
 
 _MAX_SIMPLEX_ITERS = 100_000
 

@@ -1,7 +1,21 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cqreg
 from cqreg import Dataset
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this cqreg;
+    the test process has loaded most of scipy already."""
+    src = os.path.dirname(os.path.dirname(cqreg.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    return out.stdout
 
 
 def make_instance(n, d, seed=0, rho=10.0, k_true=None):

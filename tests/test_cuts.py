@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from cqreg import (
     ALL_PAIRS,
@@ -15,6 +16,7 @@ from cqreg import (
     solve_lp,
     solve_with_cuts,
 )
+from cqreg import cuts
 from cqreg.cuts import MST, SPANNING_PATH, CutLoopLimitError
 from cqreg.estimators import make_builder
 from cqreg.model import extract_fit, validate_fit
@@ -22,6 +24,25 @@ from tests.conftest import make_instance
 
 
 class TestInitialConstraints:
+    @pytest.mark.parametrize("d", [1, 6, 12])
+    def test_distances_equal_pdist(self, d):
+        # pdist is the reference the seed distances once came from.
+        rng = np.random.default_rng(d)
+        for n in (2, 5, 31, 120):
+            for scale in (1e-3, 1.0, 1e4):
+                X = rng.uniform(1.0, 10.0, (n, d)) * scale
+                X[n // 2] = X[0]  # a duplicate row, at distance exactly 0
+                assert np.array_equal(cuts._distances(X), squareform(pdist(X)))
+
+    def test_seeds_match_pdist_seeds(self, monkeypatch, small_noisy, noiseless_linear):
+        instances = (small_noisy, noiseless_linear, make_instance(100, 6), make_instance(30, 3, seed=2), make_instance(5, 2))
+        cases = [(ds, strategy) for ds in instances for strategy in (MST, SPANNING_PATH)]
+        # Consecutive cases differ, so the memo answers no call after this.
+        monkeypatch.setattr(cuts, "_seed_memo", None)
+        got = [initial_constraints(ds, strategy) for ds, strategy in cases]
+        monkeypatch.setattr(cuts, "_distances", lambda X: squareform(pdist(X)))
+        assert [initial_constraints(ds, strategy) for ds, strategy in cases] == got
+
     def test_collinear_mst(self):
         # x = (1, 2, 10): the unique MST is 1-2, 2-10.
         ds = Dataset(np.array([[1.0], [2.0], [10.0]]), np.array([1.0, 2.0, 3.0]))

@@ -1,18 +1,15 @@
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-import cqreg
 from cqreg import CVConfig, L1Penalty, MCConfig, SolverError, expectile_level_for_quantile, run_mc
 from cqreg import tuning
-from cqreg.mc import generate_scenario
+from cqreg.mc import accuracy, exact_support, false_positives, generate_scenario
+from tests.conftest import run_fresh
 
 
 def test_report_independent_of_worker_count():
@@ -23,7 +20,13 @@ def test_report_independent_of_worker_count():
     pooled = run_mc(cfg, methods, cv, solve="full", workers=2)
     assert serial == pooled
     assert serial.failures == 0
-    assert len(serial.rows) == 2 * len(methods)
+    assert len(serial.rows) == 4 * len(methods)
+    assert {row["metric"] for row in serial.rows} == {
+        "prediction_error",
+        "accuracy",
+        "false_positives",
+        "exact_support",
+    }
     assert all(row["reps"] == 2 and math.isfinite(row["mean"]) for row in serial.rows)
 
 
@@ -65,13 +68,22 @@ def test_bad_worker_count_raises(workers):
         run_mc(cfg, ("cqr",), solve="full", workers=workers)
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # A fresh interpreter: this one has scipy.stats loaded by the tests.
-    src = os.path.dirname(os.path.dirname(cqreg.__file__))
-    code = "import sys, cqreg; print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+@pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize", "scipy.spatial"])
+def test_package_import_leaves_package_unloaded(package):
+    # HiGHS's bindings sit in sys.modules under scipy.optimize._highspy,
+    # loaded from their file; the package itself is never imported.
+    assert run_fresh(f"import sys, cqreg; print({package!r} in sys.modules)").strip() == "False"
+
+
+def test_support_metrics_penalize_a_dense_fit():
+    true = generate_scenario(MCConfig(n=10, d=6, k_true=2), 0).support_true
+    dense = frozenset(range(6))
+    assert accuracy(dense, true, k_true=2) == 100.0
+    assert false_positives(dense, true) == 4
+    assert exact_support(dense, true) == 0.0
+    assert (accuracy(true, true, 2), false_positives(true, true), exact_support(true, true)) == (100.0, 0, 100.0)
+    missed = frozenset({min(true), min(dense - true)})
+    assert (accuracy(missed, true, 2), false_positives(missed, true), exact_support(missed, true)) == (50.0, 1, 0.0)
 
 
 @pytest.mark.parametrize("tau", [1e-6, 0.01, 0.1, 0.25, 0.5, 0.61, 0.75, 0.9, 0.99, 1 - 1e-6])

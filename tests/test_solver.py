@@ -41,7 +41,7 @@ from cqreg.model import afriat_rows, extract_fit
 from cqreg.solver import bnb, qp
 from cqreg.solver.lp import LpSession, split_rows
 from cqreg.solver.mps import _names
-from tests.conftest import make_instance
+from tests.conftest import make_instance, run_fresh
 
 
 def lp(c, rows, sense, rhs, lower=None, upper=None, quad=None, integer=None):
@@ -116,6 +116,23 @@ def _rows_of_one_sense(problem: OptProblem, sense: str) -> OptProblem:
 
 
 class TestLpSession:
+    @pytest.mark.parametrize("first", ["cqreg", "scipy.optimize"])
+    def test_highs_bindings_loaded_once(self, first):
+        # cqreg loads HiGHS's bindings from their file; whichever of it and
+        # scipy.optimize comes first, both must hold one module object, and
+        # linprog must still solve through it.
+        code = f"""
+import sys
+import {first}
+import cqreg.solver.lp as lp
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+assert _core is lp._core is sys.modules["scipy.optimize._highspy._core"]
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+print(res.status, res.x.tolist(), res.fun)
+"""
+        assert run_fresh(code).split() == ["0", "[1.0,", "0.0]", "1.0"]
+
     def test_highs_bindings_present(self):
         # Private scipy API the session is built on; a scipy that drops any
         # of it fails here rather than at the first fit.
@@ -582,12 +599,12 @@ class TestQpContext:
         with pytest.raises(SolverError, match="KKT matrix singular"):
             qp.QpContext(problem).solve()
 
-    @pytest.mark.xfail(strict=True, reason="the IPM stalls with a dual residual near 0.65 (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="the IPM stalls with a dual residual near 0.65 (ROADMAP item 1)")
     def test_known_one_input_stall(self):
         problem = build_cer(make_instance(11, 1, seed=9764), 0.27777399363978295, ALL_PAIRS)
         assert solve_qp(problem).status is Status.OPTIMAL
 
-    @pytest.mark.xfail(strict=True, reason="a node optimum misses the 1e-6 sign residual (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="a node optimum misses the 1e-6 sign residual (ROADMAP item 1)")
     def test_known_node_sign_residual_miss(self):
         ds = make_instance(9, 2, seed=1967)
         level = 0.2947941696224661
@@ -598,7 +615,7 @@ class TestQpContext:
         lower[np.flatnonzero(problem.integer)[0]] = 1.0
         assert qp.QpContext(relaxed).solve(lower, upper).status is Status.OPTIMAL
 
-    @pytest.mark.xfail(strict=True, reason="a feasible node is reported infeasible (ROADMAP item 3)")
+    @pytest.mark.xfail(strict=True, reason="a feasible node is reported infeasible (ROADMAP item 1)")
     def test_known_false_infeasible_node(self):
         # z fixed at 1 with k = 1 leaves the cardinality row no interior, and
         # its multiplier grows past the IPM's infeasibility threshold.
