@@ -1,8 +1,6 @@
 """Penalized convex quantile and expectile regression with subset selection."""
 
 from .cuts import (
-    MST,
-    SPANNING_PATH,
     CutLoopLimitError,
     CutLoopStats,
     initial_constraints,

@@ -115,13 +115,18 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> Dataset:
 
 
 def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
+    if args.lam is not None and args.penalty != "l1":
+        raise ValueError("--lam requires --penalty l1")
+    for flag, value in (("--k", args.k), ("--big-m", args.big_m), ("--m-mult", args.m_mult)):
+        if value is not None and args.penalty != "l0":
+            raise ValueError(f"{flag} requires --penalty l0")
     if args.penalty == "l1" and args.lam is None:
         raise ValueError("--penalty l1 requires --lam")
     if args.penalty == "l0":
         if args.k is None:
             raise ValueError("--penalty l0 requires --k")
-        if args.big_m is None and args.m_mult is None:
-            raise ValueError("--penalty l0 requires --big-m or --m-mult")
+        if (args.big_m is None) == (args.m_mult is None):
+            raise ValueError("--penalty l0 requires exactly one of --big-m and --m-mult")
         if args.k > dataset.d:
             raise ValueError(f"--k {args.k} exceeds the {dataset.d} input columns")
     spec = EstimatorSpec(
@@ -129,7 +134,6 @@ def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
         level=args.level,
         penalty=L1Penalty(args.lam) if args.penalty == "l1" else None,
         solve=args.solve,
-        strategy=args.init,
         tol=args.tol,
     )
     if args.penalty == "l0":
@@ -168,7 +172,6 @@ def _result_document(dataset: Dataset, spec: EstimatorSpec, result: FitResult) -
             "level": spec.level,
             "penalty": chosen,
             "solve": spec.solve,
-            "strategy": spec.strategy,
             "tol": spec.tol,
         },
         "variable_names": list(
@@ -228,7 +231,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m-mult", type=float, default=None, help="L0 cap as multiplier of anchor")
     p.add_argument("--big-m", type=float, default=None, help="L0 cap, explicit value")
     p.add_argument("--solve", choices=["full", "cuts"], default="full")
-    p.add_argument("--init", choices=["mst", "path"], default="mst")
     p.add_argument("--tol", type=float, default=0.01, help="cut-loop tolerance")
 
 
@@ -248,7 +250,6 @@ def _build_parser() -> _Parser:
     p_tune.add_argument("--level", type=float, required=True)
     p_tune.add_argument("--penalty", choices=["l1", "l0"], required=True)
     p_tune.add_argument("--solve", choices=["full", "cuts"], default="cuts")
-    p_tune.add_argument("--init", choices=["mst", "path"], default="mst")
     p_tune.add_argument("--tol", type=float, default=0.01)
     p_tune.add_argument("--folds", type=int, default=5)
     p_tune.add_argument("--cv-seed", type=int, default=0)
@@ -341,7 +342,6 @@ def _cmd_tune(args) -> int:
         family=args.family,
         level=args.level,
         solve=args.solve,
-        strategy=args.init,
         tol=args.tol,
     )
     report = cross_validate(dataset, spec, args.penalty, cfg)

@@ -1,11 +1,12 @@
 """Constraint generation for the shape-constraint system.
 
 The full problem carries n(n-1) domination rows; the loop here solves a
-reduced master seeded from a spanning structure over the inputs, scans for
-the most violated row per observation, inserts those rows and re-solves
-until every violation clears the tolerance (Lee, Johnson, Moreno-Centeno
-and Kuosmanen 2013).  Because rows are only added, the master optimum grows
-monotonically toward the full-problem optimum.
+reduced master seeded with the 2(n-1) pairs of the inputs' minimum
+spanning tree, scans for the most violated row per observation, inserts
+those rows and re-solves until every violation clears the tolerance (Lee,
+Johnson, Moreno-Centeno and Kuosmanen 2013).  Because rows are only
+added, the master optimum grows monotonically toward the full-problem
+optimum.
 
 A pure-LP master lives in one `LpSession` for the whole loop: new rows are
 appended with `add_rows` and the master is re-solved from the previous
@@ -50,9 +51,6 @@ from .solver import Solution, Status, solve_mip, solve_qp
 from .solver import solve_lp  # noqa: F401  (bench/instrument.py wraps cuts.solve_lp)
 from .solver.lp import LpSession
 
-MST = "mst"
-SPANNING_PATH = "path"
-
 _DUAL_NONDEGENERATE = 1e-7  # least |reduced cost| of a nonbasic variable
 _TIE_MARGIN = 1e-9  # least gap that float noise in a certified optimum cannot close
 
@@ -84,24 +82,29 @@ class CutLoopLimitError(RuntimeError):
         self.stats = stats
 
 
-# The last call's key (strategy, float input shape and bytes) and its pairs.
+# The last call's key (float input shape and bytes) and its pairs.
 _seed_memo: tuple[tuple, list[tuple[int, int]]] | None = None
 
 
-def initial_constraints(dataset: Dataset, strategy: str = MST) -> list[tuple[int, int]]:
-    """Seed pairs (i, h), hyperplane i dominating the fitted value at h, from a
-    spanning structure on input-space Euclidean distances.
+def initial_constraints(dataset: Dataset) -> list[tuple[int, int]]:
+    """Seed pairs (i, h), hyperplane i dominating the fitted value at h: the
+    2(n-1) pairs of the minimum spanning tree on input-space Euclidean
+    distances, tree edges in sorted order, each followed by its reverse.
 
-    MST keeps both directions of each tree edge (2(n-1) pairs); the spanning
-    path is a greedy nearest-neighbor walk from the first observation (n-1
-    directed pairs).  A repeat call on the same inputs returns a copy of
+    The distances of `_distances` follow pdist's summation order, so ties
+    and near-ties between edge lengths break as they did when the distances
+    came from pdist.  A repeat call on the same inputs returns a copy of
     the last result.
     """
     global _seed_memo
     X = dataset.inputs
-    key = (strategy, X.shape, X.tobytes())
+    key = (X.shape, X.tobytes())
     if _seed_memo is None or _seed_memo[0] != key:
-        _seed_memo = (key, _seed_pairs(X, strategy))
+        tree = minimum_spanning_tree(_distances(X)).tocoo()
+        edges = sorted(
+            (min(int(a), int(b)), max(int(a), int(b))) for a, b in zip(tree.row, tree.col)
+        )
+        _seed_memo = (key, [pair for a, b in edges for pair in ((a, b), (b, a))])
     return list(_seed_memo[1])
 
 
@@ -118,35 +121,6 @@ def _distances(X: np.ndarray) -> np.ndarray:
         diff = col[:, None] - col[None, :]
         acc += diff * diff
     return np.sqrt(acc)
-
-
-def _seed_pairs(X: np.ndarray, strategy: str) -> list[tuple[int, int]]:
-    """Seed pairs of `strategy` from the distances of `_distances`, which
-    follow pdist's summation order, so ties and near-ties between edge
-    lengths break as they did when the distances came from pdist."""
-    n = X.shape[0]
-    if strategy == MST:
-        dist = _distances(X)
-        tree = minimum_spanning_tree(dist).tocoo()
-        edges = sorted(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in zip(tree.row, tree.col)
-        )
-        pairs = []
-        for a, b in edges:
-            pairs.append((a, b))
-            pairs.append((b, a))
-        return pairs
-    if strategy == SPANNING_PATH:
-        dist = _distances(X)
-        visited = [0]
-        remaining = set(range(1, n))
-        while remaining:
-            here = visited[-1]
-            nxt = min(remaining, key=lambda j: (dist[here, j], j))
-            visited.append(nxt)
-            remaining.remove(nxt)
-        return list(zip(visited[:-1], visited[1:]))
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def _slack(fit: FitResult, dataset: Dataset) -> np.ndarray:
@@ -178,7 +152,6 @@ def separate(
 def solve_with_cuts(
     builder: Callable[[np.ndarray], OptProblem],
     dataset: Dataset,
-    strategy: str = MST,
     tol: float = 0.01,
     max_rounds: int | None = None,
 ) -> tuple[FitResult, CutLoopStats]:
@@ -193,7 +166,7 @@ def solve_with_cuts(
     if max_rounds is None:
         max_rounds = max(1, math.ceil(dataset.n * dataset.n / 2))
     # (m, 2) pairs in the order their rows sit in the master.
-    active = np.asarray(initial_constraints(dataset, strategy), dtype=int).reshape(-1, 2)
+    active = np.asarray(initial_constraints(dataset), dtype=int).reshape(-1, 2)
     present = np.zeros((dataset.n, dataset.n), dtype=bool)
     present[active[:, 0], active[:, 1]] = True
     added: list[int] = []

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cuts import MST, SPANNING_PATH, solve_with_cuts
+from .cuts import solve_with_cuts
 from .data import Dataset
 from .model import (
     ALL_PAIRS,
@@ -44,7 +44,6 @@ class EstimatorSpec:
     level: float
     penalty: L1Penalty | L0Penalty | None = None
     solve: str = "full"  # "full" or "cuts"
-    strategy: str = MST  # seed pairs for the cut loop
     tol: float = 0.01  # cut-loop separation tolerance
 
     def __post_init__(self) -> None:
@@ -54,8 +53,6 @@ class EstimatorSpec:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if self.solve not in ("full", "cuts"):
             raise ValueError(f"solve must be 'full' or 'cuts', got {self.solve!r}")
-        if self.strategy not in (MST, SPANNING_PATH):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
@@ -84,7 +81,7 @@ def fit(dataset: Dataset, spec: EstimatorSpec) -> FitResult:
     infeasible status is an internal error and raises."""
     builder = make_builder(dataset, spec)
     if spec.solve == "cuts":
-        result, _ = solve_with_cuts(builder, dataset, strategy=spec.strategy, tol=spec.tol)
+        result, _ = solve_with_cuts(builder, dataset, tol=spec.tol)
         return result
     problem = builder(ALL_PAIRS)
     if problem.is_mip:

@@ -70,6 +70,8 @@ class MCConfig:
             raise ValueError("need at least one replication")
         if not self.taus or any(not 0 < t < 1 for t in self.taus):
             raise ValueError("tau values must lie in (0, 1)")
+        if len(set(self.taus)) != len(self.taus):
+            raise ValueError(f"tau values must be distinct, got {self.taus}")
         if self.exponent_mode not in ("even", "position"):
             raise ValueError(f"unknown exponent mode {self.exponent_mode!r}")
 
@@ -238,6 +240,8 @@ def run_mc(
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be distinct, got {tuple(methods)}")
     cv = cv if cv is not None else CVConfig()
     workers = workers if workers is not None else default_workers()
     if workers < 1:

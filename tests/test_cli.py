@@ -40,6 +40,13 @@ BAD_VALUES = [
     ("--penalty", "l0", "--k", 1, "--m-mult", -1),
     ("--penalty", "l0", "--k", 1, "--big-m", 0),
     ("--penalty", "l0", "--k", 1, "--big-m", -1),
+    ("--penalty", "l0", "--k", 1, "--big-m", 1.0, "--m-mult", 2.0),
+    ("--lam", 0.1),
+    ("--penalty", "l0", "--k", 1, "--big-m", 1.0, "--lam", 0.1),
+    ("--k", 1),
+    ("--big-m", 1.0),
+    ("--penalty", "l1", "--lam", 0.1, "--m-mult", 2.0),
+    ("--init", "path"),
 ]
 
 
@@ -87,6 +94,15 @@ class TestExitCodes:
                 "--workers", workers, "--out", out)
         assert run(*args) == EXIT_FLAGS
         assert capsys.readouterr().err.startswith("invalid flags: workers must be at least 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [("--tau", "0.5,0.5"), ("--methods", "cqr,cqr")], ids=["tau", "methods"])
+    def test_repeated_simulate_cell_is_a_flag_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "mc.csv"
+        args = ("simulate", "--n", 8, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "cqr",
+                "--out", out, *flags)
+        assert run(*args) == EXIT_FLAGS
+        assert "must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nan_tol_is_a_flag_error(self, csv_path, tmp_path, capsys):

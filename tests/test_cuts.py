@@ -17,7 +17,7 @@ from cqreg import (
     solve_with_cuts,
 )
 from cqreg import cuts
-from cqreg.cuts import MST, SPANNING_PATH, CutLoopLimitError
+from cqreg.cuts import CutLoopLimitError
 from cqreg.estimators import make_builder
 from cqreg.model import extract_fit, validate_fit
 from tests.conftest import make_instance
@@ -36,40 +36,25 @@ class TestInitialConstraints:
 
     def test_seeds_match_pdist_seeds(self, monkeypatch, small_noisy, noiseless_linear):
         instances = (small_noisy, noiseless_linear, make_instance(100, 6), make_instance(30, 3, seed=2), make_instance(5, 2))
-        cases = [(ds, strategy) for ds in instances for strategy in (MST, SPANNING_PATH)]
-        # Consecutive cases differ, so the memo answers no call after this.
+        # Consecutive instances differ, so the memo answers no call after this.
         monkeypatch.setattr(cuts, "_seed_memo", None)
-        got = [initial_constraints(ds, strategy) for ds, strategy in cases]
+        got = [initial_constraints(ds) for ds in instances]
         monkeypatch.setattr(cuts, "_distances", lambda X: squareform(pdist(X)))
-        assert [initial_constraints(ds, strategy) for ds, strategy in cases] == got
+        assert [initial_constraints(ds) for ds in instances] == got
 
     def test_collinear_mst(self):
         # x = (1, 2, 10): the unique MST is 1-2, 2-10.
         ds = Dataset(np.array([[1.0], [2.0], [10.0]]), np.array([1.0, 2.0, 3.0]))
-        pairs = set(initial_constraints(ds, MST))
+        pairs = set(initial_constraints(ds))
         assert pairs == {(0, 1), (1, 0), (1, 2), (2, 1)}
 
     def test_two_observations(self):
         ds = Dataset(np.array([[1.0], [5.0]]), np.array([1.0, 2.0]))
-        assert set(initial_constraints(ds, MST)) == {(0, 1), (1, 0)}
-        assert set(initial_constraints(ds, SPANNING_PATH)) == {(0, 1)}
+        assert set(initial_constraints(ds)) == {(0, 1), (1, 0)}
 
     def test_mst_pair_count(self):
         ds = make_instance(100, 6)
-        assert len(initial_constraints(ds, MST)) == 198  # 2(n-1), vs 9900 full
-
-    def test_spanning_path_is_greedy_walk(self):
-        ds = make_instance(30, 3, seed=2)
-        pairs = list(initial_constraints(ds, SPANNING_PATH))
-        assert len(pairs) == 29
-        order = [pairs[0][0]] + [h for _, h in pairs]
-        assert order[0] == 0
-        assert sorted(order) == list(range(30))
-
-    def test_unknown_strategy(self):
-        ds = make_instance(5, 2)
-        with pytest.raises(ValueError):
-            initial_constraints(ds, "random")
+        assert len(initial_constraints(ds)) == 198  # 2(n-1), vs 9900 full
 
 
 class TestSeparate:
@@ -136,7 +121,7 @@ class TestSolveWithCuts:
         # Two observations: the seed pairs already cover the full system.
         ds = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]))
         builder = make_builder(ds, EstimatorSpec("quantile", 0.5))
-        result, stats = solve_with_cuts(builder, ds, strategy=MST, tol=1e-6)
+        result, stats = solve_with_cuts(builder, ds, tol=1e-6)
         assert stats.iterations == 1
         assert stats.added == (0,)
 
@@ -144,7 +129,7 @@ class TestSolveWithCuts:
         ds = make_instance(40, 3, seed=6)
         spec = EstimatorSpec("quantile", 0.7)
         builder = make_builder(ds, spec)
-        active = initial_constraints(ds, MST)
+        active = initial_constraints(ds)
         objectives = []
         for _ in range(200):
             problem = builder(active)
@@ -198,7 +183,7 @@ class TestSolveWithCuts:
 
 def _rebuild_every_round(builder, ds, tol):
     """The loop with no session: rebuild the master and cold-solve it each round."""
-    active = initial_constraints(ds, MST)
+    active = initial_constraints(ds)
     present = set(active)
     added = []
     while True:

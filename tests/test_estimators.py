@@ -72,12 +72,11 @@ class TestFit:
         )
         assert capped.objective == pytest.approx(plain.objective, abs=1e-6)
 
-    def test_k_exceeding_d_rejected(self, small_noisy):
-        with pytest.raises(ValueError):
-            fit(
-                small_noisy,
-                EstimatorSpec("quantile", 0.5, penalty=L0Penalty(small_noisy.d + 1, 1.0)),
-            )
+    @pytest.mark.parametrize("solve", ["full", "cuts"])
+    def test_k_exceeding_d_rejected(self, small_noisy, solve):
+        penalty = L0Penalty(small_noisy.d + 1, 1.0)
+        with pytest.raises(ValueError, match="exceeds"):
+            fit(small_noisy, EstimatorSpec("quantile", 0.5, penalty=penalty, solve=solve))
 
     def test_meta_populated(self, small_noisy):
         result = fit(small_noisy, EstimatorSpec("quantile", 0.5))

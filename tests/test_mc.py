@@ -68,6 +68,14 @@ def test_bad_worker_count_raises(workers):
         run_mc(cfg, ("cqr",), solve="full", workers=workers)
 
 
+def test_repeated_tau_or_method_rejected():
+    with pytest.raises(ValueError, match="tau values must be distinct"):
+        MCConfig(n=12, d=2, k_true=1, taus=(0.5, 0.5), replications=2)
+    cfg = MCConfig(n=12, d=2, k_true=1, replications=2)
+    with pytest.raises(ValueError, match="methods must be distinct"):
+        run_mc(cfg, ("cqr", "cqr"), solve="full", workers=1)
+
+
 @pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize", "scipy.spatial"])
 def test_package_import_leaves_package_unloaded(package):
     # HiGHS's bindings sit in sys.modules under scipy.optimize._highspy,
