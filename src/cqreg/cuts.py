@@ -48,7 +48,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .data import Dataset
 from .model import FitResult, OptProblem, afriat_rows, extract_fit
 from .solver import Solution, Status, solve_mip, solve_qp
-from .solver import solve_lp  # noqa: F401  (bench/instrument.py wraps cuts.solve_lp)
+# Unused: kept only because bench/instrument.py wraps it; ROADMAP item 7 deletes it.
+from .solver import solve_lp  # noqa: F401
 from .solver.lp import LpSession
 
 _DUAL_NONDEGENERATE = 1e-7  # least |reduced cost| of a nonbasic variable
@@ -238,5 +239,5 @@ def _solve_master(problem: OptProblem, hint) -> tuple[Solution, LpSession | None
         return solve_mip(problem, incumbent_hint=hint), None
     if problem.has_quad:
         return solve_qp(problem), None
-    session = LpSession.for_problem(problem)
+    session = LpSession(problem)
     return session.solve(), session

@@ -33,8 +33,6 @@ from .solver import Status, solve_lp, solve_mip, solve_qp
 QUANTILE = "quantile"
 EXPECTILE = "expectile"
 
-SupportSet = frozenset
-
 
 @dataclass(frozen=True)
 class EstimatorSpec:

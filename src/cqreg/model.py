@@ -85,9 +85,6 @@ class VarLayout:
     def yhat(self) -> slice:
         return slice(0, self.n)
 
-    def beta(self, i: int) -> slice:
-        return slice(self.n + i * self.d, self.n + (i + 1) * self.d)
-
     def beta_all(self) -> slice:
         return slice(self.n, self.n + self.n * self.d)
 
@@ -409,10 +406,10 @@ def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
         z = np.rint(x[lay.z()]).astype(int)
     meta = FitMeta(
         status=str(solution.status),
-        iterations=int(getattr(solution, "iterations", 0)),
-        nodes=int(getattr(solution, "nodes", 0)),
+        iterations=int(solution.iterations),
+        nodes=int(solution.nodes),
         constraints=lay.afriat,
-        wall_time=float(getattr(solution, "wall_time", 0.0)),
+        wall_time=float(solution.wall_time),
     )
     return FitResult(alpha, beta, eps_plus, eps_minus, y_hat, z, float(solution.objective), meta)
 

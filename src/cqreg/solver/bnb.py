@@ -4,8 +4,8 @@ The integer variables are the d selectors z, so the tree has at most 2^d
 leaves; each node solves an LP or diagonal-QP relaxation with tightened
 z bounds.  One relaxation model is built per `solve_mip`: an `LpSession`,
 or a `QpContext` with its constraint matrices, scaling and KKT pattern.
-A node re-solves it under its own bounds; an LP node is a cold solve after
-a bound change, so it gives the bits a fresh session would.  Only selector
+A node calls its `solve(lower, upper)` with its own bounds; for an LP that
+is a cold solve, which gives the bits a fresh session would.  Only selector
 bounds differ between nodes, and a selector bound set that comes back (the
 root as the first tree node, or a hinted or probed point that is also a
 leaf) is solved once.
@@ -25,7 +25,8 @@ import numpy as np
 from ..model import OptProblem
 from .base import Solution, Status
 from .lp import LpSession
-from .lp import solve_arrays  # noqa: F401  (bench/instrument.py wraps bnb.solve_arrays)
+# Unused: kept only because bench/instrument.py wraps it; ROADMAP item 7 deletes it.
+from .lp import solve_lp as solve_arrays  # noqa: F401
 from .qp import QpContext
 
 _INT_TOL = 1e-6
@@ -38,21 +39,6 @@ class _Node:
     lower: np.ndarray
     upper: np.ndarray
     bound: float
-
-
-class _Relaxation:
-    """Solves the continuous relaxation under per-node bounds."""
-
-    def __init__(self, problem: OptProblem):
-        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
-        self.ctx = QpContext(relaxed) if problem.has_quad else None
-        self.session = None if problem.has_quad else LpSession.for_problem(relaxed)
-
-    def solve(self, lower: np.ndarray, upper: np.ndarray) -> Solution:
-        if self.session is None:
-            return self.ctx.solve(lower=lower, upper=upper)
-        self.session.set_bounds(lower, upper)
-        return self.session.solve()
 
 
 def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
@@ -68,7 +54,8 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic)."""
     start = time.perf_counter()
     int_idx = np.flatnonzero(problem.integer)
-    relax = _Relaxation(problem)
+    relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+    relax = QpContext(relaxed) if problem.has_quad else LpSession(relaxed)
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
 
     best_x: np.ndarray | None = None

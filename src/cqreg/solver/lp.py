@@ -15,22 +15,23 @@ lacks a `_core` attribute; import statements still find the module.)
 The loader relies on scipy's private file layout,
 `scipy/optimize/_highspy/_core.*` (scipy >= 1.17).
 
-The model is passed exactly as
+`LpSession(problem)` passes the model exactly as
 `scipy.optimize.linprog(method="highs")` passes it: column-wise, the `<=`
-rows first and the `=` rows after (as `split_rows` orders them; a sense
-without rows is a 0-row block), infinities mapped to `kHighsInf`,
-presolve on, dual simplex, the simplex and IPM iteration caps at
-_MAX_SIMPLEX_ITERS and no output.  The first solve of a session is
-therefore the cold solve `linprog` gives, bit for bit.
+rows first and the `=` rows after (a sense without rows is a 0-row
+block), infinities mapped to `kHighsInf`, presolve on, dual simplex, the
+simplex and IPM iteration caps at _MAX_SIMPLEX_ITERS and no output.  The
+first solve of a session is therefore the cold solve `linprog` gives,
+bit for bit.
 
-`set_bounds` replaces the column bounds and clears the solver, so the
-next `solve` is again a cold solve, without stacking the matrices or
-passing the model anew.  Branch-and-bound re-solves its one relaxation
-this way per node.  It is the cold solve a fresh session with those
-bounds gives, bit for bit, only when every row was passed before the
-session's first solve: after `solve` and then `add_rows`, `x` and the
-objective can differ from the fresh session's in their last bits (with
-the same iteration count), so branch-and-cut must not rely on it.
+`solve(lower, upper)` first replaces every column's bounds and clears the
+solver, so it is again a cold solve, without stacking the matrices or
+passing the model anew; `solve()` keeps the bounds and the basis.
+Branch-and-bound re-solves its one relaxation this way per node.  A
+solve with bounds is the cold solve a fresh session with those bounds
+gives, bit for bit, only when every row was passed before the session's
+first solve: after `solve` and then `add_rows`, `x` and the objective can
+differ from the fresh session's in their last bits (with the same
+iteration count), so branch-and-cut must not rely on it.
 
 `add_rows` appends `<=` rows.  HiGHS keeps the last basis, with the new
 rows basic, so the next `solve` hot-starts from it instead of presolving
@@ -41,8 +42,8 @@ Hot re-solves price with Devex instead of HiGHS's default dual steepest
 edge (Forrest and Goldfarb 1992): it takes more iterations, each of them
 cheaper.  The pricing rule only chooses the path to an optimum, so when
 `min_nonbasic_dual` shows that optimum is unique, the rule cannot change
-it.  A fresh session and `set_bounds` use the default pricing, so cold
-solves are unaffected.
+it.  A fresh session and a solve with bounds use the default pricing, so
+cold solves are unaffected.
 
 Every optimal solve carries its dual objective, so it can be certified by
 comparing primal and dual objectives.
@@ -111,30 +112,28 @@ _STATUS = {
 }
 
 
-def split_rows(problem: OptProblem):
-    """Partition the constraint rows into (A_ub, b_ub, A_eq, b_eq) for HiGHS;
-    a sense with no rows gives a 0-row block."""
-    is_eq = problem.sense == "E"
-    a = problem.a.tocsr()
-    return a[~is_eq], problem.rhs[~is_eq], a[is_eq], problem.rhs[is_eq]
-
-
 def _highs_inf(values: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=float), -_core.kHighsInf, _core.kHighsInf)
 
 
 class LpSession:
-    """One HiGHS model: min c @ x s.t. a_ub @ x <= b_ub, a_eq @ x == b_eq,
-    lower <= x <= upper, kept between solves so rows can be appended and
-    the model re-solved from the last basis."""
+    """One HiGHS model of a pure LP, kept between solves so rows can be
+    appended and the model re-solved from the last basis or under new
+    column bounds."""
 
-    def __init__(self, c, a_ub, b_ub, a_eq, b_eq, lower: np.ndarray, upper: np.ndarray):
-        n_cols = c.shape[0]
-        a = sparse.csc_array(sparse.vstack([a_ub, a_eq]))
-        self._lower = _highs_inf(lower)
-        self._upper = _highs_inf(upper)
-        self._row_upper = _highs_inf(np.concatenate([b_ub, b_eq]))
-        self._le = np.concatenate([np.ones(b_ub.size, dtype=bool), np.zeros(b_eq.size, dtype=bool)])
+    def __init__(self, problem: OptProblem):
+        if problem.is_mip:
+            raise ValueError("problem has integrality flags; use solve_mip")
+        if problem.has_quad:
+            raise ValueError("problem has a quadratic objective; use solve_qp")
+        n_cols = problem.n_vars
+        is_eq = problem.sense == "E"
+        order = np.argsort(is_eq, kind="stable")  # the `<=` rows, then the `=` rows
+        a = sparse.csc_array(problem.a.tocsr()[order])
+        self._lower = _highs_inf(problem.lower)
+        self._upper = _highs_inf(problem.upper)
+        self._row_upper = _highs_inf(problem.rhs[order])
+        self._le = ~is_eq[order]
 
         lp = _core.HighsLp()
         lp.num_col_ = n_cols
@@ -145,7 +144,7 @@ class LpSession:
         lp.a_matrix_.start_ = a.indptr
         lp.a_matrix_.index_ = a.indices
         lp.a_matrix_.value_ = a.data
-        lp.col_cost_ = c
+        lp.col_cost_ = problem.obj_linear
         lp.col_lower_ = self._lower
         lp.col_upper_ = self._upper
         lp.row_lower_ = np.where(self._le, -_core.kHighsInf, self._row_upper)
@@ -158,15 +157,6 @@ class LpSession:
         self._last: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         if self._highs.passModel(lp) == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
-
-    @classmethod
-    def for_problem(cls, problem: OptProblem) -> LpSession:
-        """A session holding a pure LP."""
-        if problem.is_mip:
-            raise ValueError("problem has integrality flags; use solve_mip")
-        if problem.has_quad:
-            raise ValueError("problem has a quadratic objective; use solve_qp")
-        return cls(problem.obj_linear, *split_rows(problem), problem.lower, problem.upper)
 
     def add_rows(self, a: sparse.csr_matrix, rhs: np.ndarray) -> None:
         """Append the rows a @ x <= rhs (`a` in CSR form); the next solve
@@ -182,25 +172,22 @@ class LpSession:
         self._row_upper = np.concatenate([self._row_upper, rhs])
         self._le = np.concatenate([self._le, np.ones(m, dtype=bool)])
 
-    def set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        """Replace every column's bounds and drop the basis, so the next solve
-        is a cold solve.  It gives a fresh session's bits with these bounds
-        only if every row was passed before this session's first solve;
-        after `solve` and then `add_rows` the bits can differ (see the
-        module docstring)."""
-        self._lower = _highs_inf(lower)
-        self._upper = _highs_inf(upper)
-        self._highs.clearSolver()
-        self._highs.setOptionValue(_PRICING, _COLD_PRICING)
-        n_cols = self._lower.size
-        status = self._highs.changeColsBounds(
-            n_cols, np.arange(n_cols, dtype=np.int32), self._lower, self._upper
-        )
-        if status == _core.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the column bounds")
-
-    def solve(self) -> Solution:
-        """Solve the current model, from the last basis when there is one."""
+    def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
+        """Solve the model from the last basis when there is one.  Given
+        bounds, first replace every column's bounds and drop the basis, so
+        the solve is a cold one (see the module docstring for when it gives
+        a fresh session's bits)."""
+        if lower is not None:
+            self._lower = _highs_inf(lower)
+            self._upper = _highs_inf(upper)
+            self._highs.clearSolver()
+            self._highs.setOptionValue(_PRICING, _COLD_PRICING)
+            n_cols = self._lower.size
+            status = self._highs.changeColsBounds(
+                n_cols, np.arange(n_cols, dtype=np.int32), self._lower, self._upper
+            )
+            if status == _core.HighsStatus.kError:
+                raise SolverError("HiGHS rejected the column bounds")
         start = time.perf_counter()
         self._last = None
         self._highs.run()
@@ -253,20 +240,6 @@ class LpSession:
         return cols, rows
 
 
-def solve_arrays(
-    c: np.ndarray,
-    a_ub,
-    b_ub,
-    a_eq,
-    b_eq,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> Solution:
-    """One cold HiGHS solve of a fresh session (no caller in the package;
-    bench/instrument.py wraps its name in `bnb`)."""
-    return LpSession(c, a_ub, b_ub, a_eq, b_eq, lower, upper).solve()
-
-
 def solve_lp(problem: OptProblem) -> Solution:
     """Solve a pure LP to optimality (deterministic for a fixed problem)."""
-    return LpSession.for_problem(problem).solve()
+    return LpSession(problem).solve()

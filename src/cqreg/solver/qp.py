@@ -155,17 +155,15 @@ class QpContext:
         )
 
     def _scaled_bounds(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None):
-        """Scaled row bounds (l_s, u_s) under the variable bounds of a node;
-        None keeps the problem's own."""
-        if lower is None and upper is None:
+        """Scaled row bounds (l_s, u_s) under the variable bounds of a node,
+        given both or neither; neither keeps the problem's own."""
+        if lower is None:
             return self.l_s, self.u_s
-        lo = self.problem.lower if lower is None else lower
-        up = self.problem.upper if upper is None else upper
         nb = self.problem.a.shape[0]
         l_s = self.l_s.copy()
         u_s = self.u_s.copy()
-        l_s[nb:] = lo[self.bounded] * self.e[nb:]
-        u_s[nb:] = up[self.bounded] * self.e[nb:]
+        l_s[nb:] = lower[self.bounded] * self.e[nb:]
+        u_s[nb:] = upper[self.bounded] * self.e[nb:]
         return l_s, u_s
 
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:

@@ -50,6 +50,10 @@ class CVConfig:
                 raise ValueError("k grid must be non-empty")
             if min(self.k_grid) < 1:
                 raise ValueError("k grid entries must be >= 1")
+        for name in ("lambda_grid", "k_grid", "m_multipliers"):
+            grid = getattr(self, name)
+            if grid is not None and len(set(grid)) != len(grid):
+                raise ValueError(f"{name} values must be distinct, got {grid}")
 
     @classmethod
     def sdg(cls, folds: int = 5, seed: int = 0) -> "CVConfig":

@@ -73,6 +73,9 @@ class TestExitCodes:
             ("--penalty", "l1", "--lambda-grid", -1),
             ("--penalty", "l1", "--lambda-count", 0),
             ("--penalty", "l1", "--folds", 13),
+            ("--penalty", "l1", "--lambda-grid", "0.1,0.1"),
+            ("--penalty", "l0", "--k-grid", "1,1"),
+            ("--penalty", "l0", "--m-multipliers", "1,1"),
             ("--penalty", "l0", "--preset", "sdg"),  # k up to 11 at d=3
             ("--penalty", "l0", "--data", "one_input.csv"),  # default k grid empty at d=1
         ],

@@ -39,7 +39,7 @@ from cqreg import (
 from cqreg.cuts import initial_constraints, separate
 from cqreg.model import afriat_rows, extract_fit
 from cqreg.solver import bnb, qp
-from cqreg.solver.lp import LpSession, split_rows
+from cqreg.solver.lp import LpSession
 from cqreg.solver.mps import _names
 from tests.conftest import make_instance, run_fresh
 
@@ -169,7 +169,10 @@ print(res.status, res.x.tolist(), res.fun)
             problem = build_cqr(request.getfixturevalue(instance), 0.5, ALL_PAIRS)
         if lam is not None:
             problem = add_l1(problem, L1Penalty(lam))
-        a_ub, b_ub, a_eq, b_eq = split_rows(problem)
+        # linprog's split: the `<=` rows and the `=` rows, either possibly 0-row.
+        is_eq = problem.sense == "E"
+        a = problem.a.tocsr()
+        a_ub, b_ub, a_eq, b_eq = a[~is_eq], problem.rhs[~is_eq], a[is_eq], problem.rhs[is_eq]
         assert (a_ub.shape[0] == 0) == (instance == "eq_rows_only")
         assert (a_eq.shape[0] == 0) == (instance == "le_rows_only")
         ref = linprog(
@@ -191,7 +194,7 @@ print(res.status, res.x.tolist(), res.fun)
     def test_resolve_after_add_rows_matches_cold(self, seed):
         ds = make_instance(30, 3, seed=seed)
         base = add_l1(build_cqr(ds, 0.5, initial_constraints(ds)), L1Penalty(0.1))
-        session = LpSession.for_problem(base)
+        session = LpSession(base)
         first = extract_fit(base, ds, session.solve())
         new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
         assert new
@@ -203,25 +206,24 @@ print(res.status, res.x.tolist(), res.fun)
         assert hot.dual_objective == pytest.approx(hot.objective, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_set_bounds_after_add_rows_is_a_cold_solve(self, seed):
-        # Solves after add_rows price with Devex; set_bounds must bring back
-        # the cold solve's pricing.  With every row a `<=` row, the appended
-        # rows sit last in the session as in a fresh session of the stacked
-        # model.  They are appended before the session's first solve: one
-        # solved before moves the later cold solve's x in its last bits,
-        # with either pricing.
+    def test_new_bounds_after_add_rows_is_a_cold_solve(self, seed):
+        # Solves after add_rows price with Devex; a solve with bounds must
+        # bring back the cold solve's pricing.  With every row a `<=` row,
+        # the appended rows sit last in the session as in a fresh session of
+        # the stacked model.  They are appended before the session's first
+        # solve: one solved before moves the later cold solve's x in its last
+        # bits, with either pricing.
         ds = make_instance(30, 3, seed=seed)
         base = _rows_of_one_sense(add_l1(build_cqr(ds, 0.5, initial_constraints(ds)), L1Penalty(0.1)), "L")
         first = extract_fit(base, ds, solve_lp(base))
         new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
         rows = afriat_rows(ds, new, base.n_vars)
-        session = LpSession.for_problem(base)
+        session = LpSession(base)
         session.add_rows(rows, np.zeros(len(new)))
         assert session.solve().optimal
         lower, upper = base.lower.copy(), base.upper.copy()
         upper[base.layout.beta_all()] = 2.0
-        session.set_bounds(lower, upper)
-        got = session.solve()
+        got = session.solve(lower, upper)
         stacked = replace(
             base,
             a=sparse.vstack([base.a, rows], format="csr"),
@@ -230,14 +232,14 @@ print(res.status, res.x.tolist(), res.fun)
             lower=lower,
             upper=upper,
         )
-        want = LpSession.for_problem(stacked).solve()
+        want = LpSession(stacked).solve()
         assert got.status is want.status is Status.OPTIMAL
         assert got.iterations == want.iterations
         assert np.array_equal(got.x, want.x)
         assert got.objective == want.objective
         assert got.dual_objective == want.dual_objective
 
-    def test_set_bounds_resolve_matches_fresh_session(self, small_noisy):
+    def test_new_bounds_resolve_matches_fresh_session(self, small_noisy):
         problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
         relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
         z = np.flatnonzero(problem.integer)
@@ -247,15 +249,14 @@ print(res.status, res.x.tolist(), res.fun)
         # infeasible and the feasible one after it must not see it.
         fixings = [rng.integers(-1, 2, size=z.size) for _ in range(12)]
         fixings[4:6] = [np.ones(z.size, dtype=int), np.array([1, 0, -1])]
-        session = LpSession.for_problem(relaxed)
+        session = LpSession(relaxed)
         statuses = []
         for fixed in fixings:
             lower, upper = problem.lower.copy(), problem.upper.copy()
             lower[z[fixed == 1]] = 1.0
             upper[z[fixed == 0]] = 0.0
-            session.set_bounds(lower, upper)
-            got = session.solve()
-            want = LpSession.for_problem(replace(relaxed, lower=lower, upper=upper)).solve()
+            got = session.solve(lower, upper)
+            want = LpSession(replace(relaxed, lower=lower, upper=upper)).solve()
             statuses.append(got.status)
             assert got.status is want.status
             assert got.iterations == want.iterations
@@ -264,6 +265,25 @@ print(res.status, res.x.tolist(), res.fun)
                 assert got.objective == want.objective
                 assert got.dual_objective == want.dual_objective
         assert statuses[4:6] == [Status.INFEASIBLE, Status.OPTIMAL]
+
+
+@pytest.mark.parametrize(
+    "model, problem, message",
+    [
+        ("lp", "l0-cqr", "integrality flags; use solve_mip"),
+        ("lp", "cer", "quadratic objective; use solve_qp"),
+        ("qp", "cqr", "no quadratic objective; use solve_lp"),
+        ("qp", "l0-cer", "integrality flags; use solve_mip"),
+    ],
+)
+def test_model_object_rejects_the_wrong_problem_kind(model, problem, message):
+    ds = make_instance(6, 2, seed=0)
+    build = build_cer if problem.endswith("cer") else build_cqr
+    built = build(ds, 0.5, ALL_PAIRS)
+    if problem.startswith("l0"):
+        built = add_l0(built, L0Penalty(1, 5.0))
+    with pytest.raises(ValueError, match=message):
+        (LpSession if model == "lp" else qp.QpContext)(built)
 
 
 class TestSolveQp:
@@ -911,11 +931,12 @@ class TestSolveMip:
         kept = solve_mip(problem)
 
         relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+        original = LpSession.solve
 
         def fresh(self, lower, upper):
-            return LpSession.for_problem(replace(relaxed, lower=lower, upper=upper)).solve()
+            return original(LpSession(replace(relaxed, lower=lower, upper=upper)))
 
-        monkeypatch.setattr(bnb._Relaxation, "solve", fresh)
+        monkeypatch.setattr(LpSession, "solve", fresh)
         rebuilt = solve_mip(problem)
         assert kept.status is rebuilt.status is Status.OPTIMAL
         assert np.array_equal(kept.x, rebuilt.x)
@@ -925,13 +946,13 @@ class TestSolveMip:
     def test_repeated_bounds_are_solved_once(self, monkeypatch, small_noisy):
         problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(1, 1.0))
         bounds = []
-        original = bnb._Relaxation.solve
+        original = LpSession.solve
 
         def recording(self, lower, upper):
             bounds.append((lower[problem.integer].tobytes(), upper[problem.integer].tobytes()))
             return original(self, lower, upper)
 
-        monkeypatch.setattr(bnb._Relaxation, "solve", recording)
+        monkeypatch.setattr(LpSession, "solve", recording)
         sol = solve_mip(problem, incumbent_hint=np.array([1.0, 0.0, 0.0]))
         assert len(bounds) == len(set(bounds)) == sol.nodes
 

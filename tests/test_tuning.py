@@ -72,6 +72,14 @@ def test_l0_default_k_grid_at_one_input_is_rejected_before_any_fit(monkeypatch):
         cross_validate(make_instance(12, 1), EstimatorSpec("quantile", 0.5), "l0", CVConfig())
 
 
+@pytest.mark.parametrize(
+    "grid, values", [("lambda_grid", (0.1, 0.1)), ("k_grid", (1, 2, 1)), ("m_multipliers", (1.0, 1.0))]
+)
+def test_repeated_grid_value_is_rejected(grid, values):
+    with pytest.raises(ValueError, match=f"{grid} values must be distinct"):
+        CVConfig(folds=2, **{grid: values})
+
+
 class TestSdgPreset:
     def test_grids(self):
         cfg = CVConfig.sdg(folds=4, seed=7)
