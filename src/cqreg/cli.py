@@ -28,7 +28,7 @@ from .estimators import (
     support,
 )
 from .mc import MCConfig, run_mc
-from .model import ALL_PAIRS, FitMeta, FitResult, L0Penalty, L1Penalty, validate_fit
+from .model import ALL_PAIRS, FEAS_TOL, FitMeta, FitResult, L0Penalty, L1Penalty, validate_fit
 from .solver import export_mps
 from .tuning import CVConfig, cross_validate, default_lambda_grid
 
@@ -53,9 +53,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def load_csv(path: str, output_col: str, id_col: str | None = None) -> Dataset:
+def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dataset, list, list]:
     """Header row required; the designated output column and optional id
-    column are split off, every remaining column is a numeric input."""
+    column are split off, every remaining column is a numeric input.  Returns
+    the dataset, its input column names and the ids (by default 1-based row numbers)."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -104,14 +105,10 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> Dataset:
         inputs.append([cell(j) for j in input_pos])
         ids.append(row[id_pos].strip() if id_pos is not None else str(r - 1))
     try:
-        return Dataset(
-            np.array(inputs),
-            np.array(output),
-            variable_names=tuple(header[j] for j in input_pos),
-            observation_ids=tuple(ids),
-        )
+        dataset = Dataset(np.array(inputs), np.array(output))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}", EXIT_DATA) from exc
+    return dataset, [header[j] for j in input_pos], ids
 
 
 def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
@@ -144,13 +141,12 @@ def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
     return spec
 
 
-def _result_document(dataset: Dataset, spec: EstimatorSpec, result: FitResult) -> dict:
+def _result_document(dataset: Dataset, names, ids, spec: EstimatorSpec, result: FitResult) -> dict:
     chosen = None
     if isinstance(spec.penalty, L1Penalty):
         chosen = {"kind": "l1", "lambda": spec.penalty.lam}
     elif isinstance(spec.penalty, L0Penalty):
         chosen = {"kind": "l0", "k": spec.penalty.k, "big_m": spec.penalty.big_m}
-    ids = dataset.observation_ids or tuple(str(i + 1) for i in range(dataset.n))
     observations = [
         {
             "id": ids[i],
@@ -174,9 +170,7 @@ def _result_document(dataset: Dataset, spec: EstimatorSpec, result: FitResult) -
             "solve": spec.solve,
             "tol": spec.tol,
         },
-        "variable_names": list(
-            dataset.variable_names or (f"x{j + 1}" for j in range(dataset.d))
-        ),
+        "variable_names": names,
         "objective": result.objective,
         "support": sorted(support(result)),
         "quantile_from_residuals": (
@@ -289,25 +283,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_floats(raw: str, flag: str) -> tuple[float, ...]:
+def _parse_list(raw: str, flag: str, kind=float) -> tuple:
     try:
-        return tuple(float(v) for v in raw.split(","))
+        return tuple(kind(v) for v in raw.split(","))
     except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated numbers") from exc
-
-
-def _parse_ints(raw: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in raw.split(","))
-    except ValueError as exc:
-        raise ValueError(f"{flag} expects comma-separated integers") from exc
+        what = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag} expects comma-separated {what}") from exc
 
 
 def _cmd_fit(args) -> int:
-    dataset = load_csv(args.data, args.output_col, args.id_col)
+    dataset, names, ids = load_csv(args.data, args.output_col, args.id_col)
     spec = _spec_from_args(args, dataset)
     result = fit(dataset, spec)
-    doc = _result_document(dataset, spec, result)
+    doc = _result_document(dataset, names, ids, spec, result)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2)
         handle.write("\n")
@@ -323,20 +311,20 @@ def _cv_config_from_args(args, preset: str | None = None) -> CVConfig:
         cfg = CVConfig(folds=args.folds, seed=getattr(args, "cv_seed", 0))
     lam = None
     if getattr(args, "lambda_grid", None):
-        lam = _parse_floats(args.lambda_grid, "--lambda-grid")
+        lam = _parse_list(args.lambda_grid, "--lambda-grid")
     elif getattr(args, "lambda_count", None) is not None:
         lam = default_lambda_grid(args.lambda_count)
     if lam is not None:
         cfg = replace(cfg, lambda_grid=lam)
     if getattr(args, "k_grid", None):
-        cfg = replace(cfg, k_grid=_parse_ints(args.k_grid, "--k-grid"))
+        cfg = replace(cfg, k_grid=_parse_list(args.k_grid, "--k-grid", int))
     if getattr(args, "m_multipliers", None):
-        cfg = replace(cfg, m_multipliers=_parse_floats(args.m_multipliers, "--m-multipliers"))
+        cfg = replace(cfg, m_multipliers=_parse_list(args.m_multipliers, "--m-multipliers"))
     return cfg
 
 
 def _cmd_tune(args) -> int:
-    dataset = load_csv(args.data, args.output_col, args.id_col)
+    dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
     cfg = _cv_config_from_args(args, args.preset)
     spec = EstimatorSpec(
         family=args.family,
@@ -360,7 +348,7 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    taus = _parse_floats(args.tau, "--tau")
+    taus = _parse_list(args.tau, "--tau")
     methods = tuple(m.strip() for m in args.methods.split(","))
     cfg = MCConfig(
         n=args.n,
@@ -385,7 +373,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    dataset = load_csv(args.data, args.output_col, args.id_col)
+    dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
     spec = _spec_from_args(args, dataset)
     problem = make_builder(dataset, spec)(ALL_PAIRS)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -420,7 +408,7 @@ def _cmd_verify(args) -> int:
         tol = args.tol
         if tol is None:
             # Cut-mode fits only guarantee feasibility at their loop tolerance.
-            tol = float(spec_doc["tol"]) if spec_doc.get("solve") == "cuts" else 1e-6
+            tol = float(spec_doc["tol"]) if spec_doc.get("solve") == "cuts" else FEAS_TOL
             if not (np.isfinite(tol) and tol > 0):
                 raise ValueError(f"spec.tol must be finite and positive, got {tol}")
         big_m = k = None

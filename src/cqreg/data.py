@@ -17,8 +17,6 @@ class Dataset:
 
     inputs: np.ndarray
     output: np.ndarray
-    variable_names: tuple[str, ...] | None = None
-    observation_ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         X = np.asarray(self.inputs, dtype=float)
@@ -40,16 +38,8 @@ class Dataset:
             raise ValueError("output contains non-finite entries")
         if np.any(X < 0):
             raise ValueError("inputs must be elementwise nonnegative")
-        if self.variable_names is not None and len(self.variable_names) != d:
-            raise ValueError(f"expected {d} variable names, got {len(self.variable_names)}")
-        if self.observation_ids is not None and len(self.observation_ids) != n:
-            raise ValueError(f"expected {n} observation ids, got {len(self.observation_ids)}")
         object.__setattr__(self, "inputs", X)
         object.__setattr__(self, "output", y)
-        if self.variable_names is not None:
-            object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        if self.observation_ids is not None:
-            object.__setattr__(self, "observation_ids", tuple(self.observation_ids))
 
     @property
     def n(self) -> int:
@@ -64,15 +54,9 @@ class Dataset:
         cols = list(columns)
         if not cols:
             raise ValueError("need at least one column")
-        names = None
-        if self.variable_names is not None:
-            names = tuple(self.variable_names[j] for j in cols)
-        return Dataset(self.inputs[:, cols], self.output, names, self.observation_ids)
+        return Dataset(self.inputs[:, cols], self.output)
 
     def subset(self, rows) -> "Dataset":
         """Dataset with only the given observations (order preserved)."""
         idx = np.asarray(rows)
-        ids = None
-        if self.observation_ids is not None:
-            ids = tuple(self.observation_ids[i] for i in idx)
-        return Dataset(self.inputs[idx], self.output[idx], self.variable_names, ids)
+        return Dataset(self.inputs[idx], self.output[idx])

@@ -18,6 +18,7 @@ from .cuts import solve_with_cuts
 from .data import Dataset
 from .model import (
     ALL_PAIRS,
+    FEAS_TOL,
     FitResult,
     L0Penalty,
     L1Penalty,
@@ -93,11 +94,11 @@ def fit(dataset: Dataset, spec: EstimatorSpec) -> FitResult:
     return extract_fit(problem, dataset, sol)
 
 
-def support(fit_result: FitResult, threshold: float = 1e-6) -> frozenset:
-    """Variables with some coefficient above the threshold; a cardinality fit
+def support(fit_result: FitResult) -> frozenset:
+    """Variables with some coefficient above FEAS_TOL; a cardinality fit
     additionally requires the selector to be on."""
     peak = fit_result.beta.max(axis=0)
-    selected = peak > threshold
+    selected = peak > FEAS_TOL
     if fit_result.z is not None:
         selected &= fit_result.z.astype(bool)
     return frozenset(int(j) for j in np.flatnonzero(selected))
@@ -134,9 +135,9 @@ def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int) -> tuple[float, fro
     return float(best_obj), frozenset(best_subset)
 
 
-def expectile_to_quantile(fit_result: FitResult, threshold: float = 1e-6) -> float:
-    """Empirical quantile level of a fit: share of strictly negative residuals."""
-    return float(np.count_nonzero(fit_result.eps_minus > threshold) / fit_result.n)
+def expectile_to_quantile(fit_result: FitResult) -> float:
+    """Empirical quantile level of a fit: share of residuals below -FEAS_TOL."""
+    return float(np.count_nonzero(fit_result.eps_minus > FEAS_TOL) / fit_result.n)
 
 
 def anchor_big_m(dataset: Dataset, spec: EstimatorSpec, multiplier: float) -> float:

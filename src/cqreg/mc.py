@@ -224,10 +224,6 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
     return rows, failures, fold_failures
 
 
-def default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 def run_mc(
     cfg: MCConfig,
     methods: Sequence[str],
@@ -243,7 +239,7 @@ def run_mc(
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must be distinct, got {tuple(methods)}")
     cv = cv if cv is not None else CVConfig()
-    workers = workers if workers is not None else default_workers()
+    workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(cfg, rep, tuple(methods), cv, solve) for rep in range(cfg.replications)]

@@ -86,10 +86,9 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
             best_x, best_obj = x, sol.objective
 
     root = node_solve(lower, upper)
-    if root.status is Status.INFEASIBLE:
-        return result(Status.INFEASIBLE, None, np.nan)
-    if root.status is Status.UNBOUNDED:
-        return result(Status.UNBOUNDED, None, -np.inf)
+    if root.x is None:
+        # Infeasible, unbounded, or stopped at the solver's cap without a point.
+        return result(root.status, None, -np.inf if root.status is Status.UNBOUNDED else np.nan)
     if int_idx.size == 0:
         return result(root.status, root.x, root.objective)
 
@@ -97,19 +96,17 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         try_fixed(np.rint(incumbent_hint).astype(float))
 
     zroot = root.x[int_idx]
-    branch_j = _pick_branch(zroot, int_idx)
-    if branch_j is None:
+    if _pick_branch(zroot, int_idx) is None:
         # Already integral: pin and certify.
         try_fixed(np.rint(zroot).astype(float))
-        if best_obj <= root.objective + _GAP:
-            return result(Status.OPTIMAL, best_x, best_obj)
     else:
         # Round-up probe: selecting every positive z is feasible whenever the
         # cardinality row allows it and proves optimality when the big-M rows
         # were already slack at the root.
         try_fixed((zroot > _INT_TOL).astype(float))
-        if best_x is not None and best_obj <= root.objective + _GAP:
-            return result(Status.OPTIMAL, best_x, best_obj)
+    # best_obj stays inf until an incumbent is set.
+    if best_obj <= root.objective + _GAP:
+        return result(Status.OPTIMAL, best_x, best_obj)
 
     stack = [_Node(lower, upper, root.objective)]
     limited = False

@@ -46,7 +46,7 @@ def _names(problem: OptProblem) -> tuple[list[str], list[str]]:
     return cols, rows + [f"L1B{i}" for i in range(1, budget + 1)] + tail
 
 
-def export_mps(problem: OptProblem, name: str = "CQREG") -> str:
+def export_mps(problem: OptProblem) -> str:
     """Serialize a problem as fixed-format MPS text.
 
     Columns appear in variable order (round-trips the model layout), binary
@@ -55,7 +55,7 @@ def export_mps(problem: OptProblem, name: str = "CQREG") -> str:
     diagonal entries are twice the squared-term coefficients).
     """
     col_names, row_names = _names(problem)
-    lines = [f"NAME          {name}", "ROWS", " N  OBJ"]
+    lines = ["NAME          CQREG", "ROWS", " N  OBJ"]
     for sense, row in zip(problem.sense, row_names):
         lines.append(f" {sense}  {row}")
 

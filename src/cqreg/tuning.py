@@ -108,19 +108,14 @@ def kfold_split(n: int, folds: int, seed: int) -> np.ndarray:
     return labels[rng.permutation(n)]
 
 
-def oof_predict(fit_result: FitResult, x_new: np.ndarray):
-    """Concave lower envelope of the fitted hyperplanes at new inputs.
+def oof_predict(fit_result: FitResult, x_new: np.ndarray) -> np.ndarray:
+    """Concave lower envelope of the fitted hyperplanes at the rows of x_new.
 
     This is the canonical out-of-sample evaluator for a concave fit: the
     minimum over the trained supporting hyperplanes.
     """
     x = np.asarray(x_new, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    values = fit_result.alpha[None, :] + x @ fit_result.beta.T
-    envelope = values.min(axis=1)
-    return float(envelope[0]) if single else envelope
+    return (fit_result.alpha[None, :] + x @ fit_result.beta.T).min(axis=1)
 
 
 def _oof_loss(family: str, level: float, y_true: np.ndarray, y_pred: np.ndarray) -> float:

@@ -4,9 +4,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import cqreg
 from cqreg import Dataset
+
+# Every run draws the same examples and keeps no example database, so a
+# tier-1 result is reproducible; solve times vary too much for a deadline.
+settings.register_profile("cqreg", derandomize=True, deadline=None, database=None)
+settings.load_profile("cqreg")
 
 
 def run_fresh(code: str) -> str:

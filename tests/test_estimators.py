@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqreg import (
     Dataset,
@@ -16,7 +18,7 @@ from cqreg import (
 )
 from cqreg.cuts import solve_with_cuts
 from cqreg.estimators import make_builder
-from cqreg.model import FitMeta, FitResult
+from cqreg.model import FEAS_TOL, FitMeta, FitResult, validate_fit
 from tests.conftest import make_instance
 
 
@@ -93,6 +95,41 @@ class TestFit:
             cut, stats = solve_with_cuts(builder, small_noisy)
             assert cut.meta.constraints == stats.constraints
 
+    # The contract: a fit either raises RuntimeError (SolverError and
+    # CutLoopLimitError included) or passes validate_fit, at 1e-6 in full
+    # mode and at the loop tolerance in cuts mode.
+    @pytest.mark.parametrize("solve", ["full", "cuts"])
+    @pytest.mark.parametrize("family", ["quantile", "expectile"])
+    @pytest.mark.parametrize("penalty", [None, "l1", "l0"])
+    @settings(max_examples=4)
+    @given(
+        n=st.integers(6, 14),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        level=st.floats(0.05, 0.95),
+        lam=st.floats(1e-3, 1.0),
+        k=st.integers(1, 3),
+        multiplier=st.floats(0.5, 3.0),
+    )
+    def test_returned_fit_is_valid_or_raises(
+        self, solve, family, penalty, n, d, seed, level, lam, k, multiplier
+    ):
+        ds = make_instance(n, d, seed=seed)
+        spec = EstimatorSpec(family, level, solve=solve)
+        big_m = None
+        k = min(k, d) if penalty == "l0" else None
+        try:
+            if penalty == "l1":
+                spec = replace(spec, penalty=L1Penalty(lam))
+            elif penalty == "l0":
+                big_m = anchor_big_m(ds, spec, multiplier)
+                spec = replace(spec, penalty=L0Penalty(k, big_m))
+            result = fit(ds, spec)
+        except RuntimeError:
+            return
+        tol = FEAS_TOL if solve == "full" else spec.tol
+        assert validate_fit(result, ds, tol=tol, big_m=big_m, k=k) == []
+
 
 class TestSupport:
     def test_all_zero_beta_is_empty(self):
@@ -107,9 +144,9 @@ class TestSupport:
     def test_threshold_gate(self):
         beta = np.zeros((4, 3))
         beta[:, 1] = 1e-9
-        assert support(fake_fit(beta), threshold=1e-6) == frozenset()
+        assert support(fake_fit(beta)) == frozenset()
         beta[:, 1] = 1e-3
-        assert support(fake_fit(beta), threshold=1e-6) == {1}
+        assert support(fake_fit(beta)) == {1}
 
     def test_selector_gates_support(self):
         beta = np.full((2, 2), 0.5)

@@ -87,14 +87,9 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0], [2.0]]), np.array([1.0, np.inf]))
 
-    def test_restrict_keeps_names(self):
-        ds = Dataset(
-            np.array([[1.0, 2.0], [3.0, 4.0]]),
-            np.array([1.0, 2.0]),
-            variable_names=("a", "b"),
-        )
+    def test_restrict_keeps_columns(self):
+        ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0]))
         sub = ds.restrict([1])
-        assert sub.variable_names == ("b",)
         assert sub.inputs.shape == (2, 1)
 
 
@@ -309,7 +304,7 @@ class TestFitResultInvariants:
         result = fit(small_noisy, EstimatorSpec("quantile", 0.3))
         assert np.minimum(result.eps_plus, result.eps_minus).max() <= 1e-7
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(seed=st.integers(0, 10_000))
     def test_random_instances_round_trip(self, seed):
         ds = make_instance(8, 2, seed=seed)

@@ -39,6 +39,7 @@ from cqreg import (
 from cqreg.cuts import initial_constraints, separate
 from cqreg.model import afriat_rows, extract_fit
 from cqreg.solver import bnb, qp
+from cqreg.solver import lp as lp_module
 from cqreg.solver.lp import LpSession
 from cqreg.solver.mps import _names
 from tests.conftest import make_instance, run_fresh
@@ -89,6 +90,22 @@ class TestSolveLp:
         sol = solve_lp(build_cqr(ds, 0.7, ALL_PAIRS))
         assert sol.status is Status.OPTIMAL
         assert sol.dual_objective == pytest.approx(sol.objective, abs=1e-6)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(4, 24),
+        d=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        level=st.floats(0.05, 0.95),
+        lam=st.one_of(st.none(), st.floats(1e-3, 1.0)),
+    )
+    def test_duality_gap_is_closed(self, n, d, seed, level, lam):
+        problem = build_cqr(make_instance(n, d, seed=seed), level, ALL_PAIRS)
+        if lam is not None:
+            problem = add_l1(problem, L1Penalty(lam))
+        sol = solve_lp(problem)
+        assert sol.status is Status.OPTIMAL
+        assert abs(sol.dual_objective - sol.objective) <= 1e-9 * (1.0 + abs(sol.objective))
 
     def test_rejects_quadratic(self):
         ds = make_instance(4, 1)
@@ -480,8 +497,7 @@ class TestQpContext:
         assert ctx.c == c
         assert np.array_equal(ctx.a_s.toarray(), a_s.toarray())
 
-    # Draws are derandomized, so every run checks the same instances.
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(
         n=st.integers(3, 12),
         d=st.integers(1, 3),
@@ -498,7 +514,7 @@ class TestQpContext:
         assert ctx.solve().status is Status.OPTIMAL
         assert _kkt_residual(ctx) <= 1e-6
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(
         n=st.integers(3, 12),
         d=st.integers(1, 3),
@@ -535,7 +551,7 @@ class TestQpContext:
                 found[case] = status.value
         assert found == known
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25)
     @given(
         n=st.integers(3, 12),
         d=st.integers(1, 3),
@@ -911,6 +927,26 @@ class TestSolveMip:
         sol = solve_mip(problem)
         assert sol.status in (Status.ITERATION_LIMIT, Status.OPTIMAL)
 
+    @staticmethod
+    def _cap_simplex_at_one_iteration(monkeypatch):
+        capped = tuple(
+            (key, 1 if key == "simplex_iteration_limit" else value) for key, value in lp_module._OPTIONS
+        )
+        monkeypatch.setattr(lp_module, "_OPTIONS", capped)
+
+    def test_root_at_the_lp_iteration_cap_reports_iteration_limit(self, monkeypatch, small_noisy):
+        self._cap_simplex_at_one_iteration(monkeypatch)
+        sol = solve_mip(add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(1, 10.0)))
+        assert sol.status is Status.ITERATION_LIMIT
+        assert sol.x is None
+
+    @pytest.mark.parametrize("mode", ["full", "cuts"])
+    def test_fit_raises_when_the_root_hits_the_lp_iteration_cap(self, monkeypatch, small_noisy, mode):
+        self._cap_simplex_at_one_iteration(monkeypatch)
+        spec = EstimatorSpec("quantile", 0.5, penalty=L0Penalty(1, 10.0), solve=mode)
+        with pytest.raises(RuntimeError, match="iteration_limit"):
+            fit(small_noisy, spec)
+
     def test_miqp(self, small_noisy):
         anchor = fit(small_noisy, EstimatorSpec("expectile", 0.5))
         m = 10.0 * max(anchor.beta.max(), 1e-6)
@@ -957,7 +993,7 @@ class TestSolveMip:
         assert len(bounds) == len(set(bounds)) == sol.nodes
 
     # Bertsimas, King and Mazumder (2016): the big-M MIP against enumeration.
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     @given(
         n=st.integers(4, 12),
         d=st.integers(1, 3),
