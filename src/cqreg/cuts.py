@@ -30,6 +30,12 @@ accepted hot solve is the master's unique optimum, so the rule cannot
 change an accepted master, only how fast it is reached: a rejected one is
 rebuilt and cold-solved as before.
 
+`solve_full_lp` grows a full-mode pure LP's rows in one session the same
+way, then appends every row not yet in it and re-solves hot.  That last
+solve is over all n(n-1) rows, so its optimal status certifies the fit and
+no acceptance rule is needed.  Most Afriat rows never bind, so it takes
+few iterations where a cold solve of all rows takes many.
+
 Each round computes the slack matrix of its fit once; the tie checks,
 `separate` and the final worst slack all read it.  `initial_constraints`
 keeps its last result, so the lambda candidates of a CV fold, which share
@@ -46,7 +52,7 @@ import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .data import Dataset
-from .model import FitResult, OptProblem, afriat_rows, extract_fit
+from .model import FEAS_TOL, FitResult, OptProblem, afriat_rows, extract_fit
 from .solver import Solution, Status, solve_mip, solve_qp
 # Unused: kept only because bench/instrument.py wraps it; ROADMAP item 7 deletes it.
 from .solver import solve_lp  # noqa: F401
@@ -162,16 +168,17 @@ def solve_with_cuts(
     (any objective and extra penalty blocks).  Pure-LP masters are re-solved
     from the previous basis when the module's acceptance rule allows;
     masters with binary selectors are re-solved as MIPs each round,
-    warm-started from the previous round's selection.
+    warm-started from the previous round's selection.  The fit's
+    `meta.iterations` is the total over every master solve, hot, rejected
+    and rebuilt.
     """
     if max_rounds is None:
         max_rounds = max(1, math.ceil(dataset.n * dataset.n / 2))
     # (m, 2) pairs in the order their rows sit in the master.
-    active = np.asarray(initial_constraints(dataset), dtype=int).reshape(-1, 2)
-    present = np.zeros((dataset.n, dataset.n), dtype=bool)
-    present[active[:, 0], active[:, 1]] = True
+    active, present = _seed(dataset)
     added: list[int] = []
     warm = 0
+    iterations = 0
     fit: FitResult | None = None
     hint = None
     problem: OptProblem | None = None
@@ -180,7 +187,9 @@ def solve_with_cuts(
         fit = None
         if session is not None:
             session.add_rows(afriat_rows(dataset, new_pairs, problem.n_vars), np.zeros(len(new_pairs)))
-            fit, slack = _hot_fit(session, problem, dataset, tol)
+            sol = session.solve()
+            iterations += sol.iterations
+            fit, slack = _hot_fit(session, sol, problem, dataset, tol)
             if fit is None:
                 session = None
             else:
@@ -188,38 +197,96 @@ def solve_with_cuts(
         if fit is None:
             problem = builder(active)
             sol, session = _solve_master(problem, hint)
+            iterations += sol.iterations
             if sol.status is not Status.OPTIMAL:
                 raise RuntimeError(f"master solve ended with status {sol.status}")
             fit = extract_fit(problem, dataset, sol)
             slack = _slack(fit, dataset)
-        fit = replace(fit, meta=replace(fit.meta, constraints=len(active)))
+        fit = replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=len(active)))
         if fit.z is not None:
             hint = fit.z
-        violated = separate(fit, dataset, tol, slack=slack)
-        found = np.array([(i, m) for i, m, _ in violated], dtype=int).reshape(-1, 2)
-        # A reported pair can already be present only when tol undercuts the
-        # master's own feasibility tolerance; that is a fixed point.
-        new_pairs = found[~present[found[:, 0], found[:, 1]]]
+        new_pairs = _new_pairs(fit, dataset, tol, present, slack)
         added.append(len(new_pairs))
         if len(new_pairs) == 0:
             stats = CutLoopStats(len(added), tuple(added), len(active), float(slack.min()), warm)
             return fit, stats
         active = np.concatenate([active, new_pairs])
-        present[new_pairs[:, 0], new_pairs[:, 1]] = True
     stats = CutLoopStats(len(added), tuple(added), len(active), float(slack.min()), warm)
     raise CutLoopLimitError(
         f"no tol-feasible master after {max_rounds} resolves", fit, stats
     )
 
 
-def _hot_fit(
-    session: LpSession, problem: OptProblem, dataset: Dataset, tol: float
-) -> tuple[FitResult, np.ndarray] | tuple[None, None]:
-    """The session's hot-started optimum and its slack matrix when it
-    provably gives the cold solve's separation (see the module docstring),
-    else Nones.  `problem` is the master the session was built from, before
-    rows were appended."""
+def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset) -> FitResult:
+    """Optimum of the pure LP `builder(ALL_PAIRS)`, reached in one session.
+
+    The session starts from the seed master and re-solves hot after
+    appending the pairs `separate` finds at FEAS_TOL, until it finds none
+    that is new.  It then appends every Afriat row not yet in the model and
+    re-solves hot once more.  That last solve is over all n(n-1) rows, so
+    its optimal status certifies the fit as an optimum of the full LP,
+    whatever the loop did before it; it need not be the vertex a cold solve
+    of the full LP returns.  `meta.iterations` is the total over every
+    solve.  A final status other than optimal raises RuntimeError.
+    """
+    active, present = _seed(dataset)
+    problem = builder(active)
+    session = LpSession(problem)
     sol = session.solve()
+    iterations = sol.iterations
+    while sol.optimal:
+        new_pairs = _new_pairs(extract_fit(problem, dataset, sol), dataset, FEAS_TOL, present)
+        if len(new_pairs) == 0:
+            break
+        session.add_rows(afriat_rows(dataset, new_pairs, problem.n_vars), np.zeros(len(new_pairs)))
+        sol = session.solve()
+        iterations += sol.iterations
+    np.fill_diagonal(present, True)
+    rest = np.argwhere(~present)
+    session.add_rows(afriat_rows(dataset, rest, problem.n_vars), np.zeros(len(rest)))
+    sol = session.solve()
+    iterations += sol.iterations
+    if sol.status is not Status.OPTIMAL:
+        raise RuntimeError(f"solve ended with status {sol.status}")
+    fit = extract_fit(problem, dataset, sol)
+    n = dataset.n
+    return replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=n * (n - 1)))
+
+
+def _seed(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The seed pairs as an (m, 2) int array and the n x n mask of the
+    pairs present."""
+    active = np.asarray(initial_constraints(dataset), dtype=int).reshape(-1, 2)
+    present = np.zeros((dataset.n, dataset.n), dtype=bool)
+    present[active[:, 0], active[:, 1]] = True
+    return active, present
+
+
+def _new_pairs(
+    fit: FitResult,
+    dataset: Dataset,
+    tol: float,
+    present: np.ndarray,
+    slack: np.ndarray | None = None,
+) -> np.ndarray:
+    """The pairs `separate` reports that are not yet present, as an (m, 2)
+    int array; they are marked present."""
+    violated = separate(fit, dataset, tol, slack=slack)
+    found = np.array([(i, m) for i, m, _ in violated], dtype=int).reshape(-1, 2)
+    # A reported pair can already be present only when tol undercuts the
+    # master's own feasibility tolerance; that is a fixed point.
+    new_pairs = found[~present[found[:, 0], found[:, 1]]]
+    present[new_pairs[:, 0], new_pairs[:, 1]] = True
+    return new_pairs
+
+
+def _hot_fit(
+    session: LpSession, sol: Solution, problem: OptProblem, dataset: Dataset, tol: float
+) -> tuple[FitResult, np.ndarray] | tuple[None, None]:
+    """The fit of the session's hot-started solve `sol` and its slack matrix
+    when it provably gives the cold solve's separation (see the module
+    docstring), else Nones.  `problem` is the master the session was built
+    from, before rows were appended."""
     if not sol.optimal or session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
         return None, None
     fit = extract_fit(problem, dataset, sol)

@@ -198,16 +198,24 @@ def test_failed_fold_fits_are_reported(csv_path, tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [(), ("--penalty", "l1", "--lam", 0.1), ("--penalty", "l0", "--k", 1, "--m-mult", 2.0)],
-    ids=["none", "l1", "l0"],
+    "n, flags",
+    [
+        (12, ()),
+        (12, ("--penalty", "l1", "--lam", 0.1)),
+        (12, ("--penalty", "l0", "--k", 1, "--m-mult", 2.0)),
+        (45, ()),
+        (45, ("--penalty", "l1", "--lam", 0.1)),
+    ],
+    ids=["none", "l1", "l0", "none-n45", "l1-n45"],
 )
-def test_fit_then_verify_round_trip(csv_path, tmp_path, capsys, flags):
+def test_fit_then_verify_round_trip(tmp_path, capsys, n, flags):
+    csv_path = write_csv(tmp_path / "data.csv", make_instance(n, 3, seed=3))
     out = tmp_path / "r.json"
     assert run(*fit_args(csv_path, out, *flags)) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["solver"]["status"] == "optimal"
-    assert len(doc["observations"]) == 12
+    assert doc["solver"]["constraints"] == n * (n - 1)
+    assert len(doc["observations"]) == n
     assert run("verify", "--result", out) == EXIT_OK
     assert "ok: all invariants hold" in capsys.readouterr().out
 

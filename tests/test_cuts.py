@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -230,3 +232,94 @@ class TestHotStartedLoop:
         ds = make_instance(48, 6, seed=seed)
         _, stats = _check_hot_loop(ds, lam, 0.01)
         assert stats.warm > 0
+
+
+def _cold_fit(ds, spec):
+    """The oracle: one cold solve of all n(n-1) rows."""
+    problem = make_builder(ds, spec)(ALL_PAIRS)
+    return extract_fit(problem, ds, solve_lp(problem))
+
+
+@pytest.fixture
+def sessions(monkeypatch):
+    """Every LpSession the cut module opens, in order."""
+    opened = []
+
+    class Recorded(cuts.LpSession):
+        def __init__(self, problem):
+            super().__init__(problem)
+            opened.append(self)
+
+    monkeypatch.setattr(cuts, "LpSession", Recorded)
+    return opened
+
+
+class TestSolveFullLp:
+    @pytest.mark.parametrize(
+        "n, d, tau, lam",
+        [
+            (40, 3, 0.3, None),
+            (40, 6, 0.5, 0.1),
+            (40, 2, 0.9, 1.0),
+            (60, 6, 0.5, None),
+            (60, 3, 0.3, 0.01),
+            (100, 2, 0.5, None),
+        ],
+    )
+    def test_matches_cold_solve(self, sessions, n, d, tau, lam):
+        ds = make_instance(n, d, seed=n + d)
+        spec = EstimatorSpec("quantile", tau, penalty=None if lam is None else L1Penalty(lam))
+        result = fit(ds, spec)
+        ref = _cold_fit(ds, spec)
+        assert result.meta.status == "optimal"
+        assert abs(result.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))
+        assert validate_fit(result, ds) == []
+        assert result.meta.constraints == n * (n - 1)
+        [session] = sessions
+        assert session._highs.getNumRow() == n + n * (n - 1)
+
+    @pytest.mark.parametrize("n", [20, 30])
+    @pytest.mark.parametrize("lam", [None, 0.1])
+    def test_below_the_selection_size_is_the_cold_solve(self, n, lam):
+        ds = make_instance(n, 4, seed=n)
+        spec = EstimatorSpec("quantile", 0.5, penalty=None if lam is None else L1Penalty(lam))
+        result, ref = fit(ds, spec), _cold_fit(ds, spec)
+        for name in ("alpha", "beta", "eps_plus", "eps_minus", "y_hat"):
+            assert getattr(result, name).tobytes() == getattr(ref, name).tobytes()
+        assert result.objective == ref.objective
+        assert replace(result.meta, wall_time=0.0) == replace(ref.meta, wall_time=0.0)
+
+    def test_final_append_alone_certifies(self, monkeypatch, sessions):
+        # With separation finding nothing, the seed master is followed directly
+        # by the solve over every row; that solve alone makes the fit optimal.
+        monkeypatch.setattr(cuts, "separate", lambda *args, **kwargs: [])
+        ds = make_instance(50, 4, seed=2)
+        spec = EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.01))
+        result, ref = fit(ds, spec), _cold_fit(ds, spec)
+        assert abs(result.objective - ref.objective) <= 1e-9 * (1 + abs(ref.objective))
+        assert validate_fit(result, ds) == []
+        assert sessions[0]._highs.getNumRow() == 50 + 50 * 49
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [
+        (30, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1), solve="cuts")),
+        (30, EstimatorSpec("quantile", 0.5, solve="cuts", tol=1e-6)),
+        (45, EstimatorSpec("quantile", 0.5)),
+    ],
+    ids=["cuts-l1", "cuts", "full"],
+)
+def test_iterations_count_every_solve(monkeypatch, n, spec):
+    counts = []
+    solve = cuts.LpSession.solve
+
+    def counted(self, *args, **kwargs):
+        sol = solve(self, *args, **kwargs)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(cuts.LpSession, "solve", counted)
+    result = fit(make_instance(n, 3, seed=4), spec)
+    assert len(counts) > 1
+    assert result.meta.iterations == sum(counts)
