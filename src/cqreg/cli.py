@@ -1,5 +1,10 @@
 """Batch command-line surface: fit, tune, simulate, export, verify.
 
+Every fit that `fit`, `tune` and `simulate` make, and the model `export`
+writes, states all n(n-1) Afriat rows (`EstimatorSpec`'s default full
+mode); no flag selects the cut loop or its tolerance.  `verify` checks a
+result document at `FEAS_TOL` (1e-6) unless `--tol` is given.
+
 Exit codes: 0 success, 2 malformed input data, 3 invalid flags or flag
 combinations, 4 solver or verification failure.  `main` maps a ValueError
 from any command to 3 and a RuntimeError to 4.
@@ -37,7 +42,7 @@ EXIT_DATA = 2
 EXIT_FLAGS = 3
 EXIT_SOLVER = 4
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CliError(Exception):
@@ -126,13 +131,7 @@ def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
             raise ValueError("--penalty l0 requires exactly one of --big-m and --m-mult")
         if args.k > dataset.d:
             raise ValueError(f"--k {args.k} exceeds the {dataset.d} input columns")
-    spec = EstimatorSpec(
-        family=args.family,
-        level=args.level,
-        penalty=L1Penalty(args.lam) if args.penalty == "l1" else None,
-        solve=args.solve,
-        tol=args.tol,
-    )
+    spec = EstimatorSpec(args.family, args.level, L1Penalty(args.lam) if args.penalty == "l1" else None)
     if args.penalty == "l0":
         big_m = args.big_m
         if big_m is None:
@@ -167,8 +166,6 @@ def _result_document(dataset: Dataset, names, ids, spec: EstimatorSpec, result: 
             "family": spec.family,
             "level": spec.level,
             "penalty": chosen,
-            "solve": spec.solve,
-            "tol": spec.tol,
         },
         "variable_names": names,
         "objective": result.objective,
@@ -224,8 +221,6 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=None, help="L0 subset size")
     p.add_argument("--m-mult", type=float, default=None, help="L0 cap as multiplier of anchor")
     p.add_argument("--big-m", type=float, default=None, help="L0 cap, explicit value")
-    p.add_argument("--solve", choices=["full", "cuts"], default="full")
-    p.add_argument("--tol", type=float, default=0.01, help="cut-loop tolerance")
 
 
 def _build_parser() -> _Parser:
@@ -243,8 +238,6 @@ def _build_parser() -> _Parser:
     p_tune.add_argument("--family", choices=["quantile", "expectile"], required=True)
     p_tune.add_argument("--level", type=float, required=True)
     p_tune.add_argument("--penalty", choices=["l1", "l0"], required=True)
-    p_tune.add_argument("--solve", choices=["full", "cuts"], default="cuts")
-    p_tune.add_argument("--tol", type=float, default=0.01)
     p_tune.add_argument("--folds", type=int, default=5)
     p_tune.add_argument("--cv-seed", type=int, default=0)
     p_tune.add_argument("--preset", choices=["sdg"], default=None)
@@ -279,7 +272,7 @@ def _build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="re-check all invariants of a result JSON")
     p_ver.add_argument("--result", required=True, help="result JSON path")
-    p_ver.add_argument("--tol", type=float, default=None, help="feasibility tolerance")
+    p_ver.add_argument("--tol", type=float, default=FEAS_TOL, help="feasibility tolerance")
     return parser
 
 
@@ -326,13 +319,7 @@ def _cv_config_from_args(args, preset: str | None = None) -> CVConfig:
 def _cmd_tune(args) -> int:
     dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
     cfg = _cv_config_from_args(args, args.preset)
-    spec = EstimatorSpec(
-        family=args.family,
-        level=args.level,
-        solve=args.solve,
-        tol=args.tol,
-    )
-    report = cross_validate(dataset, spec, args.penalty, cfg)
+    report = cross_validate(dataset, EstimatorSpec(args.family, args.level), args.penalty, cfg)
     payload = report.to_dict()
     payload["schema_version"] = SCHEMA_VERSION
     payload["tool"] = {"name": "cqreg", "version": __version__}
@@ -404,25 +391,19 @@ def _cmd_verify(args) -> int:
             objective=float(doc["objective"]),
             meta=FitMeta(status=doc["solver"]["status"]),
         )
-        spec_doc = doc["spec"]
-        tol = args.tol
-        if tol is None:
-            # Cut-mode fits only guarantee feasibility at their loop tolerance.
-            tol = float(spec_doc["tol"]) if spec_doc.get("solve") == "cuts" else FEAS_TOL
-            if not (np.isfinite(tol) and tol > 0):
-                raise ValueError(f"spec.tol must be finite and positive, got {tol}")
         big_m = k = None
-        penalty = spec_doc.get("penalty")
+        penalty = doc["spec"].get("penalty")
         if penalty and penalty.get("kind") == "l0":
-            big_m, k = float(penalty["big_m"]), operator.index(penalty["k"])
+            cap = L0Penalty(operator.index(penalty["k"]), float(penalty["big_m"]))
+            big_m, k = cap.big_m, cap.k
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed result document: {exc}", EXIT_DATA) from exc
-    violations = validate_fit(result, dataset, tol=tol, big_m=big_m, k=k)
+    violations = validate_fit(result, dataset, tol=args.tol, big_m=big_m, k=k)
     if violations:
         for message in violations:
             print(f"FAIL: {message}")
         raise CliError(f"{len(violations)} invariant violation(s)", EXIT_SOLVER)
-    print(f"ok: all invariants hold at tol={tol:g}")
+    print(f"ok: all invariants hold at tol={args.tol:g}")
     return EXIT_OK
 
 

@@ -54,7 +54,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .data import Dataset
 from .model import FEAS_TOL, FitResult, OptProblem, afriat_rows, extract_fit
 from .solver import Solution, Status, solve_mip, solve_qp
-# Unused: kept only because bench/instrument.py wraps it; ROADMAP item 7 deletes it.
+# Unused: kept only because bench/instrument.py wraps it; ROADMAP item 8 deletes it.
 from .solver import solve_lp  # noqa: F401
 from .solver.lp import LpSession
 

@@ -1,15 +1,17 @@
 """User-facing fit API for the six estimators and their support extraction.
 
 Families: quantile (linear check loss) and expectile (asymmetric squared
-loss); penalties: none, shrinkage (L1) or cardinality (L0); solve modes:
-full constraint system or constraint generation.
+loss); penalties: none, shrinkage (L1) or cardinality (L0).
 
-A full-mode fit is the optimum of all n(n-1) Afriat rows.  For a pure LP
-(CQR, L1-CQR) from _GROWN_LP_MIN_N observations on, it is reached by
-growing the rows in one HiGHS session and then appending the rest
+A full-mode fit, the default and the only mode of the command line and
+`run_mc`, is the optimum of all n(n-1) Afriat rows.  For a pure LP (CQR,
+L1-CQR) from _GROWN_LP_MIN_N observations on, it is reached by growing the
+rows in one HiGHS session and then appending the rest
 (`cuts.solve_full_lp`); smaller LPs, QPs and MIPs are solved cold with
 every row.  When the LP has several optimal vertices, the grown path can
 return a different one than the cold solve; the objective is the same.
+`solve="cuts"` runs the cut loop instead, whose fit is only feasible to
+`tol`; the benchmark still pins it.
 """
 
 from __future__ import annotations

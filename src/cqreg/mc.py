@@ -4,7 +4,8 @@ Scenarios follow an additive Cobb-Douglas design: inputs uniform on [1, 10],
 a randomly located true support of size k_true with exponents summing to
 0.8, and Gaussian noise whose variance is calibrated to the requested
 signal-to-noise ratio.  Ground-truth quantile curves come from the analytic
-Gaussian inverse CDF (`scipy.special.ndtri`).
+Gaussian inverse CDF (`scipy.special.ndtri`).  `run_mc` fits every
+estimator in full mode, on all n(n-1) Afriat rows.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _format_cell(value) -> str:
 def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
     """Worker: one replication of every method at every tau; returns its
     rows, failed cells and failed CV fold fits."""
-    cfg, rep, methods, cv, solve = args
+    cfg, rep, methods, cv = args
     scenario = generate_scenario(cfg, rep)
     rows: list[dict[str, Any]] = []
     failures = fold_failures = 0
@@ -196,7 +197,7 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
         family, penalty_kind = METHODS[name]
         for tau in cfg.taus:
             level = tau if family == QUANTILE else expectile_level_for_quantile(tau)
-            spec = EstimatorSpec(family, level, solve=solve)
+            spec = EstimatorSpec(family, level)
             try:
                 if penalty_kind is None:
                     final = fit(scenario.dataset, spec)
@@ -228,7 +229,6 @@ def run_mc(
     cfg: MCConfig,
     methods: Sequence[str],
     cv: CVConfig | None = None,
-    solve: str = "cuts",
     workers: int | None = None,
 ) -> MetricsReport:
     """Generate, tune, fit and score every replication; fully deterministic
@@ -242,7 +242,7 @@ def run_mc(
     workers = workers if workers is not None else (os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = [(cfg, rep, tuple(methods), cv, solve) for rep in range(cfg.replications)]
+    jobs = [(cfg, rep, tuple(methods), cv) for rep in range(cfg.replications)]
     if workers > 1 and cfg.replications > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, jobs))

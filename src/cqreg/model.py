@@ -422,9 +422,12 @@ def validate_fit(
     k: int | None = None,
 ) -> list[str]:
     """Check every fitted-model invariant; returns a list of violation messages.
-    A NaN tol would pass every check, so tol must be finite and >= 0."""
+    A NaN tol or big_m would pass the checks that read it, so tol must be
+    finite and >= 0, and big_m finite."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if big_m is not None and not np.isfinite(big_m):
+        raise ValueError(f"big_m must be finite, got {big_m}")
     problems: list[str] = []
     X, y = dataset.inputs, dataset.output
     if np.any(fit.beta < -tol):

@@ -25,7 +25,7 @@ import numpy as np
 from ..model import OptProblem
 from .base import Solution, Status
 from .lp import LpSession
-# Unused: kept only because bench/instrument.py wraps it; ROADMAP item 7 deletes it.
+# Unused: kept only because bench/instrument.py wraps it; ROADMAP item 8 deletes it.
 from .lp import solve_lp as solve_arrays  # noqa: F401
 from .qp import QpContext
 

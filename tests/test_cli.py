@@ -6,7 +6,17 @@ import pytest
 
 from cqreg import cli, tuning
 from cqreg.cli import EXIT_DATA, EXIT_FLAGS, EXIT_OK, EXIT_SOLVER, main
-from cqreg import ALL_PAIRS, CVConfig, L0Penalty, SolverError, add_l0, build_cqr
+from cqreg import (
+    ALL_PAIRS,
+    CVConfig,
+    EstimatorSpec,
+    L0Penalty,
+    SolverError,
+    __version__,
+    add_l0,
+    build_cqr,
+    cross_validate,
+)
 from cqreg.tuning import default_lambda_grid
 from tests.conftest import make_instance
 
@@ -47,6 +57,8 @@ BAD_VALUES = [
     ("--big-m", 1.0),
     ("--penalty", "l1", "--lam", 0.1, "--m-mult", 2.0),
     ("--init", "path"),
+    ("--solve", "full"),
+    ("--tol", 0.01),
 ]
 
 
@@ -78,6 +90,7 @@ class TestExitCodes:
             ("--penalty", "l0", "--m-multipliers", "1,1"),
             ("--penalty", "l0", "--preset", "sdg"),  # k up to 11 at d=3
             ("--penalty", "l0", "--data", "one_input.csv"),  # default k grid empty at d=1
+            ("--penalty", "l1", "--solve", "full"),
         ],
         ids=lambda f: " ".join(map(str, f)),
     )
@@ -110,9 +123,6 @@ class TestExitCodes:
 
     def test_nan_tol_is_a_flag_error(self, csv_path, tmp_path, capsys):
         out = tmp_path / "r.json"
-        assert run(*fit_args(csv_path, out, "--solve", "cuts", "--tol", "nan")) == EXIT_FLAGS
-        assert "tol must be finite and positive" in capsys.readouterr().err
-        assert not out.exists()
         assert run(*fit_args(csv_path, out)) == EXIT_OK
         doc = json.loads(out.read_text())
         doc["observations"][0]["y_hat"] += 100.0
@@ -123,15 +133,16 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "spec",
         [
-            {"solve": "cuts"},
-            {"solve": "full", "penalty": {"kind": "l0", "k": 1}},
-            [{"solve": "full"}],
-            {"solve": "cuts", "tol": "loose"},
-            {"solve": "cuts", "tol": float("nan")},
-            {"solve": "full", "penalty": {"kind": "l0", "k": "two", "big_m": 1.0}},
+            {"penalty": {"kind": "l0", "k": 1}},
+            [{"penalty": None}],
+            {"penalty": {"kind": "l0", "k": "two", "big_m": 1.0}},
+            {"penalty": {"kind": "l0", "k": 0, "big_m": 1.0}},
+            {"penalty": {"kind": "l0", "k": 1, "big_m": float("nan")}},
+            {"penalty": {"kind": "l0", "k": 1, "big_m": float("inf")}},
+            {"penalty": {"kind": "l0", "k": 1, "big_m": 0.0}},
         ],
-        ids=["cuts-without-tol", "l0-without-big-m", "spec-is-a-list", "tol-not-a-number", "tol-nan",
-             "k-not-an-integer"],
+        ids=["l0-without-big-m", "spec-is-a-list", "k-not-an-integer", "k-zero", "big-m-nan", "big-m-inf",
+             "big-m-zero"],
     )
     def test_malformed_spec_fails_verify_as_data(self, csv_path, tmp_path, capsys, spec):
         out = tmp_path / "r.json"
@@ -186,7 +197,7 @@ def test_failed_fold_fits_are_reported(csv_path, tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(tuning, "fit", fold_fit)
     if command == "tune":
         args = ("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile", "--level", 0.5,
-                "--penalty", "l1", "--solve", "full", "--folds", 2, "--lambda-grid", "0.01,1",
+                "--penalty", "l1", "--folds", 2, "--lambda-grid", "0.01,1",
                 "--out", tmp_path / "cv.json")
     else:
         args = ("simulate", "--n", 11, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "l1-cqr",
@@ -195,6 +206,21 @@ def test_failed_fold_fits_are_reported(csv_path, tmp_path, capsys, monkeypatch, 
     assert len(calls) == 4
     warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
     assert warnings == (["warning: 1 CV fold fit(s) failed; their candidates were left out"] if inject else [])
+
+
+def test_tune_report_is_the_full_mode_cross_validation(tmp_path):
+    # At n = 20 a cuts-mode fold fit at tol 0.01 moves the loss of lambda = 1 by 2e-3.
+    csv_path = write_csv(tmp_path / "data.csv", make_instance(20, 3, seed=3))
+    out = tmp_path / "cv.json"
+    assert run("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile", "--level", 0.5,
+               "--penalty", "l1", "--folds", 2, "--lambda-grid", "0.01,1", "--out", out) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc.pop("schema_version") == cli.SCHEMA_VERSION
+    assert doc.pop("tool") == {"name": "cqreg", "version": __version__}
+    dataset, _, _ = cli.load_csv(str(csv_path), "y")
+    cfg = CVConfig(folds=2, lambda_grid=(0.01, 1.0))
+    expected = cross_validate(dataset, EstimatorSpec("quantile", 0.5), "l1", cfg).to_dict()
+    assert doc == json.loads(json.dumps(expected))
 
 
 @pytest.mark.parametrize(

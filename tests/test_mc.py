@@ -16,8 +16,8 @@ def test_report_independent_of_worker_count():
     cfg = MCConfig(n=10, d=2, k_true=1, taus=(0.5,), replications=2, seed=3)
     cv = CVConfig(folds=2, lambda_grid=(0.01, 1.0))
     methods = ("cqr", "l1-cqr")
-    serial = run_mc(cfg, methods, cv, solve="full", workers=1)
-    pooled = run_mc(cfg, methods, cv, solve="full", workers=2)
+    serial = run_mc(cfg, methods, cv, workers=1)
+    pooled = run_mc(cfg, methods, cv, workers=2)
     assert serial == pooled
     assert serial.failures == 0
     assert len(serial.rows) == 4 * len(methods)
@@ -44,7 +44,7 @@ def test_fold_failures_are_counted(monkeypatch, tmp_path, workers):
     monkeypatch.setattr(tuning, "fit", failing_fold)
     cfg = MCConfig(n=11, d=2, k_true=1, taus=(0.5,), replications=2, seed=3)
     cv = CVConfig(folds=2, lambda_grid=(0.01, 1.0))
-    report = run_mc(cfg, ("l1-cqr",), cv, solve="full", workers=workers)
+    report = run_mc(cfg, ("l1-cqr",), cv, workers=workers)
     assert report.failures == 0
     assert report.fold_failures == 2
     report.to_json(tmp_path / "report.json")
@@ -65,7 +65,7 @@ def test_expectile_level_matches_gaussian_integrals(tau):
 def test_bad_worker_count_raises(workers):
     cfg = MCConfig(n=8, d=2, k_true=1, replications=1)
     with pytest.raises(ValueError, match="workers must be at least 1"):
-        run_mc(cfg, ("cqr",), solve="full", workers=workers)
+        run_mc(cfg, ("cqr",), workers=workers)
 
 
 def test_repeated_tau_or_method_rejected():
@@ -73,7 +73,7 @@ def test_repeated_tau_or_method_rejected():
         MCConfig(n=12, d=2, k_true=1, taus=(0.5, 0.5), replications=2)
     cfg = MCConfig(n=12, d=2, k_true=1, replications=2)
     with pytest.raises(ValueError, match="methods must be distinct"):
-        run_mc(cfg, ("cqr", "cqr"), solve="full", workers=1)
+        run_mc(cfg, ("cqr", "cqr"), workers=1)
 
 
 @pytest.mark.parametrize("package", ["scipy.stats", "scipy.optimize", "scipy.spatial"])

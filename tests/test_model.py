@@ -317,6 +317,12 @@ class TestFitResultInvariants:
         with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
             validate_fit(result, small_noisy, tol=tol)
 
+    def test_rejects_big_m_that_is_not_finite(self, small_noisy):
+        # A NaN cap would make every `beta <= M*z` comparison false, so none could fail.
+        result = fit(small_noisy, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(1, 5.0)))
+        with pytest.raises(ValueError, match="big_m must be finite"):
+            validate_fit(result, small_noisy, big_m=float("nan"), k=1)
+
     def test_extract_requires_layout(self, small_noisy):
         problem = build_cqr(small_noisy, 0.5, ALL_PAIRS)
         sol = solve_lp(problem)

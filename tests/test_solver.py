@@ -635,12 +635,12 @@ class TestQpContext:
         with pytest.raises(SolverError, match="KKT matrix singular"):
             qp.QpContext(problem).solve()
 
-    @pytest.mark.xfail(strict=True, reason="the IPM stalls with a dual residual near 0.65 (ROADMAP item 1)")
+    @pytest.mark.xfail(strict=True, reason="the IPM stalls with a dual residual near 0.65 (ROADMAP item 6)")
     def test_known_one_input_stall(self):
         problem = build_cer(make_instance(11, 1, seed=9764), 0.27777399363978295, ALL_PAIRS)
         assert solve_qp(problem).status is Status.OPTIMAL
 
-    @pytest.mark.xfail(strict=True, reason="a node optimum misses the 1e-6 sign residual (ROADMAP item 1)")
+    @pytest.mark.xfail(strict=True, reason="a node optimum misses the 1e-6 sign residual (ROADMAP item 6)")
     def test_known_node_sign_residual_miss(self):
         ds = make_instance(9, 2, seed=1967)
         level = 0.2947941696224661
@@ -651,7 +651,7 @@ class TestQpContext:
         lower[np.flatnonzero(problem.integer)[0]] = 1.0
         assert qp.QpContext(relaxed).solve(lower, upper).status is Status.OPTIMAL
 
-    @pytest.mark.xfail(strict=True, reason="a feasible node is reported infeasible (ROADMAP item 1)")
+    @pytest.mark.xfail(strict=True, reason="a feasible node is reported infeasible (ROADMAP item 6)")
     def test_known_false_infeasible_node(self):
         # z fixed at 1 with k = 1 leaves the cardinality row no interior, and
         # its multiplier grows past the IPM's infeasibility threshold.
