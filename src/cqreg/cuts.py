@@ -31,10 +31,11 @@ change an accepted master, only how fast it is reached: a rejected one is
 rebuilt and cold-solved as before.
 
 `solve_full_lp` grows a full-mode pure LP's rows in one session the same
-way, then appends every row not yet in it and re-solves hot.  That last
-solve is over all n(n-1) rows, so its optimal status certifies the fit and
-no acceptance rule is needed.  Most Afriat rows never bind, so it takes
-few iterations where a cold solve of all rows takes many.
+way, at _GROW_TOL, and never appends the rows separation leaves out.  No
+acceptance rule is needed: the last master is certified on all n(n-1)
+rows by its worst slack and its duality gap (see `solve_full_lp`).  Most
+Afriat rows never bind, so the session holds a small share of them and
+its solves take few iterations where a cold solve of all rows takes many.
 
 Each round computes the slack matrix of its fit once; the tie checks,
 `separate` and the final worst slack all read it.  `initial_constraints`
@@ -60,6 +61,12 @@ from .solver.lp import LpSession
 
 _DUAL_NONDEGENERATE = 1e-7  # least |reduced cost| of a nonbasic variable
 _TIE_MARGIN = 1e-9  # least gap that float noise in a certified optimum cannot close
+# Separation tolerance of `solve_full_lp`: HiGHS's primal feasibility
+# tolerance, so the grown fit is as feasible on the rows it omits as a solve
+# holding them would be.  At FEAS_TOL its objective fell up to 1.1e-8
+# relative below the cold solve's.
+_GROW_TOL = 1e-7
+_GAP_TOL = 1e-9  # largest relative duality gap of a certified grown LP
 
 
 @dataclass(frozen=True)
@@ -221,13 +228,18 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
     """Optimum of the pure LP `builder(ALL_PAIRS)`, reached in one session.
 
     The session starts from the seed master and re-solves hot after
-    appending the pairs `separate` finds at FEAS_TOL, until it finds none
-    that is new.  It then appends every Afriat row not yet in the model and
-    re-solves hot once more.  That last solve is over all n(n-1) rows, so
-    its optimal status certifies the fit as an optimum of the full LP,
-    whatever the loop did before it; it need not be the vertex a cold solve
-    of the full LP returns.  `meta.iterations` is the total over every
-    solve.  A final status other than optimal raises RuntimeError.
+    appending the pairs `separate` finds at _GROW_TOL, until it finds none
+    that is new.  The last master is then certified on the full LP without
+    appending the rows it omits: its solve must be optimal, its worst slack
+    over all n(n-1) rows at least -FEAS_TOL, and its relative duality gap
+    |objective - dual objective| / (1 + |objective|) at most _GAP_TOL.  An
+    omitted row has right-hand side 0, so giving it dual 0 changes no
+    reduced cost and no dual objective: the master's duals stay feasible
+    for the full LP, and a closed gap at a feasible point proves the fit
+    optimal there.  It need not be the vertex a cold solve of the full LP
+    returns.  `meta.iterations` is the total over every solve and
+    `meta.constraints` is n(n-1), the rows the fit is certified on.  A fit
+    that fails the certificate raises RuntimeError.
     """
     active, present = _seed(dataset)
     problem = builder(active)
@@ -235,20 +247,22 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
     sol = session.solve()
     iterations = sol.iterations
     while sol.optimal:
-        new_pairs = _new_pairs(extract_fit(problem, dataset, sol), dataset, FEAS_TOL, present)
+        fit = extract_fit(problem, dataset, sol)
+        slack = _slack(fit, dataset)
+        new_pairs = _new_pairs(fit, dataset, _GROW_TOL, present, slack)
         if len(new_pairs) == 0:
             break
         session.add_rows(afriat_rows(dataset, new_pairs, problem.n_vars), np.zeros(len(new_pairs)))
         sol = session.solve()
         iterations += sol.iterations
-    np.fill_diagonal(present, True)
-    rest = np.argwhere(~present)
-    session.add_rows(afriat_rows(dataset, rest, problem.n_vars), np.zeros(len(rest)))
-    sol = session.solve()
-    iterations += sol.iterations
     if sol.status is not Status.OPTIMAL:
         raise RuntimeError(f"solve ended with status {sol.status}")
-    fit = extract_fit(problem, dataset, sol)
+    worst = float(slack.min())
+    gap = abs(sol.objective - sol.dual_objective) / (1.0 + abs(sol.objective))
+    if worst < -FEAS_TOL or gap > _GAP_TOL:
+        raise RuntimeError(
+            f"grown LP not certified: worst Afriat slack {worst:.3g}, relative duality gap {gap:.3g}"
+        )
     n = dataset.n
     return replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=n * (n - 1)))
 

@@ -6,10 +6,11 @@ loss); penalties: none, shrinkage (L1) or cardinality (L0).
 A full-mode fit, the default and the only mode of the command line and
 `run_mc`, is the optimum of all n(n-1) Afriat rows.  For a pure LP (CQR,
 L1-CQR) from _GROWN_LP_MIN_N observations on, it is reached by growing the
-rows in one HiGHS session and then appending the rest
-(`cuts.solve_full_lp`); smaller LPs, QPs and MIPs are solved cold with
-every row.  When the LP has several optimal vertices, the grown path can
-return a different one than the cold solve; the objective is the same.
+rows in one HiGHS session and certified on all rows by its worst slack
+and its duality gap, without appending the rest (`cuts.solve_full_lp`);
+smaller LPs, QPs and MIPs are solved cold with every row.  When the LP has
+several optimal vertices, the grown path can return a different one than
+the cold solve; the objective is the same.
 `solve="cuts"` runs the cut loop instead, whose fit is only feasible to
 `tol`; the benchmark still pins it.
 """
@@ -44,10 +45,11 @@ QUANTILE = "quantile"
 EXPECTILE = "expectile"
 
 # From this many observations a full-mode LP (CQR, L1-CQR) is grown in one
-# session and finished over all rows (`cuts.solve_full_lp`).  It is the least
-# measured size where that beat the cold solve on every instance; at n = 30
-# the two were even.  Smaller fits keep the cold solve's bits, and with them
-# the big-M of the n = 20 anchors that recorded L0 fits depend on.
+# session and certified on all rows by its slack and duality gap
+# (`cuts.solve_full_lp`).  It is the least measured size where that beat
+# the cold solve on every instance; at n = 30 the two were even.  Smaller
+# fits keep the cold solve's bits, and with them the big-M of the n = 20
+# anchors that recorded L0 fits depend on.
 _GROWN_LP_MIN_N = 40
 
 

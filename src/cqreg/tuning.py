@@ -19,6 +19,10 @@ from .model import FitResult, L0Penalty, L1Penalty, check_loss, expectile_loss
 _SDG_MULTIPLIERS = (0.1, 0.5, 0.8, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def default_lambda_grid(count: int = 100) -> tuple[float, ...]:
     """Log-spaced shrinkage grid spanning a wide range of magnitudes."""
     return tuple(np.logspace(-3, 2, count))
@@ -39,8 +43,8 @@ class CVConfig:
     k_grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.folds < 2:
-            raise ValueError("need at least 2 folds")
+        if not _is_integer(self.folds) or self.folds < 2:
+            raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
         if self.lambda_grid is not None and len(self.lambda_grid) == 0:
             raise ValueError("lambda grid must be non-empty")
         if len(self.m_multipliers) == 0:
@@ -48,8 +52,12 @@ class CVConfig:
         if self.k_grid is not None:
             if len(self.k_grid) == 0:
                 raise ValueError("k grid must be non-empty")
-            if min(self.k_grid) < 1:
-                raise ValueError("k grid entries must be >= 1")
+            if not all(_is_integer(k) and k >= 1 for k in self.k_grid):
+                raise ValueError(f"k_grid values must be integers >= 1, got {self.k_grid}")
+        if self.lambda_grid is not None and not all(np.isfinite(v) and v >= 0 for v in self.lambda_grid):
+            raise ValueError(f"lambda_grid values must be finite and >= 0, got {self.lambda_grid}")
+        if not all(np.isfinite(v) and v > 0 for v in self.m_multipliers):
+            raise ValueError(f"m_multipliers values must be finite and > 0, got {self.m_multipliers}")
         for name in ("lambda_grid", "k_grid", "m_multipliers"):
             grid = getattr(self, name)
             if grid is not None and len(set(grid)) != len(grid):

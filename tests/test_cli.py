@@ -208,6 +208,29 @@ def test_failed_fold_fits_are_reported(csv_path, tmp_path, capsys, monkeypatch, 
     assert warnings == (["warning: 1 CV fold fit(s) failed; their candidates were left out"] if inject else [])
 
 
+@pytest.mark.parametrize(
+    "flags, grid",
+    [
+        (("--penalty", "l0", "--m-multipliers", "-1"), "m_multipliers"),
+        (("--penalty", "l0", "--m-multipliers", "1,inf"), "m_multipliers"),
+        (("--penalty", "l1", "--lambda-grid", "0.1,nan"), "lambda_grid"),
+        (("--penalty", "l1", "--lambda-grid", "-1"), "lambda_grid"),
+        (("--penalty", "l0", "--k-grid", "0"), "k_grid"),
+    ],
+    ids=lambda f: " ".join(map(str, f)) if isinstance(f, tuple) else f,
+)
+def test_bad_tune_grid_fails_before_any_fit(csv_path, tmp_path, capsys, monkeypatch, flags, grid):
+    def no_fit(*args):
+        raise AssertionError("the grid check comes before any fit")
+
+    monkeypatch.setattr(tuning, "anchor_big_m", no_fit)
+    monkeypatch.setattr(tuning, "fit", no_fit)
+    args = ("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile", "--level", 0.5,
+            "--out", tmp_path / "cv.json", *flags)
+    assert run(*args) == EXIT_FLAGS
+    assert capsys.readouterr().err.startswith(f"invalid flags: {grid} values must be")
+
+
 def test_tune_report_is_the_full_mode_cross_validation(tmp_path):
     # At n = 20 a cuts-mode fold fit at tol 0.01 moves the loss of lambda = 1 by 2e-3.
     csv_path = write_csv(tmp_path / "data.csv", make_instance(20, 3, seed=3))

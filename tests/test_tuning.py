@@ -80,6 +80,31 @@ def test_repeated_grid_value_is_rejected(grid, values):
         CVConfig(folds=2, **{grid: values})
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("folds", 2.5),
+        ("folds", True),
+        ("lambda_grid", (0.1, -1.0)),
+        ("lambda_grid", (float("nan"),)),
+        ("lambda_grid", (float("inf"),)),
+        ("m_multipliers", (1.0, 0.0)),
+        ("m_multipliers", (-1.0,)),
+        ("m_multipliers", (float("inf"),)),
+        ("k_grid", (1, 2.0)),
+        ("k_grid", (0,)),
+    ],
+)
+def test_bad_grid_value_is_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        CVConfig(**{field: value})
+
+
+def test_numpy_integers_are_integers():
+    cfg = CVConfig(folds=np.int64(3), k_grid=(np.int64(1), 2))
+    assert cfg.folds == 3 and cfg.k_grid == (1, 2)
+
+
 class TestSdgPreset:
     def test_grids(self):
         cfg = CVConfig.sdg(folds=4, seed=7)
