@@ -165,7 +165,7 @@ def anchor_big_m(dataset: Dataset, spec: EstimatorSpec, multiplier: float) -> fl
     """Coefficient cap from an unpenalized anchor fit at the same family and
     level: multiplier times the largest fitted coefficient (floored away from
     zero so the cap stays strictly positive on degenerate data)."""
-    if multiplier <= 0:
-        raise ValueError("multiplier must be positive")
+    if not (math.isfinite(multiplier) and multiplier > 0):
+        raise ValueError(f"multiplier must be finite and > 0, got {multiplier}")
     anchor = fit(dataset, replace(spec, penalty=None))
     return float(multiplier * max(anchor.beta.max(), 1e-6))

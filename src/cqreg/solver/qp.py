@@ -15,7 +15,13 @@ pivots under any symmetric ordering (Vanderbei 1995); SuperLU takes the
 diagonal pivot unless it is tiny against its column.  Its sparsity pattern is
 fixed for one row partition: it is built once, together with a map from every
 same-row nonzero pair of A_in to its slot, and each iteration only refills
-the values and factors them under a minimum-degree ordering of K + K'.
+the values and factors them.  The first factorization on a partition orders
+K by minimum degree on K + K'; the partition then relabels its pattern by
+that ordering, once, and every later factorization, of any solve on the
+partition, takes the relabelled K in its natural order and permutes the
+right-hand side in and the solution out.  Each relabelled column keeps its
+entries in K's own order, so SuperLU does the same arithmetic in the same
+order and every solve keeps the bits of ordering K afresh.
 The inequality rows enter K through those pairs alone, so the n(n-1)
 domination rows stay cheap.
 
@@ -38,11 +44,12 @@ What does not depend on the costs is built once per constraint system and
 kept in a one-entry memo: the stacked rows, their Ruiz scaling and scaled
 P, and, for the last row partition solved (which rows are equalities,
 upper and lower sides), the row slices, their transposes and the pattern
-of K.  A cross-validation fold solves the same system at every lambda of
-its grid, since the shrinkage penalty is a cost bump on beta.  The key is
-exact bitwise equality of the constraint matrix's CSR arrays and shape,
-of the quadratic costs and of the set of bounded columns; a system that
-differs replaces the entry.  Each solve recomputes the cost scale, the
+of K with its ordering.  A cross-validation fold solves the same system at
+every lambda of its grid, since the shrinkage penalty is a cost bump on
+beta, so its solves share one ordering.  The key is exact bitwise
+equality of the constraint matrix's CSR arrays and shape, of the quadratic
+costs and of the set of bounded columns; a system that differs replaces
+the entry.  Each solve recomputes the cost scale, the
 scaled costs and the constant part of K.  The memo's arrays are
 read-only, so a caller cannot change what a later solve reads.
 
@@ -51,7 +58,9 @@ kernels `_sparsetools.csr_matvec` and `csc_matvec` directly: they are what
 `@` dispatches to, so every iterate has the bits `@` gives, without the
 dispatch cost of each call.  The factorization likewise calls SuperLU's
 kernel `_superlu.gstrf` with the options `splu` would pass, into a value
-buffer of the solve's own, and gets the bits `splu` gives.
+buffer of the solve's own, and gets the bits `splu` gives; after the first
+factorization on a partition it passes the natural ordering instead and
+reads the ordering back from the first factor's `perm_c`.
 """
 
 from __future__ import annotations
@@ -383,12 +392,14 @@ class _System:
 class _Partition:
     """One split of the scaled rows into equalities A_eq and inequalities
     A_in (upper sides, then negated lower sides): the products x -> A x and
-    y -> A' y of each, and the CSC pattern of K for them.
+    y -> A' y of each, and the `_Pattern` of K for them.
 
     Entry K[j, k] of A_in' W A_in is the sum over rows r of
     w_r * a_rj * a_rk, so K's data is const + weight_map @ w for a sparse
     weight_map with one entry a_rj * a_rk per same-row nonzero pair (j, k)
-    of A_in, in the row of K's data slot for (j, k) and the column r.  The
+    of A_in, in the row of K's data slot for (j, k) and the column r.  It
+    is stored by columns, so the product adds each slot's terms in
+    increasing r, and relabelling K's slots maps its row indices alone.  The
     rest of K is const: P + delta I, -delta I and A_eq, summed into the
     slots `const_slot` by `_Kkt` for each solve's scaled P.
     """
@@ -427,20 +438,59 @@ class _Partition:
         keys, slot = np.unique(key, return_inverse=True)
         del key
         n_pair = first.size
-        self.weight_map = sparse.csr_matrix(
-            (
-                a_in.data[first] * a_in.data[second],
-                (slot[:n_pair], np.repeat(np.arange(a_in.shape[0], dtype=np.int32), lens * lens)),
-            ),
+        # Column r holds the pairs of row r, in pair order.
+        pairs_before = np.zeros(a_in.shape[0] + 1, dtype=np.int32)
+        np.cumsum(lens * lens, out=pairs_before[1:])
+        weight_map = sparse.csc_matrix(
+            (a_in.data[first] * a_in.data[second], slot[:n_pair].astype(np.int32), pairs_before),
             shape=(keys.size, a_in.shape[0]),
         )
         del first, second
-        self.refill = _matvec(self.weight_map)
-        self.const_slot = slot[n_pair:].copy()  # not a view that keeps every pair's slot
         self.eq_data = eq_coo.data
-        self.indices = (keys % size).astype(np.intc)
-        self.indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc)
-        _freeze(self.weight_map, self.const_slot, self.eq_data, self.indices, self.indptr)
+        _freeze(self.eq_data)
+        # In K's own labelling until the first factorization orders it.
+        self.pattern = _Pattern(
+            (keys % size).astype(np.intc),
+            np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc),
+            weight_map,
+            slot[n_pair:].copy(),  # not a view that keeps every pair's slot
+        )
+
+
+class _Pattern:
+    """K's CSC pattern under one labelling of its rows and columns, with the
+    maps that fill its values: `const_slot` for the constant part and
+    `weight_map` (through `refill`) for the weights.  `perm` is None for K's
+    own labelling; otherwise row and column j of K carry the label perm[j],
+    SuperLU's minimum-degree column permutation of K."""
+
+    def __init__(self, indices, indptr, weight_map, const_slot, perm=None):
+        self.indices, self.indptr, self.weight_map, self.const_slot = indices, indptr, weight_map, const_slot
+        self.refill = _matvec(weight_map)
+        self.perm = perm
+        self.iperm = None if perm is None else np.argsort(perm).astype(np.intc)
+        _freeze(*(a for a in (indices, indptr, weight_map, const_slot, perm, self.iperm) if a is not None))
+
+    def ordered(self, perm: np.ndarray) -> _Pattern:
+        """This pattern relabelled by perm.  Column perm[j] is column j with
+        its row labels mapped through perm, in column j's own entry order:
+        SuperLU then visits every entry as it did under the ordering and
+        gives the same bits, where sorting the rows moved them."""
+        iperm = np.argsort(perm)
+        lens = np.diff(self.indptr)[iperm]
+        indptr = np.zeros(lens.size + 1, dtype=np.intc)
+        np.cumsum(lens, out=indptr[1:])
+        src = np.repeat(self.indptr[iperm] - indptr[:-1], lens) + np.arange(indptr[-1], dtype=np.intc)
+        dest = np.empty_like(src)
+        dest[src] = np.arange(src.size, dtype=src.dtype)
+        wm = self.weight_map  # relabelled by its row indices alone: data and indptr are shared
+        return _Pattern(
+            perm[self.indices[src]].astype(np.intc),
+            indptr,
+            sparse.csc_matrix((wm.data, dest[wm.indices], wm.indptr), shape=wm.shape),
+            dest[self.const_slot],
+            perm.copy(),
+        )
 
 
 # The options `splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
@@ -448,29 +498,52 @@ class _Partition:
 # Its steps before that call (`sum_duplicates`, the float upcast and the index
 # cast) change nothing on K: its pattern is sorted without duplicates by
 # construction, its values are float64 and its index arrays `np.intc` already.
+# A pattern relabelled by the ordering this finds is factored with the
+# natural ordering and otherwise the same options: the ordering depends only
+# on K's pattern, so it is computed once per partition, not per iteration.
 _SUPERLU_OPTIONS = dict(DiagPivotThresh=0.1, ColPerm="MMD_AT_PLUS_A", PanelSize=None, Relax=None, SymmetricMode=True)
+_SUPERLU_ORDERED = dict(_SUPERLU_OPTIONS, ColPerm="NATURAL")
 
 
 class _Kkt:
     """K of one solve: a partition's pattern with the constant part at scaled P."""
 
     def __init__(self, part: _Partition, p: np.ndarray):
-        const = np.concatenate([p + _DELTA, np.full(part.m_eq, -_DELTA), part.eq_data, part.eq_data])
-        self.const = np.bincount(part.const_slot, weights=const, minlength=part.weight_map.shape[0])
+        self.const_values = np.concatenate([p + _DELTA, np.full(part.m_eq, -_DELTA), part.eq_data, part.eq_data])
         self.part = part
-        self.data = np.empty_like(self.const)  # the solve's own: threads share the memo's partition
+        self.pattern: _Pattern | None = None  # the pattern `const` is laid out for
+        # The solve's own buffers: threads share the memo's partition, and
+        # the one thing they write to it is its lazily set order (`factor`).
+        self.data = np.empty(part.pattern.weight_map.shape[0])
 
     def factor(self, w: np.ndarray):
-        """Factor K at inequality weights w; returns a solve function."""
+        """Factor K at inequality weights w; returns a solve function.
+
+        The first factorization on a partition orders K and relabels the
+        partition's pattern by that ordering; every later one, of this solve
+        or of another on the same partition, factors the relabelled K in its
+        natural order.  Threads on one partition may both order it: that is
+        a single assignment of a value that depends only on K's pattern, so
+        the race is benign.
+        """
         part = self.part
-        np.add(self.const, part.refill(w), out=self.data)
+        pattern = part.pattern  # read once: another thread may order it meanwhile
+        if pattern is not self.pattern:
+            self.pattern = pattern
+            self.const = np.bincount(pattern.const_slot, weights=self.const_values, minlength=self.data.size)
+        np.add(self.const, pattern.refill(w), out=self.data)
         # Diagonal pivots, unless one is below 10% of its column: a
         # delta-sized pivot (the equality row of a fixed variable) taken early
         # loses the digits of the variable's own diagonal, and lower
         # thresholds leave more ill-conditioned solves at the iteration cap.
-        lu = _superlu.gstrf(part.size, self.data.size, self.data, part.indices, part.indptr,
-                            csc_construct_func=sparse.csc_array, ilu=False, options=_SUPERLU_OPTIONS)
-        return lu.solve
+        options = _SUPERLU_OPTIONS if pattern.perm is None else _SUPERLU_ORDERED
+        lu = _superlu.gstrf(part.size, self.data.size, self.data, pattern.indices, pattern.indptr,
+                            csc_construct_func=sparse.csc_array, ilu=False, options=options)
+        if pattern.perm is None:
+            part.pattern = pattern.ordered(lu.perm_c)
+            return lu.solve
+        perm, iperm = pattern.perm, pattern.iperm
+        return lambda b: lu.solve(b[iperm])[perm]
 
 
 def _step_len(v: np.ndarray, dv: np.ndarray) -> float:

@@ -48,6 +48,8 @@ BAD_VALUES = [
     ("--penalty", "l0", "--k", 0, "--big-m", 1.0),
     ("--penalty", "l0", "--k", 1, "--m-mult", 0),
     ("--penalty", "l0", "--k", 1, "--m-mult", -1),
+    ("--penalty", "l0", "--k", 1, "--m-mult", "nan"),
+    ("--penalty", "l0", "--k", 1, "--m-mult", "inf"),
     ("--penalty", "l0", "--k", 1, "--big-m", 0),
     ("--penalty", "l0", "--k", 1, "--big-m", -1),
     ("--penalty", "l0", "--k", 1, "--big-m", 1.0, "--m-mult", 2.0),

@@ -16,6 +16,7 @@ from cqreg import (
     l0_oracle,
     support,
 )
+from cqreg import estimators
 from cqreg.cuts import solve_with_cuts
 from cqreg.estimators import make_builder
 from cqreg.model import FEAS_TOL, FitMeta, FitResult, validate_fit
@@ -230,3 +231,12 @@ class TestAnchorBigM:
         assert anchor_big_m(small_noisy, spec, 4.0) == pytest.approx(
             2.0 * anchor_big_m(small_noisy, spec, 2.0)
         )
+
+    @pytest.mark.parametrize("multiplier", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+    def test_bad_multiplier_is_rejected_before_any_fit(self, small_noisy, monkeypatch, multiplier):
+        def no_fit(*args):
+            raise AssertionError("the anchor fit ran")
+
+        monkeypatch.setattr(estimators, "fit", no_fit)
+        with pytest.raises(ValueError, match="multiplier must be finite and > 0"):
+            anchor_big_m(small_noisy, EstimatorSpec("quantile", 0.5), multiplier)

@@ -3,6 +3,7 @@ import sys
 import threading
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -618,9 +619,12 @@ class TestQpContext:
                     assert np.float64(min(max(r, 1e-8), 1.0)).tobytes() == _clip_sigma(r).tobytes()
 
     def test_one_input_l1_instance_converges(self):
-        # Minimum-degree ordering refreshed at every factorization; an
-        # ordering frozen after the first one stalled here at the iteration
-        # cap, with K exactly singular in floating point on the way.
+        # K is ordered once per partition and factored after that on its
+        # pattern relabelled by the ordering, each column keeping its entries
+        # in K's own order.  Relabelling with the rows of each column sorted
+        # instead moved the bits of every solve and stalled this instance at
+        # the iteration cap, with K exactly singular in floating point on the
+        # way.
         ds = make_instance(9, 1, seed=4302)
         ctx = qp.QpContext(add_l1(build_cer(ds, 0.71484375, ALL_PAIRS), L1Penalty(0.703125)))
         assert ctx.solve().status is Status.OPTIMAL
@@ -756,7 +760,9 @@ class TestSystemMemo:
 
     def test_threads_sharing_the_memo(self):
         # Threads that alternate systems and partitions on the shared memo
-        # still get the bits of a cold solve.
+        # still get the bits of a cold solve.  They start on an empty memo,
+        # two of them on the same solve, so they race on a partition's first
+        # factorization, the one that orders it.
         problem, relaxed = _relaxed_l0_cer(make_instance(6, 2, seed=21), 0.6, 1)
         z = np.flatnonzero(problem.integer)
         fixed = []
@@ -770,6 +776,7 @@ class TestSystemMemo:
         for solve in solves:
             qp._memo = None
             cold.append(_bits(solve()))
+        qp._memo = None
         results, errors = [], []
 
         def worker(offset):
@@ -797,25 +804,32 @@ class TestSystemMemo:
     def test_kernels_match_the_operator(self):
         # The iteration calls scipy's private matvec kernels directly; they
         # must give the bits `@` gives, on CSR rows, their CSC transpose
-        # and a weight map.
+        # and a weight map.  The weight map is stored by columns; its
+        # product must also have the bits of its row-wise (CSR) product,
+        # which adds each slot's terms in the same increasing-row order.
         ds = make_instance(10, 3, seed=2)
         problem, relaxed = _relaxed_l0_cer(ds, 0.5, 2)
         ctx = qp.QpContext(relaxed)
         lower, upper = problem.lower.copy(), problem.upper.copy()
         lower[np.flatnonzero(problem.integer)[0]] = 1.0
         ctx.solve(lower, upper)
-        weight_map = ctx.system._part.weight_map
+        weight_map = ctx.system._part.pattern.weight_map
         rng = np.random.default_rng(0)
         for mat in (ctx.a_s, ctx.a_s.T, weight_map):
             assert mat.format in ("csr", "csc")
             x = rng.normal(size=mat.shape[1]) * 10.0 ** rng.uniform(-8, 8, size=mat.shape[1])
             assert qp._matvec(mat)(x).tobytes() == (mat @ x).tobytes()
+        w = 10.0 ** rng.uniform(-12, 16, size=weight_map.shape[1])
+        assert qp._matvec(weight_map)(w).tobytes() == (weight_map.tocsr() @ w).tobytes()
 
     @pytest.mark.parametrize("fix", range(4))
     def test_factor_matches_splu(self, fix):
-        # `_Kkt.factor` calls SuperLU's `gstrf` directly; its solves must
-        # have the bits of `splu`'s on K assembled from the same partition,
-        # with 0-3 selectors fixed and weights from 1e-12 to 1e16.
+        # `_Kkt.factor` calls SuperLU's `gstrf` directly, under the
+        # minimum-degree ordering the first time and on the pattern relabelled
+        # by it after that; every solve must have the bits of `splu`'s on K
+        # assembled in its own labelling from the same partition, with 0-3
+        # selectors fixed, weights from 1e-12 to 1e16 and two solves on the
+        # partition at two cost scalings of P (as two lambdas of one system).
         ds = make_instance(10, 3, seed=fix)
         problem, relaxed = _relaxed_l0_cer(ds, 0.5, max(1, fix))
         lower, upper = problem.lower.copy(), problem.upper.copy()
@@ -826,22 +840,53 @@ class TestSystemMemo:
         eq = l_s == u_s
         part = qp._Partition(ctx.a_s, eq, ~eq & (u_s != np.inf), ~eq & (l_s != -np.inf))
         assert part.m_eq == ds.n + fix
-        kkt = qp._Kkt(part, ctx.p_s)
+        own = part.pattern
+        kkts = [qp._Kkt(part, ctx.p_s), qp._Kkt(part, ctx.p_s * 37.5)]
         rng = np.random.default_rng(fix)
-        for log_w in (-12.0, 0.0, 16.0, None, None, None):
+        for which, log_w in zip((0, 1, 0, 1, 1, 0), (-12.0, 0.0, 16.0, None, None, None)):
+            kkt = kkts[which]
             size = part.m_in
             w = 10.0 ** (rng.uniform(-12, 16, size=size) if log_w is None else np.full(size, log_w))
-            k = sparse.csc_matrix((kkt.const + part.refill(w), part.indices, part.indptr), shape=(part.size,) * 2)
+            const = np.bincount(own.const_slot, weights=kkt.const_values, minlength=own.weight_map.shape[0])
+            k = sparse.csc_matrix((const + own.refill(w), own.indices, own.indptr), shape=(part.size,) * 2)
             b = rng.normal(size=part.size) * 10.0 ** rng.uniform(-8, 8, size=part.size)
             ref = splu(k, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
             assert kkt.factor(w)(b).tobytes() == ref.solve(b).tobytes()
+            assert part.pattern.perm.tobytes() == ref.perm_c.tobytes()
+
+    def test_each_partition_is_ordered_once(self, monkeypatch):
+        # Over one L1-CER fold's lambda candidates, which share the memo's
+        # partition, `gstrf` orders K by minimum degree once and factors it
+        # in the natural order of that relabelled pattern every other time.
+        orderings = []
+        gstrf = qp._superlu.gstrf
+
+        def counted(*args, options, **kwargs):
+            orderings.append(options["ColPerm"])
+            return gstrf(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(qp, "_superlu", SimpleNamespace(gstrf=counted))
+        ds = make_instance(20, 3, seed=5)
+        train = ds.subset(np.flatnonzero(kfold_split(ds.n, 5, 0) != 0))
+        base = build_cer(train, 0.5, ALL_PAIRS)
+        for lam in np.logspace(-3, -1, 10):
+            assert qp.QpContext(add_l1(base, L1Penalty(float(lam)))).solve().status is Status.OPTIMAL
+        assert orderings[0] == "MMD_AT_PLUS_A"
+        assert orderings.count("MMD_AT_PLUS_A") == 1
+        assert orderings.count("NATURAL") == len(orderings) - 1 > 100
 
     def test_private_kernels_present(self):
         # Private scipy API the IPM calls; a scipy that drops any of it fails
-        # here rather than at the first fit.
+        # here rather than at the first fit: the matvec kernels, `gstrf`
+        # under the natural ordering, and the ordering `perm_c` it reports.
         used = {qp._sparsetools: ("csr_matvec", "csc_matvec"), qp._superlu: ("gstrf",)}
         missing = [name for owner, names in used.items() for name in names if not hasattr(owner, name)]
         assert missing == []
+        k = sparse.csc_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -1.0, 3.0], [0.0, 3.0, 4.0]]))
+        lu = qp._superlu.gstrf(3, k.nnz, k.data, k.indices.astype(np.intc), k.indptr.astype(np.intc),
+                               csc_construct_func=sparse.csc_array, ilu=False, options=qp._SUPERLU_ORDERED)
+        assert lu.perm_c.tolist() == [0, 1, 2]
+        assert np.allclose(k @ lu.solve(np.ones(3)), 1.0)
 
     def test_cached_arrays_are_read_only(self):
         ctx = qp.QpContext(build_cer(make_instance(6, 2, seed=1), 0.5, ALL_PAIRS))
