@@ -239,9 +239,12 @@ def _pair_arrays(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray]
     return pairs[:, 0], pairs[:, 1]
 
 
-def _afriat_matrix(dataset: Dataset, pi: np.ndarray, ph: np.ndarray, n_cols: int) -> sparse.csr_matrix:
-    """CSR arrays written directly, in canonical form: each row holds the
-    two yhat columns in increasing order, then the d columns of beta_i."""
+def _afriat_entries(
+    dataset: Dataset, pi: np.ndarray, ph: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices (int32) and values of the Afriat rows of the pairs,
+    one row of d + 2 entries per pair, in canonical CSR order: the two yhat
+    columns in increasing order, then the d columns of beta_i."""
     n, d = dataset.n, dataset.d
     X = dataset.inputs
     m = pi.shape[0]
@@ -254,39 +257,47 @@ def _afriat_matrix(dataset: Dataset, pi: np.ndarray, ph: np.ndarray, n_cols: int
     data[:, 0] = np.where(ph < pi, 1.0, -1.0)
     data[:, 1] = -data[:, 0]
     data[:, 2:] = -(X[ph] - X[pi])
-    indptr = np.arange(0, m * width + 1, width, dtype=np.int32)
-    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(m, n_cols))
+    return indices.ravel(), data.ravel()
 
 
-def afriat_rows(dataset: Dataset, constraints, n_cols: int) -> sparse.csr_matrix:
+def afriat_rows(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Afriat rows of the pairs (i, h), in order, in <= 0 form:
-    yhat_h - yhat_i - beta_i @ (x_h - x_i) <= 0, over `n_cols` columns that
-    start with the VarLayout continuous block."""
-    return _afriat_matrix(dataset, *_pair_arrays(dataset, constraints), n_cols)
+    yhat_h - yhat_i - beta_i @ (x_h - x_i) <= 0, as the CSR arrays
+    (indptr, indices, data) of rows over the VarLayout columns, int32
+    indices and float64 values."""
+    indices, data = _afriat_entries(dataset, *_pair_arrays(dataset, constraints))
+    width = dataset.d + 2
+    return np.arange(0, indices.size + 1, width, dtype=np.int32), indices, data
 
 
 def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
-    """Common constraint fabric shared by the quantile and expectile builders."""
+    """Common constraint fabric shared by the quantile and expectile builders.
+
+    The CSR arrays are written directly, in canonical form: the n
+    residual-split rows yhat_i + eps+_i - eps-_i = y_i, three entries each
+    in column order, then the Afriat rows of `_afriat_entries`.
+    """
     n, d = dataset.n, dataset.d
     pi, ph = _pair_arrays(dataset, constraints)
     m = pi.shape[0]
     lay = VarLayout(n, d, afriat=m)
     nv = lay.n_continuous
 
-    # Residual split rows: yhat_i + eps+_i - eps-_i = y_i.
-    eq_rows = np.tile(np.arange(n), 3)
-    eq_cols = np.concatenate(
+    split_indices = np.arange(n, dtype=np.int32)[:, None] + np.array(
+        [lay.yhat().start, lay.eps_plus().start, lay.eps_minus().start], dtype=np.int32
+    )
+    afriat_indices, afriat_data = _afriat_entries(dataset, pi, ph)
+    indptr = np.concatenate(
         [
-            np.arange(n),
-            np.arange(lay.eps_plus().start, lay.eps_plus().stop),
-            np.arange(lay.eps_minus().start, lay.eps_minus().stop),
+            np.arange(0, 3 * n, 3, dtype=np.int32),
+            np.arange(3 * n, 3 * n + afriat_indices.size + 1, d + 2, dtype=np.int32),
         ]
     )
-    eq_vals = np.concatenate([np.ones(n), np.ones(n), -np.ones(n)])
-
-    fit_rows = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, nv))
-    a = sparse.vstack([fit_rows, _afriat_matrix(dataset, pi, ph, nv)], format="csr")
-    sense = np.array(["E"] * n + ["L"] * m)
+    indices = np.concatenate([split_indices.ravel(), afriat_indices])
+    data = np.concatenate([np.tile([1.0, 1.0, -1.0], n), afriat_data])
+    a = sparse.csr_matrix((data, indices, indptr), shape=(n + m, nv))
+    sense = np.full(n + m, "L")
+    sense[:n] = "E"
     rhs = np.concatenate([dataset.output, np.zeros(m)])
 
     lower = np.full(nv, 0.0)

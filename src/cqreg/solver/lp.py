@@ -21,7 +21,13 @@ rows first and the `=` rows after (a sense without rows is a 0-row
 block), infinities mapped to `kHighsInf`, presolve on, dual simplex, the
 simplex and IPM iteration caps at _MAX_SIMPLEX_ITERS and no output.  The
 first solve of a session is therefore the cold solve `linprog` gives,
-bit for bit.
+bit for bit.  The model goes in through the array overload of
+`passModel`: sizes, column-wise format, minimization, a zero offset,
+costs, column and row bounds, the CSC arrays and an all-continuous
+integrality array, which HiGHS turns into the `HighsLp` that `linprog`
+fills field by field.  The CSC arrays of the reordered rows are written
+by scipy's sparse kernels straight from the problem's CSR arrays, with
+the bits `csc_array(a[order])` would hold.
 
 `solve(lower, upper)` first replaces every column's bounds and clears the
 solver, so it is again a cold solve, without stacking the matrices or
@@ -33,11 +39,12 @@ first solve: after `solve` and then `add_rows`, `x` and the objective can
 differ from the fresh session's in their last bits (with the same
 iteration count), so branch-and-cut must not rely on it.
 
-`add_rows` appends `<=` rows.  HiGHS keeps the last basis, with the new
-rows basic, so the next `solve` hot-starts from it instead of presolving
-and solving from scratch.  That solve reaches an optimum of the same
-model, but not necessarily the vertex a cold solve picks when there are
-several; `min_nonbasic_dual` tells a caller whether the optimum is unique.
+`add_rows` appends `<=` rows given by their CSR arrays.  HiGHS keeps the
+last basis, with the new rows basic, so the next `solve` hot-starts from
+it instead of presolving and solving from scratch.  That solve reaches an
+optimum of the same model, but not necessarily the vertex a cold solve
+picks when there are several; `min_nonbasic_dual` tells a caller whether
+the optimum is unique.
 Hot re-solves price with Devex instead of HiGHS's default dual steepest
 edge (Forrest and Goldfarb 1992): it takes more iterations, each of them
 cheaper.  The pricing rule only chooses the path to an optimum, so when
@@ -60,6 +67,7 @@ import time
 import numpy as np
 import scipy
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from ..model import OptProblem
 from .base import Solution, SolverError, Status
@@ -104,12 +112,36 @@ _PRICING = "simplex_dual_edge_weight_strategy"
 _COLD_PRICING = -1
 _HOT_PRICING = 1
 
+_COLWISE = int(_core.MatrixFormat.kColwise)
+_MINIMIZE = int(_core.ObjSense.kMinimize)
+
 _STATUS = {
     _core.HighsModelStatus.kOptimal: Status.OPTIMAL,
     _core.HighsModelStatus.kIterationLimit: Status.ITERATION_LIMIT,
     _core.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
     _core.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
 }
+
+
+def _csc_of_rows(
+    a: sparse.csr_matrix, order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC arrays (column starts, row indices, values) of the rows of `a`
+    taken in `order`, with sorted row indices: the arrays
+    `sparse.csc_array(a[order])` holds, bit for bit, without building
+    either matrix."""
+    n_rows, n_cols = a.shape
+    idx = a.indptr.dtype
+    indptr = np.zeros(n_rows + 1, dtype=idx)
+    np.cumsum(np.diff(a.indptr)[order], out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
+    _sparsetools.csr_row_index(
+        n_rows, order.astype(idx), a.indptr, a.indices, a.data, indices, data
+    )
+    start, index, value = np.empty(n_cols + 1, dtype=idx), np.empty(nnz, dtype=idx), np.empty(nnz)
+    _sparsetools.csr_tocsc(n_rows, n_cols, indptr, indices, data, start, index, value)
+    return start, index, value
 
 
 def _highs_inf(values: np.ndarray) -> np.ndarray:
@@ -127,45 +159,42 @@ class LpSession:
         if problem.has_quad:
             raise ValueError("problem has a quadratic objective; use solve_qp")
         n_cols = problem.n_vars
+        a = problem.a.tocsr()
+        n_rows = a.shape[0]
         is_eq = problem.sense == "E"
         order = np.argsort(is_eq, kind="stable")  # the `<=` rows, then the `=` rows
-        a = sparse.csc_array(problem.a.tocsr()[order])
+        start, index, value = _csc_of_rows(a, order)
         self._lower = _highs_inf(problem.lower)
         self._upper = _highs_inf(problem.upper)
         self._row_upper = _highs_inf(problem.rhs[order])
         self._le = ~is_eq[order]
 
-        lp = _core.HighsLp()
-        lp.num_col_ = n_cols
-        lp.num_row_ = a.shape[0]
-        lp.a_matrix_.num_col_ = n_cols
-        lp.a_matrix_.num_row_ = a.shape[0]
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr
-        lp.a_matrix_.index_ = a.indices
-        lp.a_matrix_.value_ = a.data
-        lp.col_cost_ = problem.obj_linear
-        lp.col_lower_ = self._lower
-        lp.col_upper_ = self._upper
-        lp.row_lower_ = np.where(self._le, -_core.kHighsInf, self._row_upper)
-        lp.row_upper_ = self._row_upper
-
         self._highs = _core._Highs()
-        for key, value in _OPTIONS:
-            self._highs.setOptionValue(key, value)
+        for key, option in _OPTIONS:
+            self._highs.setOptionValue(key, option)
         # Duals and nonbasic masks of the last optimal solve.
         self._last: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
-        if self._highs.passModel(lp) == _core.HighsStatus.kError:
+        status = self._highs.passModel(
+            n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
+            problem.obj_linear, self._lower, self._upper,
+            np.where(self._le, -_core.kHighsInf, self._row_upper), self._row_upper,
+            start, index, value,
+            np.zeros(n_cols, dtype=np.int32),  # every column continuous
+        )
+        if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the LP model")
 
-    def add_rows(self, a: sparse.csr_matrix, rhs: np.ndarray) -> None:
-        """Append the rows a @ x <= rhs (`a` in CSR form); the next solve
-        starts from the current basis and prices with Devex."""
-        m = a.shape[0]
+    def add_rows(
+        self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, rhs: np.ndarray
+    ) -> None:
+        """Append the rows a @ x <= rhs, `a` given by its CSR arrays (int32
+        `indptr` and `indices`, float64 `data`); the next solve starts from
+        the current basis and prices with Devex."""
+        m = rhs.shape[0]
         rhs = _highs_inf(rhs)
         self._highs.setOptionValue(_PRICING, _HOT_PRICING)
         status = self._highs.addRows(
-            m, np.full(m, -_core.kHighsInf), rhs, a.nnz, a.indptr[:-1], a.indices, a.data
+            m, np.full(m, -_core.kHighsInf), rhs, data.size, indptr[:-1], indices, data
         )
         if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the appended rows")

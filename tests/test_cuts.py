@@ -20,7 +20,7 @@ from cqreg import (
     solve_lp,
     solve_with_cuts,
 )
-from cqreg import cuts
+from cqreg import cuts, estimators
 from cqreg.cuts import CutLoopLimitError
 from cqreg.estimators import make_builder
 from cqreg.model import extract_fit, validate_fit
@@ -233,6 +233,73 @@ class TestHotStartedLoop:
         # default tol; the loop runs many hot rounds here.
         ds = make_instance(48, 6, seed=seed)
         _, stats = _check_hot_loop(ds, lam, 0.01)
+        assert stats.warm > 0
+
+
+@pytest.mark.parametrize(
+    "n, d, seed, tol", [(30, 3, 0, 1e-6), (30, 3, 1, 1e-6), (48, 6, 0, 0.01), (48, 6, 1, 0.01)]
+)
+def test_dual_degenerate_masters_are_rebuilt_without_a_hot_solve(monkeypatch, sessions, n, d, seed, tol):
+    # Unpenalized CQR masters are dual degenerate, and a hot re-solve after
+    # such a master is almost never accepted; the loop rebuilds the next
+    # master directly, so every round is the rebuilt loop's cold solve.
+    appended = []
+    add_rows = cuts.LpSession.add_rows
+
+    def recorded(self, *args):
+        appended.append(args)
+        return add_rows(self, *args)
+
+    monkeypatch.setattr(cuts.LpSession, "add_rows", recorded)
+    ds = make_instance(n, d, seed=seed)
+    builder = make_builder(ds, EstimatorSpec("quantile", 0.5))
+    result, stats = solve_with_cuts(builder, ds, tol=tol)
+    ref, ref_added = _rebuild_every_round(builder, ds, tol)
+    assert appended == []
+    assert stats.warm == 0
+    assert len(sessions) == stats.iterations > 1
+    assert stats.added == ref_added
+    assert result.objective == ref.objective
+
+
+@pytest.mark.parametrize(
+    "n, spec",
+    [
+        (30, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1), tol=1e-6)),
+        (30, EstimatorSpec("quantile", 0.5, tol=1e-6)),
+        (12, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(1, 5.0), tol=1e-6)),
+        (30, EstimatorSpec("expectile", 0.5, penalty=L1Penalty(0.01))),
+    ],
+    ids=["l1-cqr", "cqr", "l0-cqr", "l1-cer"],
+)
+def test_every_round_passes_the_traced_seams(monkeypatch, n, spec):
+    # The benchmark's tracer wraps these module attributes to count rounds,
+    # added rows and model builds; a loop that went around one would leave
+    # its counter at 0.
+    calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("separate", "initial_constraints"):
+        count(cuts, name)
+    for name in ("build_cqr", "build_cer", "add_l1", "add_l0"):
+        count(estimators, name)
+    ds = make_instance(n, 3, seed=4)
+    _, stats = solve_with_cuts(make_builder(ds, spec), ds, tol=spec.tol)
+    cold = stats.iterations - stats.warm
+    assert stats.iterations > 1
+    assert calls["separate"] == stats.iterations
+    assert calls["initial_constraints"] == 1
+    assert calls.get("build_cqr", 0) + calls.get("build_cer", 0) == cold
+    assert calls.get("add_l1", 0) + calls.get("add_l0", 0) == (0 if spec.penalty is None else cold)
+    if spec.penalty == L1Penalty(0.1):
         assert stats.warm > 0
 
 

@@ -18,11 +18,13 @@ from cqreg import (
     check_loss,
     expectile_loss,
     fit,
+    initial_constraints,
     solve_lp,
     solve_mip,
     solve_qp,
 )
-from cqreg.model import _afriat_matrix, _pair_arrays, afriat_rows, extract_fit, validate_fit
+from cqreg import model
+from cqreg.model import VarLayout, _pair_arrays, afriat_rows, extract_fit, validate_fit
 from tests.conftest import make_instance
 
 
@@ -163,6 +165,12 @@ def _afriat_coo(dataset, pi, ph, n_cols):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(m, n_cols))
 
 
+def _assert_same_csr_arrays(got, want):
+    for g, w in zip(got, (want.indptr, want.indices, want.data)):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
 class TestAfriatMatrix:
     @pytest.mark.parametrize("order", ["i<h", "i>h", "mixed", "all", "none"])
     def test_direct_csr_equals_coo_construction(self, order):
@@ -183,16 +191,72 @@ class TestAfriatMatrix:
                 "none": np.zeros((0, 2), dtype=int),
             }[order]
         pi, ph = _pair_arrays(ds, pairs)
-        n_cols = ds.n * (3 + ds.d) + 2
-        got = _afriat_matrix(ds, pi, ph, n_cols)
-        want = _afriat_coo(ds, pi, ph, n_cols)
-        assert type(got) is type(want)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
+        want = _afriat_coo(ds, pi, ph, ds.n * (3 + ds.d))
+        _assert_same_csr_arrays(afriat_rows(ds, pairs), want)
+
+
+def _base_by_stacking(dataset, constraints):
+    """`model._build_base` as COO triplets stacked with `sparse.vstack`, the
+    reference for the CSR arrays it writes directly."""
+    n, d = dataset.n, dataset.d
+    pi, ph = _pair_arrays(dataset, constraints)
+    m = pi.shape[0]
+    lay = VarLayout(n, d, afriat=m)
+    nv = lay.n_continuous
+    eq_rows = np.tile(np.arange(n), 3)
+    eq_cols = np.concatenate(
+        [
+            np.arange(n),
+            np.arange(lay.eps_plus().start, lay.eps_plus().stop),
+            np.arange(lay.eps_minus().start, lay.eps_minus().stop),
+        ]
+    )
+    eq_vals = np.concatenate([np.ones(n), np.ones(n), -np.ones(n)])
+    fit_rows = sparse.csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(n, nv))
+    a = sparse.vstack([fit_rows, _afriat_coo(dataset, pi, ph, nv)], format="csr")
+    sense = np.array(["E"] * n + ["L"] * m)
+    rhs = np.concatenate([dataset.output, np.zeros(m)])
+    lower = np.full(nv, 0.0)
+    lower[lay.yhat()] = -np.inf
+    upper = np.full(nv, np.inf)
+    integer = np.zeros(nv, dtype=bool)
+    return [a, sense, rhs, lower, upper, integer], lay
+
+
+class TestBuildBase:
+    # The expectile IPM's memo keys on the bytes and dtypes of these arrays,
+    # so the direct build must give the stacked build's arrays exactly.
+    @pytest.mark.parametrize("master", ["cqr", "cer", "l1-cqr", "l1-cer", "l0-cqr", "l0-cer"])
+    @pytest.mark.parametrize("pairs", ["seed", "all"])
+    @pytest.mark.parametrize("n, d, seed", [(2, 1, 0), (12, 3, 1), (30, 6, 2)])
+    def test_direct_csr_equals_stacked_construction(self, monkeypatch, master, pairs, n, d, seed):
+        ds = make_instance(n, d, seed=seed)
+        constraints = ALL_PAIRS if pairs == "all" else initial_constraints(ds)
+
+        def build():
+            problem = (build_cer if master.endswith("cer") else build_cqr)(ds, 0.5, constraints)
+            if master.startswith("l1"):
+                problem = add_l1(problem, L1Penalty(0.1))
+            elif master.startswith("l0"):
+                problem = add_l0(problem, L0Penalty(1, 5.0))
+            return problem
+
+        got = build()
+        monkeypatch.setattr(model, "_build_base", _base_by_stacking)
+        want = build()
+        assert type(got.a) is type(want.a)
+        assert got.a.shape == want.a.shape
+        _assert_same_csr_arrays((got.a.indptr, got.a.indices, got.a.data), want.a)
+        assert got.a.has_sorted_indices == want.a.has_sorted_indices
+        assert got.a.has_canonical_format == want.a.has_canonical_format
+        for name in ("sense", "rhs", "lower", "upper", "integer", "obj_linear"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
-        assert np.array_equal(afriat_rows(ds, pairs, n_cols).toarray(), want.toarray())
+        assert (got.obj_quad is None) == (want.obj_quad is None)
+        if got.obj_quad is not None:
+            assert got.obj_quad.tobytes() == want.obj_quad.tobytes()
+        assert got.layout == want.layout
 
 
 class TestL1:

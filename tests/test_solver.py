@@ -155,7 +155,7 @@ print(res.status, res.x.tolist(), res.fun)
         # Private scipy API the session is built on; a scipy that drops any
         # of it fails here rather than at the first fit.
         used = {
-            _core: ("_Highs", "HighsLp", "kHighsInf", "MatrixFormat", "HighsModelStatus", "HighsStatus"),
+            _core: ("_Highs", "kHighsInf", "MatrixFormat", "ObjSense", "HighsModelStatus", "HighsStatus"),
             _core._Highs: (
                 "passModel",
                 "addRows",
@@ -170,11 +170,65 @@ print(res.status, res.x.tolist(), res.fun)
                 "getBasicVariables",
             ),
             _core.MatrixFormat: ("kColwise",),
+            _core.ObjSense: ("kMinimize",),
             _core.HighsStatus: ("kError",),
             _core.HighsModelStatus: ("kOptimal", "kIterationLimit", "kInfeasible", "kUnbounded"),
+            lp_module._sparsetools: ("csr_row_index", "csr_tocsc"),
         }
         missing = [name for owner, names in used.items() for name in names if not hasattr(owner, name)]
         assert missing == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reordered_csc_arrays_match_scipy(self, seed):
+        # Any row order, not only the `<=`-rows-first one the builders give.
+        rng = np.random.default_rng(seed)
+        a = sparse.random(40, 25, density=0.2, format="csr", random_state=rng)
+        order = rng.permutation(40)
+        want = sparse.csc_array(a[order])
+        for got, ref in zip(lp_module._csc_of_rows(a, order), (want.indptr, want.indices, want.data)):
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    def test_array_load_solves_as_the_highs_lp_load(self):
+        # min x0 + 2 x1 s.t. x0 + x1 >= 1, 0 <= x0 <= 4, x1 >= 0, loaded
+        # through the array overload of passModel the session uses and
+        # through a HighsLp filled field by field.
+        start, index, value = np.array([0, 1, 2], dtype=np.int32), np.array([0, 0], dtype=np.int32), np.ones(2)
+        cost, lower, upper = np.array([1.0, 2.0]), np.zeros(2), np.array([4.0, _core.kHighsInf])
+        row_lower, row_upper = np.ones(1), np.full(1, _core.kHighsInf)
+        lp = _core.HighsLp()
+        lp.num_col_, lp.num_row_ = 2, 1
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = 2, 1
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
+        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+        results = []
+        for load in (
+            lambda h: h.passModel(lp),
+            lambda h: h.passModel(
+                2, 1, 2, lp_module._COLWISE, lp_module._MINIMIZE, 0.0, cost, lower, upper,
+                row_lower, row_upper, start, index, value, np.zeros(2, dtype=np.int32),
+            ),
+        ):
+            highs = _core._Highs()
+            for key, option in lp_module._OPTIONS:
+                highs.setOptionValue(key, option)
+            assert load(highs) != _core.HighsStatus.kError
+            highs.run()
+            solution = highs.getSolution()
+            results.append(
+                (
+                    highs.getModelStatus(),
+                    highs.getInfo().objective_function_value,
+                    highs.getInfo().simplex_iteration_count,
+                    *(np.array(v).tobytes() for v in (solution.col_value, solution.col_dual, solution.row_dual)),
+                    np.asarray(highs.getBasicVariables()[1]).tobytes(),
+                )
+            )
+        assert results[0][0] == _core.HighsModelStatus.kOptimal
+        assert results[0][1] == 1.0
+        assert results[1] == results[0]
 
     @pytest.mark.parametrize("instance", ["small_noisy", "noiseless_linear", "le_rows_only", "eq_rows_only"])
     @pytest.mark.parametrize("lam", [None, 0.1])
@@ -216,7 +270,7 @@ print(res.status, res.x.tolist(), res.fun)
         first = extract_fit(base, ds, session.solve())
         new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
         assert new
-        session.add_rows(afriat_rows(ds, new, base.n_vars), np.zeros(len(new)))
+        session.add_rows(*afriat_rows(ds, new), np.zeros(len(new)))
         hot = session.solve()
         cold = solve_lp(add_l1(build_cqr(ds, 0.5, initial_constraints(ds) + new), L1Penalty(0.1)))
         assert hot.status is Status.OPTIMAL
@@ -235,16 +289,16 @@ print(res.status, res.x.tolist(), res.fun)
         base = _rows_of_one_sense(add_l1(build_cqr(ds, 0.5, initial_constraints(ds)), L1Penalty(0.1)), "L")
         first = extract_fit(base, ds, solve_lp(base))
         new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
-        rows = afriat_rows(ds, new, base.n_vars)
+        rows = afriat_rows(ds, new)
         session = LpSession(base)
-        session.add_rows(rows, np.zeros(len(new)))
+        session.add_rows(*rows, np.zeros(len(new)))
         assert session.solve().optimal
         lower, upper = base.lower.copy(), base.upper.copy()
         upper[base.layout.beta_all()] = 2.0
         got = session.solve(lower, upper)
         stacked = replace(
             base,
-            a=sparse.vstack([base.a, rows], format="csr"),
+            a=sparse.vstack([base.a, sparse.csr_matrix(rows[::-1], shape=(len(new), base.n_vars))], format="csr"),
             sense=np.full(base.n_rows + len(new), "L"),
             rhs=np.concatenate([base.rhs, np.zeros(len(new))]),
             lower=lower,
