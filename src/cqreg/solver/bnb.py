@@ -9,10 +9,17 @@ is a cold solve, which gives the bits a fresh session would.  Only selector
 bounds differ between nodes, and a selector bound set that comes back (the
 root as the first tree node, or a hinted or probed point that is also a
 leaf) is solved once.
+A node whose selector box breaks a row that involves only selectors (in
+every model built here, the cardinality row sum(z) <= k) is pruned as
+infeasible without a solve and does not count in `nodes`: the row's least
+activity over the box exceeds its right-hand side.  The expectile IPM is
+slow to prove such a node infeasible and often runs to its iteration cap.
 After the root solve a round-up probe fixes every positive selector to 1;
 when the cardinality row allows it this proves optimality in two solves,
-otherwise it seeds the incumbent.  Children with z fixed to 1 are explored
-first, so a greedy dive reaches an integral incumbent within d solves.
+otherwise the probe is ruled out as above.  Children with z fixed to 1 are
+explored first, so a greedy dive reaches an integral incumbent within d
+solves.  A node whose relaxation stops at a solver cap is pruned as well,
+so a result can read optimal without being proven (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .qp import QpContext
 _INT_TOL = 1e-6
 _GAP = 1e-6  # absolute optimality gap
 _MAX_NODES = 1_000_000
+# What a node gets when its selector box breaks a selector-only row.
+_RULED_OUT = Solution(Status.INFEASIBLE, None, np.nan)
 
 
 @dataclass
@@ -50,10 +59,45 @@ def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[cand[np.argmax(frac[cand])]])
 
 
+def _selector_rows(problem: OptProblem, int_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of `problem.a` whose nonzeros all fall on the integer columns
+    `int_idx`: dense coefficients over those columns, an is-equality mask and
+    the right-hand sides."""
+    a = problem.a.tocsr()
+    # Nonzeros on continuous columns before each row boundary.
+    continuous = np.concatenate(([0], np.cumsum(~problem.integer[a.indices])))[a.indptr]
+    rows = np.flatnonzero(continuous[1:] == continuous[:-1])
+    coef = np.zeros((rows.size, problem.n_vars))
+    for i, r in enumerate(rows):
+        span = slice(a.indptr[r], a.indptr[r + 1])
+        coef[i, a.indices[span]] = a.data[span]
+    return coef[:, int_idx], problem.sense[rows] == "E", problem.rhs[rows]
+
+
+def _box_breaks(rows: tuple[np.ndarray, np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray) -> bool:
+    """True when no selector point in the box [lo, up] meets every row of
+    `rows`: a row's least activity over the box exceeds its right-hand side,
+    or an equality row's greatest activity falls short of it."""
+    coef, is_eq, rhs = rows
+    pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
+    least = pos @ lo + neg @ up
+    greatest = pos @ up + neg @ lo
+    return bool(np.any(least > rhs + _INT_TOL) or np.any(is_eq & (greatest < rhs - _INT_TOL)))
+
+
 def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> Solution:
-    """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic)."""
+    """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic).
+
+    A node whose selector bounds break a row that involves only selectors is
+    infeasible by that row alone; it is pruned without a relaxation solve and
+    is not counted in `nodes`, which counts relaxations solved.  A node whose
+    relaxation ends neither optimal nor infeasible (the IPM's iteration cap)
+    is still pruned, and the result can read optimal: that is a known defect
+    (ROADMAP item 6).
+    """
     start = time.perf_counter()
     int_idx = np.flatnonzero(problem.integer)
+    selector_rows = _selector_rows(problem, int_idx)
     relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
     relax = QpContext(relaxed) if problem.has_quad else LpSession(relaxed)
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
@@ -64,8 +108,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     solved: dict[bytes, Solution] = {}
 
     def node_solve(lo, up) -> Solution:
-        key = lo[int_idx].tobytes() + up[int_idx].tobytes()
+        zlo, zup = lo[int_idx], up[int_idx]
+        key = zlo.tobytes() + zup.tobytes()
         if key not in solved:
+            if _box_breaks(selector_rows, zlo, zup):
+                return _RULED_OUT
             solved[key] = relax.solve(lo, up)
         return solved[key]
 
@@ -100,9 +147,9 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         # Already integral: pin and certify.
         try_fixed(np.rint(zroot).astype(float))
     else:
-        # Round-up probe: selecting every positive z is feasible whenever the
-        # cardinality row allows it and proves optimality when the big-M rows
-        # were already slack at the root.
+        # Round-up probe: selecting every positive z proves optimality when
+        # the big-M rows were already slack at the root; node_solve rules it
+        # out without a solve when it breaks the cardinality row.
         try_fixed((zroot > _INT_TOL).astype(float))
     # best_obj stays inf until an incumbent is set.
     if best_obj <= root.objective + _GAP:

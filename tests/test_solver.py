@@ -1114,11 +1114,91 @@ class TestSolveMip:
         if np.abs(fit(ds.restrict(sorted(subset)), spec).beta).max() < big_m:
             assert sol.objective == pytest.approx(oracle_obj, abs=1e-6)
 
+    # Each L0-CER case prunes the oracle's leaf after its relaxation stops at
+    # the IPM cap; the oracle fit's slopes stay far below big-M in both.
+    @pytest.mark.xfail(strict=True, reason="B&B prunes a capped node and misses the L0-CER optimum (ROADMAP item 6)")
+    @pytest.mark.parametrize("n, d, seed, level, k", [(9, 3, 216, 0.477, 1), (11, 2, 55, 0.271, 2)])
+    def test_known_l0_cer_misses_the_oracle(self, n, d, seed, level, k):
+        ds = make_instance(n, d, seed=seed)
+        spec = EstimatorSpec("expectile", level)
+        sol = solve_mip(add_l0(build_cer(ds, level, ALL_PAIRS), L0Penalty(k, anchor_big_m(ds, spec, 10.0))))
+        oracle_obj, _ = l0_oracle(ds, spec, k)
+        assert sol.objective == pytest.approx(oracle_obj, abs=1e-6)
+
+
+def _solve_recording_lowers(problem: OptProblem) -> tuple:
+    """solve_mip on `problem`, and the selector lower bounds of every
+    relaxation it solved."""
+    lowers = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in (LpSession, qp.QpContext):
+
+            def recording(self, lower, upper, original=cls.solve):
+                lowers.append(lower[problem.integer].copy())
+                return original(self, lower, upper)
+
+            mp.setattr(cls, "solve", recording)
+        return solve_mip(problem), lowers
+
+
+class TestSelectorRowSkip:
+    @pytest.mark.parametrize(
+        "coef, is_eq, rhs, lo, up, breaks",
+        [
+            ([[1, 1, 1]], [False], [2], [1, 1, 0], [1, 1, 1], False),
+            ([[1, 1, 1]], [False], [2], [1, 1, 1], [1, 1, 1], True),
+            ([[1, -1, 0]], [False], [0], [1, 0, 0], [1, 1, 1], False),
+            ([[1, -1, 0]], [False], [0], [1, 0, 0], [1, 0, 1], True),
+            ([[1, 1, 0]], [True], [1], [0, 0, 0], [0, 1, 1], False),
+            ([[1, 1, 0]], [True], [1], [0, 0, 0], [0, 0, 1], True),
+            ([[1, 1, 0]], [True], [1], [1, 1, 0], [1, 1, 1], True),
+        ],
+    )
+    def test_box_breaks_by_least_and_greatest_activity(self, coef, is_eq, rhs, lo, up, breaks):
+        rows = (np.array(coef, dtype=float), np.array(is_eq), np.array(rhs, dtype=float))
+        assert bnb._box_breaks(rows, np.array(lo, dtype=float), np.array(up, dtype=float)) is breaks
+
+    def test_the_cardinality_row_is_the_only_selector_row(self, small_noisy):
+        problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
+        coef, is_eq, rhs = bnb._selector_rows(problem, np.flatnonzero(problem.integer))
+        assert np.array_equal(coef, np.ones((1, 3)))
+        assert not is_eq.any()
+        assert np.array_equal(rhs, [2.0])
+
+    # Pinning every positive selector breaks sum(z) <= k whenever more than k
+    # are positive at the root; solving such a probe only wastes IPM iterations.
+    @settings(max_examples=12)
+    @given(
+        family=st.sampled_from(["quantile", "expectile"]),
+        n=st.integers(8, 12),
+        d=st.integers(3, 4),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_solving_every_node(self, family, n, d, k, seed):
+        ds = make_instance(n, d, seed=seed)
+        k = min(k, d - 1)
+        spec = EstimatorSpec(family, 0.5)
+        build = build_cqr if family == "quantile" else build_cer
+        problem = add_l0(build(ds, 0.5, ALL_PAIRS), L0Penalty(k, anchor_big_m(ds, spec, 1.0)))
+        skipping, lowers = _solve_recording_lowers(problem)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bnb, "_box_breaks", lambda *args: False)
+            solving = solve_mip(problem)
+        assert skipping.status is solving.status
+        assert np.array_equal(skipping.objective, solving.objective, equal_nan=True)
+        assert (skipping.x is None) is (solving.x is None)
+        if skipping.x is not None:
+            assert skipping.x.tobytes() == solving.x.tobytes()
+        assert skipping.nodes == len(lowers) <= solving.nodes
+        assert all(np.count_nonzero(lo == 1.0) <= k for lo in lowers)
+
 
 def _capped_l0_cer(monkeypatch):
     """solve_mip on a small L0-CER instance with the IPM capped at 20
-    iterations, and the status of every node relaxation."""
-    ds = make_instance(12, 3, seed=1)
+    iterations, and the status of every node relaxation.  The feasible node
+    with z_0 fixed to 0 stops at the cap."""
+    ds = make_instance(12, 3, seed=13)
     anchor = fit(ds, EstimatorSpec("expectile", 0.5))
     problem = add_l0(build_cer(ds, 0.5, ALL_PAIRS), L0Penalty(1, max(anchor.beta.max(), 1e-6)))
     monkeypatch.setattr(qp, "_MAX_IPM_ITERS", 20)
