@@ -48,7 +48,11 @@ its solves take few iterations where a cold solve of all rows takes many.
 Each round computes the slack matrix of its fit once; the tie checks,
 `separate` and the final worst slack all read it.  `initial_constraints`
 keeps its last result, so the lambda candidates of a CV fold, which share
-the fold's inputs, share one spanning tree.
+the fold's inputs, share one spanning tree.  The tree is built in numpy
+(`_spanning_tree`) with the edges `scipy.sparse.csgraph` would pick, ties
+included: importing csgraph for one call would load it with
+`scipy.sparse.linalg` and `scipy.linalg`, about 9 MiB of resident memory,
+into every process.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .data import Dataset
 from .model import FEAS_TOL, FitResult, OptProblem, afriat_rows, extract_fit
@@ -123,12 +126,44 @@ def initial_constraints(dataset: Dataset) -> list[tuple[int, int]]:
     X = dataset.inputs
     key = (X.shape, X.tobytes())
     if _seed_memo is None or _seed_memo[0] != key:
-        tree = minimum_spanning_tree(_distances(X)).tocoo()
-        edges = sorted(
-            (min(int(a), int(b)), max(int(a), int(b))) for a, b in zip(tree.row, tree.col)
-        )
+        edges = _spanning_tree(_distances(X))
         _seed_memo = (key, [pair for a, b in edges for pair in ((a, b), (b, a))])
     return list(_seed_memo[1])
+
+
+def _spanning_tree(dist: np.ndarray) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j, in sorted order, of the minimum spanning forest
+    that `scipy.sparse.csgraph.minimum_spanning_tree(dist)` returns.
+
+    Kruskal's algorithm as csgraph runs it: the entries are taken in the
+    order of a stable sort of their weights, row by row, and each one that
+    joins two components is kept.  csgraph reads a dense entry within 1e-8
+    of zero, or an infinite one, as no edge; rows closer than that, such as
+    duplicates, are not joined.  Only the entries above the diagonal are
+    scanned: each one's mirror comes later in that order and so joins
+    nothing, and the union-find rule does not change which entries are kept.
+    """
+    n = dist.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    weights = dist[rows, cols]
+    edge = (weights > 1e-8) & (weights < np.inf)
+    order = np.argsort(weights[edge], kind="stable")
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    tree = []
+    for i, j in zip(rows[edge][order].tolist(), cols[edge][order].tolist()):
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            tree.append((i, j))
+            if len(tree) == n - 1:
+                break
+    return sorted(tree)
 
 
 def _distances(X: np.ndarray) -> np.ndarray:
@@ -269,7 +304,7 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
     if sol.status is not Status.OPTIMAL:
         raise RuntimeError(f"solve ended with status {sol.status}")
     worst = float(slack.min())
-    gap = abs(sol.objective - sol.dual_objective) / (1.0 + abs(sol.objective))
+    gap = abs(sol.objective - session.dual_objective()) / (1.0 + abs(sol.objective))
     if worst < -FEAS_TOL or gap > _GAP_TOL:
         raise RuntimeError(
             f"grown LP not certified: worst Afriat slack {worst:.3g}, relative duality gap {gap:.3g}"

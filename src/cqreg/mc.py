@@ -11,8 +11,8 @@ estimator in full mode, on all n(n-1) Afriat rows.
 from __future__ import annotations
 
 import json
+import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
@@ -63,10 +63,12 @@ class MCConfig:
     exponent_mode: str = "even"  # "even": 0.8/k_true each; "position": 0.8/1, 0.8/2, ...
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"n must be an integer of at least 2, got {self.n!r}")
         if self.k_true < 1 or self.k_true > self.d:
             raise ValueError(f"k_true={self.k_true} must lie in [1, d={self.d}]")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not self.rho > 0:  # a NaN rho fails this too
+            raise ValueError(f"rho must be positive, got {self.rho}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if not self.taus or any(not 0 < t < 1 for t in self.taus):
@@ -244,6 +246,9 @@ def run_mc(
         raise ValueError(f"workers must be at least 1, got {workers}")
     jobs = [(cfg, rep, tuple(methods), cv) for rep in range(cfg.replications)]
     if workers > 1 and cfg.replications > 1:
+        # Imported here: it loads `multiprocessing`, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, jobs))
     else:

@@ -2,18 +2,15 @@
 
 `LpSession` holds one HiGHS instance from the bindings that scipy ships
 (`scipy.optimize._highspy._core`, a private scipy API; `pyproject.toml`
-requires a scipy that has it).  `_load_core` loads that one extension
-from its file instead of importing it.  An import would first run
-`scipy.optimize`'s `__init__`, which loads all of `scipy.optimize` with
-`scipy.spatial`, `scipy.fft` and `scipy.constants`: about 10 MiB of
-resident memory in every process that fits, for one compiled module.
-The loaded module is registered in `sys.modules` under its dotted name,
-and an entry already there is reused, so a later `import scipy.optimize`
-finds the same module object: HiGHS's bindings are initialized once and
-`linprog` keeps working.  (The package `scipy.optimize._highspy` then
-lacks a `_core` attribute; import statements still find the module.)
-The loader relies on scipy's private file layout,
-`scipy/optimize/_highspy/_core.*` (scipy >= 1.17).
+requires a scipy that has it).  `base.load_extension` loads that one
+extension from its file instead of importing it.  An import would first
+run `scipy.optimize`'s `__init__`, which loads all of `scipy.optimize`
+with `scipy.spatial`, `scipy.fft` and `scipy.constants`: about 10 MiB of
+resident memory in every process that fits, for one compiled module.  A
+later `import scipy.optimize` finds the same module object, so HiGHS's
+bindings are initialized once and `linprog` keeps working.  The loader
+relies on scipy's private file layout, `scipy/optimize/_highspy/_core.*`
+(scipy >= 1.17).
 
 `LpSession(problem)` passes the model exactly as
 `scipy.optimize.linprog(method="highs")` passes it: column-wise, the `<=`
@@ -52,48 +49,24 @@ cheaper.  The pricing rule only chooses the path to an optimum, so when
 it.  A fresh session and a solve with bounds use the default pricing, so
 cold solves are unaffected.
 
-Every optimal solve carries its dual objective, so it can be certified by
-comparing primal and dual objectives.
+A solve reads back only its status, iteration count, objective and `x`.
+The duals and the basis of the last optimal solve are read from HiGHS
+when `min_nonbasic_dual` or `dual_objective` asks for them, so a caller
+that certifies a fit pays for them and a branch-and-bound node does not.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 import time
 
 import numpy as np
-import scipy
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from ..model import OptProblem
-from .base import Solution, SolverError, Status
+from .base import Solution, SolverError, Status, load_extension
 
-
-def _load_core():
-    """scipy's HiGHS bindings, without importing `scipy.optimize`."""
-    name = "scipy.optimize._highspy._core"
-    module = sys.modules.get(name)
-    if module is not None:
-        return module
-    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
-    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
-    if spec is None:
-        raise ImportError(f"scipy's HiGHS bindings are not in {directory}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        del sys.modules[name]
-        raise
-    return module
-
-
-_core = _load_core()
+_core = load_extension("scipy.optimize._highspy._core")
 
 _MAX_SIMPLEX_ITERS = 100_000
 
@@ -172,8 +145,7 @@ class LpSession:
         self._highs = _core._Highs()
         for key, option in _OPTIONS:
             self._highs.setOptionValue(key, option)
-        # Duals and nonbasic masks of the last optimal solve.
-        self._last: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._x: np.ndarray | None = None  # x of the last solve, while it is optimal and current
         status = self._highs.passModel(
             n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
             problem.obj_linear, self._lower, self._upper,
@@ -200,6 +172,7 @@ class LpSession:
             raise SolverError("HiGHS rejected the appended rows")
         self._row_upper = np.concatenate([self._row_upper, rhs])
         self._le = np.concatenate([self._le, np.ones(m, dtype=bool)])
+        self._x = None
 
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
         """Solve the model from the last basis when there is one.  Given
@@ -218,7 +191,7 @@ class LpSession:
             if status == _core.HighsStatus.kError:
                 raise SolverError("HiGHS rejected the column bounds")
         start = time.perf_counter()
-        self._last = None
+        self._x = None
         self._highs.run()
         model_status = self._highs.getModelStatus()
         status = _STATUS.get(model_status)
@@ -228,45 +201,48 @@ class LpSession:
         iterations = info.simplex_iteration_count or info.ipm_iteration_count
         if status is not Status.OPTIMAL:
             return Solution(status, None, float("nan"), iterations, 0, time.perf_counter() - start)
-        solution = self._highs.getSolution()
-        x = np.array(solution.col_value)
-        col_dual = np.array(solution.col_dual)
-        row_dual = np.array(solution.row_dual)
-        cols, rows = self._nonbasic()
-        self._last = (col_dual, row_dual, cols, rows)
-        # Nonbasic columns sit at the bound their reduced cost prices.
-        dual = float(self._row_upper @ row_dual)
-        dual += float(col_dual[cols] @ x[cols])
+        self._x = np.array(self._highs.getSolution().col_value)
         return Solution(
             status=status,
-            x=x,
+            x=self._x,
             objective=float(info.objective_function_value),
             iterations=int(iterations),
             wall_time=time.perf_counter() - start,
-            dual_objective=dual,
         )
+
+    def dual_objective(self) -> float:
+        """Objective of the dual point of the last solve, which must have been
+        optimal, with no rows appended since."""
+        col_dual, row_dual, cols, _ = self._duals()
+        # Nonbasic columns sit at the bound their reduced cost prices.
+        dual = float(self._row_upper @ row_dual)
+        return dual + float(col_dual[cols] @ self._x[cols])
 
     def min_nonbasic_dual(self) -> float:
         """Smallest |reduced cost| over the nonbasic columns that are not fixed
         and the nonbasic `<=` rows of the last solve, which must have been
-        optimal (inf when there are none).
+        optimal, with no rows appended since (inf when there are none).
 
         When it is nonzero the basis is dual nondegenerate: moving any
         nonbasic variable off its bound raises the objective, so the basis's
         vertex is the only optimum.
         """
-        col_dual, row_dual, cols, rows = self._last
+        col_dual, row_dual, cols, rows = self._duals()
         reduced = np.concatenate([col_dual[cols & (self._lower < self._upper)], row_dual[rows & self._le]])
         return float(np.min(np.abs(reduced), initial=np.inf))
 
-    def _nonbasic(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of the nonbasic columns and rows of the last basis."""
+    def _duals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Column and row duals of the last solve, and the masks of its
+        nonbasic columns and rows."""
+        if self._x is None:
+            raise SolverError("no optimal solve of the current model to read duals from")
+        solution = self._highs.getSolution()
         _, basic = self._highs.getBasicVariables()
         cols = np.ones(self._lower.size, dtype=bool)
         rows = np.ones(self._le.size, dtype=bool)
         cols[basic[basic >= 0]] = False
         rows[-1 - basic[basic < 0]] = False
-        return cols, rows
+        return np.array(solution.col_dual), np.array(solution.row_dual), cols, rows
 
 
 def solve_lp(problem: OptProblem) -> Solution:

@@ -123,6 +123,27 @@ class TestExitCodes:
         assert "must be distinct" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--rho", "nan"), "rho must be positive, got nan"),
+            (("--rho", "0"), "rho must be positive, got 0.0"),
+            (("--rho", "-1"), "rho must be positive, got -1.0"),
+            (("--n", "0"), "n must be an integer of at least 2, got 0"),
+            (("--n", "1"), "n must be an integer of at least 2, got 1"),
+        ],
+        ids=["rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one"],
+    )
+    def test_bad_simulate_design_is_a_flag_error(self, tmp_path, capsys, monkeypatch, flags, message):
+        # The design is checked before any data is drawn.
+        monkeypatch.setattr(cli, "run_mc", lambda *args, **kwargs: pytest.fail("run_mc was called"))
+        out = tmp_path / "mc.csv"
+        args = ("simulate", "--n", 12, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "cqr",
+                "--out", out, *flags)
+        assert run(*args) == EXIT_FLAGS
+        assert capsys.readouterr().err == f"invalid flags: {message}\n"
+        assert not out.exists()
+
     def test_nan_tol_is_a_flag_error(self, csv_path, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert run(*fit_args(csv_path, out)) == EXIT_OK

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from cqreg import (
@@ -45,6 +46,33 @@ class TestInitialConstraints:
         got = [initial_constraints(ds) for ds in instances]
         monkeypatch.setattr(cuts, "_distances", lambda X: squareform(pdist(X)))
         assert [initial_constraints(ds) for ds in instances] == got
+
+    @pytest.mark.parametrize("kind", ["uniform", "integer-grid", "duplicate-rows", "closer-than-1e-8"])
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_tree_equals_csgraph_tree(self, monkeypatch, kind, d):
+        # csgraph's Kruskal is the reference the numpy tree replaces; ties
+        # between equal distances must pick the same edges.
+        rng = np.random.default_rng([d, len(kind)])
+        for n in (2, 3, 7, 20, 45):
+            X = rng.uniform(1.0, 10.0, (n, d))
+            if kind == "integer-grid":
+                X = rng.integers(0, 3, (n, d)).astype(float)
+            elif kind == "duplicate-rows":
+                X = rng.integers(0, 4, (n, d)).astype(float)
+                X[rng.integers(0, n, max(1, n // 3))] = X[0]
+            elif kind == "closer-than-1e-8":
+                X[1::2] = X[0::2][: n // 2] + rng.choice([0.0, 3e-9, 1e-8, 2e-8], (n // 2, 1))
+            monkeypatch.setattr(cuts, "_seed_memo", None)
+            tree = minimum_spanning_tree(cuts._distances(X)).tocoo()
+            want = sorted((min(a, b), max(a, b)) for a, b in zip(tree.row.tolist(), tree.col.tolist()))
+            got = initial_constraints(Dataset(X, np.zeros(n)))
+            assert got == [pair for a, b in want for pair in ((a, b), (b, a))]
+
+    @pytest.mark.parametrize("w", [0.0, np.nextafter(1e-8, 0), 1e-8, np.nextafter(1e-8, 1), np.inf])
+    def test_tree_reads_tiny_and_infinite_entries_as_csgraph_does(self, w):
+        dist = np.array([[0.0, w, 1.0], [w, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        tree = minimum_spanning_tree(dist).tocoo()
+        assert cuts._spanning_tree(dist) == sorted(zip(tree.row.tolist(), tree.col.tolist()))
 
     def test_collinear_mst(self):
         # x = (1, 2, 10): the unique MST is 1-2, 2-10.
@@ -383,12 +411,18 @@ class TestSolveFullLp:
 
     def test_open_duality_gap_is_not_returned(self, monkeypatch):
         solve = cuts.LpSession.solve
+        objectives = []
 
-        def perturbed(self, *args, **kwargs):
+        def recorded(self, *args, **kwargs):
             sol = solve(self, *args, **kwargs)
-            return replace(sol, dual_objective=sol.objective - 1e-8 * (1 + abs(sol.objective)))
+            objectives.append(sol.objective)
+            return sol
 
-        monkeypatch.setattr(cuts.LpSession, "solve", perturbed)
+        def perturbed(self):
+            return objectives[-1] - 1e-8 * (1 + abs(objectives[-1]))
+
+        monkeypatch.setattr(cuts.LpSession, "solve", recorded)
+        monkeypatch.setattr(cuts.LpSession, "dual_objective", perturbed)
         with pytest.raises(RuntimeError, match="relative duality gap 1e-08"):
             fit(make_instance(50, 4, seed=2), EstimatorSpec("quantile", 0.5))
 

@@ -88,9 +88,10 @@ class TestSolveLp:
     @pytest.mark.parametrize("seed", range(5))
     def test_duality_gap(self, seed):
         ds = make_instance(10, 2, seed=seed)
-        sol = solve_lp(build_cqr(ds, 0.7, ALL_PAIRS))
+        session = LpSession(build_cqr(ds, 0.7, ALL_PAIRS))
+        sol = session.solve()
         assert sol.status is Status.OPTIMAL
-        assert sol.dual_objective == pytest.approx(sol.objective, abs=1e-6)
+        assert session.dual_objective() == pytest.approx(sol.objective, abs=1e-6)
 
     @settings(max_examples=40)
     @given(
@@ -104,9 +105,10 @@ class TestSolveLp:
         problem = build_cqr(make_instance(n, d, seed=seed), level, ALL_PAIRS)
         if lam is not None:
             problem = add_l1(problem, L1Penalty(lam))
-        sol = solve_lp(problem)
+        session = LpSession(problem)
+        sol = session.solve()
         assert sol.status is Status.OPTIMAL
-        assert abs(sol.dual_objective - sol.objective) <= 1e-9 * (1.0 + abs(sol.objective))
+        assert abs(session.dual_objective() - sol.objective) <= 1e-9 * (1.0 + abs(sol.objective))
 
     def test_rejects_quadratic(self):
         ds = make_instance(4, 1)
@@ -150,6 +152,24 @@ res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
 print(res.status, res.x.tolist(), res.fun)
 """
         assert run_fresh(code).split() == ["0", "[1.0,", "0.0]", "1.0"]
+
+    @pytest.mark.parametrize("first", ["cqreg", "scipy.sparse.linalg"])
+    def test_superlu_loaded_once(self, first):
+        # The IPM loads SuperLU's kernel module from its file; whichever of
+        # cqreg and scipy.sparse.linalg comes first, both must hold one module
+        # object, and splu must still solve through it.
+        code = f"""
+import sys
+import {first}
+import cqreg.solver.qp as qp
+import numpy as np
+from scipy.sparse import csc_array
+from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve import _superlu
+assert _superlu is qp._superlu is sys.modules["scipy.sparse.linalg._dsolve._superlu"]
+print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).tolist())
+"""
+        assert run_fresh(code).split() == ["[1.0,", "1.0]"]
 
     def test_highs_bindings_present(self):
         # Private scipy API the session is built on; a scipy that drops any
@@ -275,7 +295,18 @@ print(res.status, res.x.tolist(), res.fun)
         cold = solve_lp(add_l1(build_cqr(ds, 0.5, initial_constraints(ds) + new), L1Penalty(0.1)))
         assert hot.status is Status.OPTIMAL
         assert hot.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert hot.dual_objective == pytest.approx(hot.objective, abs=1e-6)
+        assert session.dual_objective() == pytest.approx(hot.objective, abs=1e-6)
+
+    def test_duals_are_read_only_after_an_optimal_solve_of_the_current_model(self):
+        ds = make_instance(12, 2, seed=0)
+        session = LpSession(build_cqr(ds, 0.5, initial_constraints(ds)))
+        with pytest.raises(SolverError, match="no optimal solve"):
+            session.dual_objective()
+        assert session.solve().optimal
+        session.min_nonbasic_dual()
+        session.add_rows(*afriat_rows(ds, [(0, 1)]), np.zeros(1))
+        with pytest.raises(SolverError, match="no optimal solve"):
+            session.min_nonbasic_dual()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_new_bounds_after_add_rows_is_a_cold_solve(self, seed):
@@ -304,12 +335,13 @@ print(res.status, res.x.tolist(), res.fun)
             lower=lower,
             upper=upper,
         )
-        want = LpSession(stacked).solve()
+        fresh = LpSession(stacked)
+        want = fresh.solve()
         assert got.status is want.status is Status.OPTIMAL
         assert got.iterations == want.iterations
         assert np.array_equal(got.x, want.x)
         assert got.objective == want.objective
-        assert got.dual_objective == want.dual_objective
+        assert session.dual_objective() == fresh.dual_objective()
 
     def test_new_bounds_resolve_matches_fresh_session(self, small_noisy):
         problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
@@ -328,14 +360,15 @@ print(res.status, res.x.tolist(), res.fun)
             lower[z[fixed == 1]] = 1.0
             upper[z[fixed == 0]] = 0.0
             got = session.solve(lower, upper)
-            want = LpSession(replace(relaxed, lower=lower, upper=upper)).solve()
+            fresh = LpSession(replace(relaxed, lower=lower, upper=upper))
+            want = fresh.solve()
             statuses.append(got.status)
             assert got.status is want.status
             assert got.iterations == want.iterations
             if want.optimal:
                 assert np.array_equal(got.x, want.x)
                 assert got.objective == want.objective
-                assert got.dual_objective == want.dual_objective
+                assert session.dual_objective() == fresh.dual_objective()
         assert statuses[4:6] == [Status.INFEASIBLE, Status.OPTIMAL]
 
 
