@@ -18,6 +18,7 @@ the cold solve; the objective is the same.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable
@@ -95,24 +96,27 @@ def make_builder(dataset: Dataset, spec: EstimatorSpec) -> Callable[[object], Op
 
 def fit(dataset: Dataset, spec: EstimatorSpec) -> FitResult:
     """Fit the estimator; these problems are always feasible, so any
-    infeasible status is an internal error and raises."""
+    infeasible status is an internal error and raises.  `meta.wall_time`
+    is the time of this whole call."""
+    start = time.perf_counter()
     builder = make_builder(dataset, spec)
+    is_lp = spec.family == QUANTILE and not isinstance(spec.penalty, L0Penalty)
     if spec.solve == "cuts":
         result, _ = solve_with_cuts(builder, dataset, tol=spec.tol)
-        return result
-    is_lp = spec.family == QUANTILE and not isinstance(spec.penalty, L0Penalty)
-    if is_lp and dataset.n >= _GROWN_LP_MIN_N:
-        return solve_full_lp(builder, dataset)
-    problem = builder(ALL_PAIRS)
-    if problem.is_mip:
-        sol = solve_mip(problem)
-    elif problem.has_quad:
-        sol = solve_qp(problem)
+    elif is_lp and dataset.n >= _GROWN_LP_MIN_N:
+        result = solve_full_lp(builder, dataset)
     else:
-        sol = solve_lp(problem)
-    if sol.status is not Status.OPTIMAL:
-        raise RuntimeError(f"solve ended with status {sol.status}")
-    return extract_fit(problem, dataset, sol)
+        problem = builder(ALL_PAIRS)
+        if problem.is_mip:
+            sol = solve_mip(problem)
+        elif problem.has_quad:
+            sol = solve_qp(problem)
+        else:
+            sol = solve_lp(problem)
+        if sol.status is not Status.OPTIMAL:
+            raise RuntimeError(f"solve ended with status {sol.status}")
+        result = extract_fit(problem, dataset, sol)
+    return replace(result, meta=replace(result.meta, wall_time=time.perf_counter() - start))
 
 
 def support(fit_result: FitResult) -> frozenset:

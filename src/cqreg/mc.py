@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -160,14 +160,23 @@ def exact_support(support_hat, support_true) -> float:
 class MetricsReport:
     """Long-format aggregate of one sweep: one row per (method, tau, metric).
 
-    `failures` counts the replication cells that failed and were left out;
-    `fold_failures` counts the CV fold fits that failed while tuning the
-    cells that remain.
+    `failures_by_method` counts, for each method of the sweep, the
+    replication cells that failed and were left out; `fold_failures_by_method`
+    counts the CV fold fits that failed while tuning its cells.
+    `failures` and `fold_failures` are their totals.
     """
 
     rows: tuple[dict[str, Any], ...]
-    failures: int = 0
-    fold_failures: int = 0
+    failures_by_method: dict[str, int] = field(default_factory=dict)
+    fold_failures_by_method: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def failures(self) -> int:
+        return sum(self.failures_by_method.values())
+
+    @property
+    def fold_failures(self) -> int:
+        return sum(self.fold_failures_by_method.values())
 
     def to_csv(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -177,7 +186,7 @@ class MetricsReport:
 
     def to_json(self, path: str | os.PathLike) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            doc = {"rows": list(self.rows), "failures": self.failures, "fold_failures": self.fold_failures}
+            doc = {**asdict(self), "failures": self.failures, "fold_failures": self.fold_failures}
             json.dump(doc, handle, indent=2)
             handle.write("\n")
 
@@ -188,13 +197,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
+def _replicate(args: tuple) -> tuple[list[dict[str, Any]], dict[str, int], dict[str, int]]:
     """Worker: one replication of every method at every tau; returns its
-    rows, failed cells and failed CV fold fits."""
+    rows and, by method, its failed cells and failed CV fold fits."""
     cfg, rep, methods, cv = args
     scenario = generate_scenario(cfg, rep)
     rows: list[dict[str, Any]] = []
-    failures = fold_failures = 0
+    failures = dict.fromkeys(methods, 0)
+    fold_failures = dict.fromkeys(methods, 0)
     for name in methods:
         family, penalty_kind = METHODS[name]
         for tau in cfg.taus:
@@ -205,11 +215,11 @@ def _replicate(args: tuple) -> tuple[list[dict[str, Any]], int, int]:
                     final = fit(scenario.dataset, spec)
                 else:
                     report = cross_validate(scenario.dataset, spec, penalty_kind, cv)
-                    fold_failures += report.failures
+                    fold_failures[name] += report.failures
                     penalty = chosen_penalty(scenario.dataset, spec, report)
                     final = fit(scenario.dataset, replace(spec, penalty=penalty))
             except RuntimeError:
-                failures += 1
+                failures[name] += 1
                 continue
             selected = support(final)
             rows.append(
@@ -254,12 +264,9 @@ def run_mc(
     else:
         results = [_replicate(job) for job in jobs]
 
-    raw: list[dict[str, Any]] = []
-    failures = fold_failures = 0
-    for rows, failed, failed_folds in results:
-        raw.extend(rows)
-        failures += failed
-        fold_failures += failed_folds
+    raw = [row for rows, _, _ in results for row in rows]
+    failures = {name: sum(failed[name] for _, failed, _ in results) for name in methods}
+    fold_failures = {name: sum(failed[name] for _, _, failed in results) for name in methods}
 
     out: list[dict[str, Any]] = []
     for name in methods:

@@ -165,7 +165,9 @@ class OptProblem:
 
 @dataclass(frozen=True)
 class FitMeta:
-    """Solver diagnostics attached to a fitted model."""
+    """Solver diagnostics attached to a fitted model.  `wall_time` is set
+    once, by `estimators.fit`, to the seconds of the whole call; a fit read
+    out by a lower-level function leaves it at 0."""
 
     status: str
     iterations: int = 0
@@ -420,7 +422,6 @@ def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
         iterations=int(solution.iterations),
         nodes=int(solution.nodes),
         constraints=lay.afriat,
-        wall_time=float(solution.wall_time),
     )
     return FitResult(alpha, beta, eps_plus, eps_minus, y_hat, z, float(solution.objective), meta)
 

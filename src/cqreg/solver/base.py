@@ -59,14 +59,14 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Solution:
-    """Outcome of one solve: primal point, objective and work counters."""
+    """Outcome of one solve: primal point, objective and work counters.
+    It holds no time: `estimators.fit` times the whole fit, once."""
 
     status: Status
     x: np.ndarray | None
     objective: float
     iterations: int = 0
     nodes: int = 0
-    wall_time: float = 0.0
 
     @property
     def optimal(self) -> bool:

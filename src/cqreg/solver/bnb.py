@@ -16,15 +16,19 @@ activity over the box exceeds its right-hand side.  The expectile IPM is
 slow to prove such a node infeasible and often runs to its iteration cap.
 After the root solve a round-up probe fixes every positive selector to 1;
 when the cardinality row allows it this proves optimality in two solves,
-otherwise the probe is ruled out as above.  Children with z fixed to 1 are
-explored first, so a greedy dive reaches an integral incumbent within d
-solves.  A node whose relaxation stops at a solver cap is pruned as well,
-so a result can read optimal without being proven (ROADMAP item 6).
+otherwise the probe is ruled out as above.  On an integral root the probe
+is the root's own point.  Children with z fixed to 1 are explored first,
+so a greedy dive reaches an integral incumbent within d solves.  There is
+one incumbent rule, `try_fixed`: an integral point (the hint, the probe,
+a node's rounded z or a pinned leaf's bounds) is solved with the
+selectors pinned to it, and becomes the incumbent when that objective
+beats the incumbent's.  A node whose relaxation stops at a solver cap is
+pruned as well, so a result can read optimal without being proven
+(ROADMAP item 6).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,7 +99,6 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     is still pruned, and the result can read optimal: that is a known defect
     (ROADMAP item 6).
     """
-    start = time.perf_counter()
     int_idx = np.flatnonzero(problem.integer)
     selector_rows = _selector_rows(problem, int_idx)
     relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
@@ -118,10 +121,12 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
 
     def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
         iters = sum(sol.iterations for sol in solved.values())
-        return Solution(status, x, objective, iters, len(solved), time.perf_counter() - start)
+        return Solution(status, x, objective, iters, len(solved))
 
     def try_fixed(zfix: np.ndarray) -> None:
-        """Solve with z pinned to an integral point; update the incumbent."""
+        """The incumbent rule, which every pinned leaf goes through: solve
+        with z pinned to an integral point (once per point) and keep it when
+        it beats the incumbent."""
         nonlocal best_x, best_obj
         lo, up = lower.copy(), upper.copy()
         lo[int_idx] = zfix
@@ -142,15 +147,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     if incumbent_hint is not None:
         try_fixed(np.rint(incumbent_hint).astype(float))
 
-    zroot = root.x[int_idx]
-    if _pick_branch(zroot, int_idx) is None:
-        # Already integral: pin and certify.
-        try_fixed(np.rint(zroot).astype(float))
-    else:
-        # Round-up probe: selecting every positive z proves optimality when
-        # the big-M rows were already slack at the root; node_solve rules it
-        # out without a solve when it breaks the cardinality row.
-        try_fixed((zroot > _INT_TOL).astype(float))
+    # Round-up probe: selecting every positive z proves optimality when the
+    # big-M rows were already slack at the root (on an integral root it pins
+    # the root's own point); node_solve rules it out without a solve when it
+    # breaks the cardinality row.
+    try_fixed((root.x[int_idx] > _INT_TOL).astype(float))
     # best_obj stays inf until an incumbent is set.
     if best_obj <= root.objective + _GAP:
         return result(Status.OPTIMAL, best_x, best_obj)
@@ -170,14 +171,10 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         zvals = sol.x[int_idx]
         j = _pick_branch(zvals, int_idx)
         if j is None:
-            zfix = np.rint(zvals).astype(float)
-            if np.array_equal(node.lower[int_idx], node.upper[int_idx]):
-                if sol.objective < best_obj - 1e-12:
-                    x = sol.x.copy()
-                    x[int_idx] = zfix
-                    best_x, best_obj = x, sol.objective
-                continue
-            try_fixed(zfix)
+            # A pinned leaf passes its own bounds, so try_fixed reads back
+            # the solve above; it then always holds the incumbent.
+            pinned = np.array_equal(node.lower[int_idx], node.upper[int_idx])
+            try_fixed(node.lower[int_idx] if pinned else np.rint(zvals))
             if best_obj <= sol.objective + _GAP:
                 continue
             # Pinning the near-integral selectors moved the optimum; split on

@@ -12,19 +12,20 @@ bindings are initialized once and `linprog` keeps working.  The loader
 relies on scipy's private file layout, `scipy/optimize/_highspy/_core.*`
 (scipy >= 1.17).
 
-`LpSession(problem)` passes the model exactly as
-`scipy.optimize.linprog(method="highs")` passes it: column-wise, the `<=`
-rows first and the `=` rows after (a sense without rows is a 0-row
-block), infinities mapped to `kHighsInf`, presolve on, dual simplex, the
-simplex and IPM iteration caps at _MAX_SIMPLEX_ITERS and no output.  The
-first solve of a session is therefore the cold solve `linprog` gives,
-bit for bit.  The model goes in through the array overload of
-`passModel`: sizes, column-wise format, minimization, a zero offset,
-costs, column and row bounds, the CSC arrays and an all-continuous
-integrality array, which HiGHS turns into the `HighsLp` that `linprog`
-fills field by field.  The CSC arrays of the reordered rows are written
-by scipy's sparse kernels straight from the problem's CSR arrays, with
-the bits `csc_array(a[order])` would hold.
+`LpSession(problem)` gives HiGHS the model that
+`scipy.optimize.linprog(method="highs")` gives it: the `<=` rows first
+and the `=` rows after (a sense without rows is a 0-row block), presolve
+on, dual simplex, the simplex and IPM iteration caps at _MAX_SIMPLEX_ITERS
+and no output.  The first solve of a session is therefore the cold solve
+`linprog` gives, bit for bit.  The model goes in through the array
+overload of `passModel`: sizes, row-wise format, minimization, a zero
+offset, costs, column and row bounds, the CSR arrays of the reordered
+rows (scipy's `csr_row_index` gather, the bits `a[order]` holds) and an
+all-continuous integrality array.  HiGHS builds the column-wise matrix
+from the rows itself, the one `linprog`'s CSC arrays give, so the
+session never transposes the matrix.  Rows pass as CSR in both calls
+that take them, `passModel` and `addRows`.  Infinite bounds pass as
+`inf`, which is HiGHS's own infinity.
 
 `solve(lower, upper)` first replaces every column's bounds and clears the
 solver, so it is again a cold solve, without stacking the matrices or
@@ -57,8 +58,6 @@ that certifies a fit pays for them and a branch-and-bound node does not.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
@@ -85,7 +84,7 @@ _PRICING = "simplex_dual_edge_weight_strategy"
 _COLD_PRICING = -1
 _HOT_PRICING = 1
 
-_COLWISE = int(_core.MatrixFormat.kColwise)
+_ROWWISE = int(_core.MatrixFormat.kRowwise)
 _MINIMIZE = int(_core.ObjSense.kMinimize)
 
 _STATUS = {
@@ -96,29 +95,21 @@ _STATUS = {
 }
 
 
-def _csc_of_rows(
+def _csr_of_rows(
     a: sparse.csr_matrix, order: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSC arrays (column starts, row indices, values) of the rows of `a`
-    taken in `order`, with sorted row indices: the arrays
-    `sparse.csc_array(a[order])` holds, bit for bit, without building
-    either matrix."""
-    n_rows, n_cols = a.shape
+    """CSR arrays (row starts, column indices, values) of the rows of `a`
+    taken in `order`: the arrays `a[order]` holds, bit for bit, without
+    building the matrix."""
     idx = a.indptr.dtype
-    indptr = np.zeros(n_rows + 1, dtype=idx)
+    indptr = np.zeros(order.size + 1, dtype=idx)
     np.cumsum(np.diff(a.indptr)[order], out=indptr[1:])
     nnz = int(indptr[-1])
     indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
     _sparsetools.csr_row_index(
-        n_rows, order.astype(idx), a.indptr, a.indices, a.data, indices, data
+        order.size, order.astype(idx), a.indptr, a.indices, a.data, indices, data
     )
-    start, index, value = np.empty(n_cols + 1, dtype=idx), np.empty(nnz, dtype=idx), np.empty(nnz)
-    _sparsetools.csr_tocsc(n_rows, n_cols, indptr, indices, data, start, index, value)
-    return start, index, value
-
-
-def _highs_inf(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.asarray(values, dtype=float), -_core.kHighsInf, _core.kHighsInf)
+    return indptr, indices, data
 
 
 class LpSession:
@@ -136,10 +127,10 @@ class LpSession:
         n_rows = a.shape[0]
         is_eq = problem.sense == "E"
         order = np.argsort(is_eq, kind="stable")  # the `<=` rows, then the `=` rows
-        start, index, value = _csc_of_rows(a, order)
-        self._lower = _highs_inf(problem.lower)
-        self._upper = _highs_inf(problem.upper)
-        self._row_upper = _highs_inf(problem.rhs[order])
+        start, index, value = _csr_of_rows(a, order)
+        self._lower = np.array(problem.lower, dtype=float)
+        self._upper = np.array(problem.upper, dtype=float)
+        self._row_upper = problem.rhs[order].astype(float)
         self._le = ~is_eq[order]
 
         self._highs = _core._Highs()
@@ -147,9 +138,9 @@ class LpSession:
             self._highs.setOptionValue(key, option)
         self._x: np.ndarray | None = None  # x of the last solve, while it is optimal and current
         status = self._highs.passModel(
-            n_cols, n_rows, value.size, _COLWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
+            n_cols, n_rows, value.size, _ROWWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
             problem.obj_linear, self._lower, self._upper,
-            np.where(self._le, -_core.kHighsInf, self._row_upper), self._row_upper,
+            np.where(self._le, -np.inf, self._row_upper), self._row_upper,
             start, index, value,
             np.zeros(n_cols, dtype=np.int32),  # every column continuous
         )
@@ -163,11 +154,8 @@ class LpSession:
         `indptr` and `indices`, float64 `data`); the next solve starts from
         the current basis and prices with Devex."""
         m = rhs.shape[0]
-        rhs = _highs_inf(rhs)
         self._highs.setOptionValue(_PRICING, _HOT_PRICING)
-        status = self._highs.addRows(
-            m, np.full(m, -_core.kHighsInf), rhs, data.size, indptr[:-1], indices, data
-        )
+        status = self._highs.addRows(m, np.full(m, -np.inf), rhs, data.size, indptr[:-1], indices, data)
         if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the appended rows")
         self._row_upper = np.concatenate([self._row_upper, rhs])
@@ -180,8 +168,8 @@ class LpSession:
         the solve is a cold one (see the module docstring for when it gives
         a fresh session's bits)."""
         if lower is not None:
-            self._lower = _highs_inf(lower)
-            self._upper = _highs_inf(upper)
+            self._lower = np.array(lower, dtype=float)
+            self._upper = np.array(upper, dtype=float)
             self._highs.clearSolver()
             self._highs.setOptionValue(_PRICING, _COLD_PRICING)
             n_cols = self._lower.size
@@ -190,7 +178,6 @@ class LpSession:
             )
             if status == _core.HighsStatus.kError:
                 raise SolverError("HiGHS rejected the column bounds")
-        start = time.perf_counter()
         self._x = None
         self._highs.run()
         model_status = self._highs.getModelStatus()
@@ -200,14 +187,13 @@ class LpSession:
         info = self._highs.getInfo()
         iterations = info.simplex_iteration_count or info.ipm_iteration_count
         if status is not Status.OPTIMAL:
-            return Solution(status, None, float("nan"), iterations, 0, time.perf_counter() - start)
+            return Solution(status, None, float("nan"), iterations)
         self._x = np.array(self._highs.getSolution().col_value)
         return Solution(
             status=status,
             x=self._x,
             objective=float(info.objective_function_value),
             iterations=int(iterations),
-            wall_time=time.perf_counter() - start,
         )
 
     def dual_objective(self) -> float:

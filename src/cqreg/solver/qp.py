@@ -68,8 +68,6 @@ memory in every process, for one kernel.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
@@ -180,12 +178,11 @@ class QpContext:
         return l_s, u_s
 
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
-        start = time.perf_counter()
         l_s, u_s = self._scaled_bounds(lower, upper)
         x_s, y_row, status, iters = self._ipm(l_s, u_s)
         z_s = np.clip(self.a_s @ x_s, l_s, u_s)
         if status in (Status.INFEASIBLE, Status.UNBOUNDED):
-            return Solution(status, None, np.nan, iters, 0, time.perf_counter() - start)
+            return Solution(status, None, np.nan, iters)
         ok = self._acceptable(x_s, y_row, z_s, l_s / self.e, u_s / self.e)
         xu = self.d * x_s
         obj = float(self.q0 @ xu + 0.5 * (self.p_diag0 * xu) @ xu)
@@ -194,7 +191,6 @@ class QpContext:
             x=xu,
             objective=obj,
             iterations=iters,
-            wall_time=time.perf_counter() - start,
         )
 
     def _ipm(self, l_s: np.ndarray, u_s: np.ndarray):

@@ -280,12 +280,20 @@ def test_tune_report_is_the_full_mode_cross_validation(tmp_path):
     ],
     ids=["none", "l1", "l0", "none-n45", "l1-n45"],
 )
-def test_fit_then_verify_round_trip(tmp_path, capsys, n, flags):
+def test_fit_then_verify_round_trip(tmp_path, capsys, monkeypatch, n, flags):
     csv_path = write_csv(tmp_path / "data.csv", make_instance(n, 3, seed=3))
     out = tmp_path / "r.json"
+    original, fits = cli.fit, []
+
+    def recording_fit(dataset, spec):
+        fits.append(original(dataset, spec))
+        return fits[-1]
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
     assert run(*fit_args(csv_path, out, *flags)) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["solver"]["status"] == "optimal"
+    assert doc["solver"]["wall_time"] == fits[0].meta.wall_time > 0
     assert doc["solver"]["constraints"] == n * (n - 1)
     assert len(doc["observations"]) == n
     assert run("verify", "--result", out) == EXIT_OK

@@ -7,8 +7,11 @@ from scipy import integrate
 from scipy.stats import norm
 
 from cqreg import CVConfig, L1Penalty, MCConfig, SolverError, expectile_level_for_quantile, run_mc
-from cqreg import tuning
+from cqreg import mc, tuning
+from cqreg.cli import EXIT_OK, main
+from cqreg.estimators import EXPECTILE
 from cqreg.mc import METHODS, accuracy, exact_support, false_positives, generate_scenario
+from cqreg.tuning import default_lambda_grid
 from tests.conftest import run_fresh
 
 
@@ -47,8 +50,44 @@ def test_fold_failures_are_counted(monkeypatch, tmp_path, workers):
     report = run_mc(cfg, ("l1-cqr",), cv, workers=workers)
     assert report.failures == 0
     assert report.fold_failures == 2
+    assert report.fold_failures_by_method == {"l1-cqr": 2}
     report.to_json(tmp_path / "report.json")
     assert json.loads((tmp_path / "report.json").read_text())["fold_failures"] == 2
+
+
+def test_failures_are_attributed_to_their_method(monkeypatch, tmp_path, capsys):
+    # Every CER fit raises, as a failed solve does, and one L1-CQR fold fit
+    # per replication fails: each count lands on its own method, and only
+    # the CER cells are left out of the rows.
+    original_fit, original_fold_fit = mc.fit, tuning.fit
+    failing_lam = L1Penalty(default_lambda_grid(2)[-1])
+
+    def failing_cer(dataset, spec):
+        if spec.family == EXPECTILE:
+            raise SolverError("injected cell failure")
+        return original_fit(dataset, spec)
+
+    def failing_fold(dataset, spec):
+        if spec.penalty == failing_lam and dataset.n == 6:
+            raise SolverError("injected fold failure")
+        return original_fold_fit(dataset, spec)
+
+    monkeypatch.setattr(mc, "fit", failing_cer)
+    monkeypatch.setattr(tuning, "fit", failing_fold)
+    out = tmp_path / "report.json"
+    args = ("simulate", "--n", 11, "--d", 2, "--k-true", 1, "--reps", 2, "--methods", "l1-cqr,cer",
+            "--folds", 2, "--lambda-count", 2, "--workers", 1, "--out", tmp_path / "mc.csv", "--json", out)
+    assert main([str(a) for a in args]) == EXIT_OK
+    warnings = [line for line in capsys.readouterr().out.splitlines() if line.startswith("warning:")]
+    assert warnings == [
+        "warning: 2 replication cell(s) failed and were excluded",
+        "warning: 2 CV fold fit(s) failed; their candidates were left out",
+    ]
+    doc = json.loads(out.read_text())
+    assert (doc["failures"], doc["fold_failures"]) == (2, 2)
+    assert doc["failures_by_method"] == {"l1-cqr": 0, "cer": 2}
+    assert doc["fold_failures_by_method"] == {"l1-cqr": 2, "cer": 0}
+    assert {row["method"]: row["reps"] for row in doc["rows"]} == {"l1-cqr": 2, "cer": 0}
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.25, 0.5, 0.75, 0.9])

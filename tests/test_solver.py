@@ -175,7 +175,7 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         # Private scipy API the session is built on; a scipy that drops any
         # of it fails here rather than at the first fit.
         used = {
-            _core: ("_Highs", "kHighsInf", "MatrixFormat", "ObjSense", "HighsModelStatus", "HighsStatus"),
+            _core: ("_Highs", "MatrixFormat", "ObjSense", "HighsModelStatus", "HighsStatus"),
             _core._Highs: (
                 "passModel",
                 "addRows",
@@ -189,66 +189,62 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
                 "getSolution",
                 "getBasicVariables",
             ),
-            _core.MatrixFormat: ("kColwise",),
+            _core.MatrixFormat: ("kRowwise",),
             _core.ObjSense: ("kMinimize",),
             _core.HighsStatus: ("kError",),
             _core.HighsModelStatus: ("kOptimal", "kIterationLimit", "kInfeasible", "kUnbounded"),
-            lp_module._sparsetools: ("csr_row_index", "csr_tocsc"),
+            lp_module._sparsetools: ("csr_row_index",),
         }
         missing = [name for owner, names in used.items() for name in names if not hasattr(owner, name)]
         assert missing == []
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_reordered_csc_arrays_match_scipy(self, seed):
+    def test_reordered_csr_arrays_match_scipy(self, seed):
         # Any row order, not only the `<=`-rows-first one the builders give.
         rng = np.random.default_rng(seed)
         a = sparse.random(40, 25, density=0.2, format="csr", random_state=rng)
         order = rng.permutation(40)
-        want = sparse.csc_array(a[order])
-        for got, ref in zip(lp_module._csc_of_rows(a, order), (want.indptr, want.indices, want.data)):
+        want = a[order]
+        for got, ref in zip(lp_module._csr_of_rows(a, order), (want.indptr, want.indices, want.data)):
             assert got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
 
-    def test_array_load_solves_as_the_highs_lp_load(self):
-        # min x0 + 2 x1 s.t. x0 + x1 >= 1, 0 <= x0 <= 4, x1 >= 0, loaded
-        # through the array overload of passModel the session uses and
-        # through a HighsLp filled field by field.
-        start, index, value = np.array([0, 1, 2], dtype=np.int32), np.array([0, 0], dtype=np.int32), np.ones(2)
-        cost, lower, upper = np.array([1.0, 2.0]), np.zeros(2), np.array([4.0, _core.kHighsInf])
-        row_lower, row_upper = np.ones(1), np.full(1, _core.kHighsInf)
-        lp = _core.HighsLp()
-        lp.num_col_, lp.num_row_ = 2, 1
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = 2, 1
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, upper
-        lp.row_lower_, lp.row_upper_ = row_lower, row_upper
-        results = []
-        for load in (
-            lambda h: h.passModel(lp),
-            lambda h: h.passModel(
-                2, 1, 2, lp_module._COLWISE, lp_module._MINIMIZE, 0.0, cost, lower, upper,
-                row_lower, row_upper, start, index, value, np.zeros(2, dtype=np.int32),
-            ),
-        ):
-            highs = _core._Highs()
+    def test_array_load_solves_as_the_highs_lp_load(self, small_noisy):
+        # The row-wise arrays a session passes to passModel, and a HighsLp
+        # filled field by field with the column-wise matrix `linprog` passes,
+        # load one model: every bit of the solve agrees.
+        cqr = build_cqr(small_noisy, 0.5, ALL_PAIRS)
+        for problem in (cqr, add_l1(cqr, L1Penalty(0.1))):
+            is_eq = problem.sense == "E"
+            order = np.argsort(is_eq, kind="stable")
+            csc = sparse.csc_array(problem.a.tocsr()[order])
+            rhs = problem.rhs[order]
+            lp = _core.HighsLp()
+            lp.num_col_, lp.num_row_ = problem.n_vars, problem.n_rows
+            lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = problem.n_vars, problem.n_rows
+            lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = csc.indptr, csc.indices, csc.data
+            lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.obj_linear, problem.lower, problem.upper
+            lp.row_lower_, lp.row_upper_ = np.where(is_eq[order], rhs, -np.inf), rhs
+            reference = _core._Highs()
             for key, option in lp_module._OPTIONS:
-                highs.setOptionValue(key, option)
-            assert load(highs) != _core.HighsStatus.kError
-            highs.run()
-            solution = highs.getSolution()
-            results.append(
-                (
-                    highs.getModelStatus(),
-                    highs.getInfo().objective_function_value,
-                    highs.getInfo().simplex_iteration_count,
-                    *(np.array(v).tobytes() for v in (solution.col_value, solution.col_dual, solution.row_dual)),
-                    np.asarray(highs.getBasicVariables()[1]).tobytes(),
+                reference.setOptionValue(key, option)
+            assert reference.passModel(lp) != _core.HighsStatus.kError
+            results = []
+            for highs in (reference, LpSession(problem)._highs):
+                highs.run()
+                solution = highs.getSolution()
+                results.append(
+                    (
+                        highs.getModelStatus(),
+                        highs.getInfo().objective_function_value,
+                        highs.getInfo().simplex_iteration_count,
+                        *(np.array(v).tobytes() for v in (solution.col_value, solution.col_dual, solution.row_dual)),
+                        np.asarray(highs.getBasicVariables()[1]).tobytes(),
+                    )
                 )
-            )
-        assert results[0][0] == _core.HighsModelStatus.kOptimal
-        assert results[0][1] == 1.0
-        assert results[1] == results[0]
+            assert results[0][0] == _core.HighsModelStatus.kOptimal
+            assert results[1] == results[0]
 
     @pytest.mark.parametrize("instance", ["small_noisy", "noiseless_linear", "le_rows_only", "eq_rows_only"])
     @pytest.mark.parametrize("lam", [None, 0.1])
