@@ -48,6 +48,8 @@ class Status(str, Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    # A solve given an objective bound proved its optimum above that bound.
+    CUTOFF = "cutoff"
 
     def __str__(self) -> str:  # pragma: no cover
         return self.value

@@ -4,11 +4,33 @@ The integer variables are the d selectors z, so the tree has at most 2^d
 leaves; each node solves an LP or diagonal-QP relaxation with tightened
 z bounds.  One relaxation model is built per `solve_mip`: an `LpSession`,
 or a `QpContext` with its constraint matrices, scaling and KKT pattern.
-A node calls its `solve(lower, upper)` with its own bounds; for an LP that
-is a cold solve, which gives the bits a fresh session would.  Only selector
-bounds differ between nodes, and a selector bound set that comes back (the
-root as the first tree node, or a hinted or probed point that is also a
-leaf) is solved once.
+
+Which solves are cold.  The root and every solve the incumbent rule reads
+call the model's `solve(lower, upper)`; for an LP that is a cold solve,
+which gives the bits a fresh session would.  Only selector bounds differ
+between nodes, and a selector bound set that comes back (the root as the
+first tree node, or a hinted or probed point that is also a leaf) is
+solved once.  There is one incumbent rule, `try_fixed`: an integral point
+(the hint, the probe, a node's rounded z or a pinned leaf's bounds) is
+solved with the selectors pinned to it, and becomes the incumbent when
+that objective beats the incumbent's.  Every point that can become the
+result therefore comes from a cold solve, whatever the tree looks like.
+
+Hot nodes.  Every other LP tree node is solved in a second `LpSession`,
+made when the tree first needs one, by dual simplex from its parent's
+optimal basis (`solve_hot`).  Its objective bound is the incumbent cutoff
+`best_obj - _GAP`: dual simplex keeps a dual feasible basis, so its dual
+objective is a lower bound on the node's optimum, and once that bound
+passes the cutoff HiGHS stops with status CUTOFF.  The node could not
+have beaten the incumbent by more than the gap, so it is pruned, as a
+full solve with that objective would have been.  A hot node supplies only
+this prune, a bound for its children and a branching choice.  A dual
+degenerate node can end at another optimal vertex than a cold solve
+would, which can change the branching and so the tree, but not the
+incumbent's bits.  A hot solve that ends any other way than optimal,
+infeasible or cut off gets the cold solve instead.  QP nodes are all
+solved through `solve(lower, upper)`: the IPM has no basis.
+
 A node whose selector box breaks a row that involves only selectors (in
 every model built here, the cardinality row sum(z) <= k) is pruned as
 infeasible without a solve and does not count in `nodes`: the row's least
@@ -18,13 +40,9 @@ After the root solve a round-up probe fixes every positive selector to 1;
 when the cardinality row allows it this proves optimality in two solves,
 otherwise the probe is ruled out as above.  On an integral root the probe
 is the root's own point.  Children with z fixed to 1 are explored first,
-so a greedy dive reaches an integral incumbent within d solves.  There is
-one incumbent rule, `try_fixed`: an integral point (the hint, the probe,
-a node's rounded z or a pinned leaf's bounds) is solved with the
-selectors pinned to it, and becomes the incumbent when that objective
-beats the incumbent's.  A node whose relaxation stops at a solver cap is
-pruned as well, so a result can read optimal without being proven
-(ROADMAP item 6).
+so a greedy dive reaches an integral incumbent within d solves.  A node
+whose relaxation stops at a solver cap is pruned as well, so a result
+can read optimal without being proven (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -34,7 +52,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..model import OptProblem
-from .base import Solution, Status
+from .base import Solution, SolverError, Status
 from .lp import LpSession
 # Unused: kept only because bench/instrument.py wraps it; ROADMAP item 8 deletes it.
 from .lp import solve_lp as solve_arrays  # noqa: F401
@@ -52,6 +70,7 @@ class _Node:
     lower: np.ndarray
     upper: np.ndarray
     bound: float
+    basis: object = None  # the parent's optimal basis; None at the root and on QP nodes
 
 
 def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
@@ -92,23 +111,32 @@ def _box_breaks(rows: tuple[np.ndarray, np.ndarray, np.ndarray], lo: np.ndarray,
 def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> Solution:
     """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic).
 
-    A node whose selector bounds break a row that involves only selectors is
-    infeasible by that row alone; it is pruned without a relaxation solve and
-    is not counted in `nodes`, which counts relaxations solved.  A node whose
-    relaxation ends neither optimal nor infeasible (the IPM's iteration cap)
-    is still pruned, and the result can read optimal: that is a known defect
+    `nodes` and `iterations` count every relaxation solved: cold, hot and
+    cut off.  A node whose selector bounds break a row that involves only
+    selectors is infeasible by that row alone; it is pruned without a
+    relaxation solve and is not counted.  A node whose relaxation ends
+    neither optimal nor infeasible (the IPM's iteration cap) is still
+    pruned, and the result can read optimal: that is a known defect
     (ROADMAP item 6).
     """
     int_idx = np.flatnonzero(problem.integer)
     selector_rows = _selector_rows(problem, int_idx)
     relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
     relax = QpContext(relaxed) if problem.has_quad else LpSession(relaxed)
+    tree: LpSession | None = None  # hot node solves; made when the tree first needs one
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
 
     best_x: np.ndarray | None = None
     best_obj = np.inf
     # Keyed by selector bounds: the continuous bounds are the same at every node.
     solved: dict[bytes, Solution] = {}
+    nodes = iterations = 0  # over every relaxation solved, cold or hot
+
+    def counted(sol: Solution) -> Solution:
+        nonlocal nodes, iterations
+        nodes += 1
+        iterations += sol.iterations
+        return sol
 
     def node_solve(lo, up) -> Solution:
         zlo, zup = lo[int_idx], up[int_idx]
@@ -116,12 +144,29 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         if key not in solved:
             if _box_breaks(selector_rows, zlo, zup):
                 return _RULED_OUT
-            solved[key] = relax.solve(lo, up)
+            solved[key] = counted(relax.solve(lo, up))
         return solved[key]
 
+    def hot_solve(node: _Node) -> tuple[Solution, LpSession]:
+        """The node's relaxation from its parent's basis, stopped at the
+        incumbent cutoff, and the session that solved it.  A hot solve that
+        ends any other way than optimal, infeasible or cut off gets the cold
+        solve instead."""
+        nonlocal tree
+        if _box_breaks(selector_rows, node.lower[int_idx], node.upper[int_idx]):
+            return _RULED_OUT, relax
+        if tree is None:
+            tree = LpSession(relaxed)
+        try:
+            sol = counted(tree.solve_hot(node.basis, node.lower, node.upper, best_obj - _GAP))
+        except SolverError:  # a HiGHS status no node outcome maps to; not counted
+            sol = None
+        if sol is not None and sol.status in (Status.OPTIMAL, Status.INFEASIBLE, Status.CUTOFF):
+            return sol, tree
+        return node_solve(node.lower, node.upper), relax
+
     def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
-        iters = sum(sol.iterations for sol in solved.values())
-        return Solution(status, x, objective, iters, len(solved))
+        return Solution(status, x, objective, iterations, nodes)
 
     def try_fixed(zfix: np.ndarray) -> None:
         """The incumbent rule, which every pinned leaf goes through: solve
@@ -134,7 +179,9 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         sol = node_solve(lo, up)
         if sol.optimal and sol.objective < best_obj - 1e-12:
             x = sol.x.copy()
-            x[int_idx] = zfix
+            # abs turns a rounded -0.0 into 0.0, so x's bits do not depend
+            # on which node's rounding reached this point.
+            x[int_idx] = np.abs(zfix)
             best_x, best_obj = x, sol.objective
 
     root = node_solve(lower, upper)
@@ -143,6 +190,7 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         return result(root.status, None, -np.inf if root.status is Status.UNBOUNDED else np.nan)
     if int_idx.size == 0:
         return result(root.status, root.x, root.objective)
+    root_basis = relax.basis() if isinstance(relax, LpSession) else None
 
     if incumbent_hint is not None:
         try_fixed(np.rint(incumbent_hint).astype(float))
@@ -159,21 +207,29 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     stack = [_Node(lower, upper, root.objective)]
     limited = False
     while stack:
-        if len(solved) >= _MAX_NODES:
+        if nodes >= _MAX_NODES:
             limited = True
             break
         node = stack.pop()
         if node.bound >= best_obj - _GAP:
             continue
-        sol = node_solve(node.lower, node.upper)
+        pinned = np.array_equal(node.lower[int_idx], node.upper[int_idx])
+        if node.basis is None or pinned:
+            # The root, solved already, or a pinned leaf, which try_fixed
+            # reads and which never branches.
+            sol, session = node_solve(node.lower, node.upper), None
+        else:
+            sol, session = hot_solve(node)
         if not sol.optimal or sol.objective >= best_obj - _GAP:
             continue
+        # The children start from this node's basis: read it before
+        # try_fixed re-solves `relax`.
+        basis = session.basis() if session else root_basis
         zvals = sol.x[int_idx]
         j = _pick_branch(zvals, int_idx)
         if j is None:
             # A pinned leaf passes its own bounds, so try_fixed reads back
             # the solve above; it then always holds the incumbent.
-            pinned = np.array_equal(node.lower[int_idx], node.upper[int_idx])
             try_fixed(node.lower[int_idx] if pinned else np.rint(zvals))
             if best_obj <= sol.objective + _GAP:
                 continue
@@ -186,8 +242,8 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         lo1, up1 = node.lower.copy(), node.upper.copy()
         lo1[j] = 1.0
         # LIFO: push the exclude-child first so the include-child dives first.
-        stack.append(_Node(lo0, up0, sol.objective))
-        stack.append(_Node(lo1, up1, sol.objective))
+        stack.append(_Node(lo0, up0, sol.objective, basis))
+        stack.append(_Node(lo1, up1, sol.objective, basis))
 
     if best_x is None:
         return result(Status.ITERATION_LIMIT if limited else Status.INFEASIBLE, None, np.nan)

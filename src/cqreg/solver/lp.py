@@ -30,7 +30,7 @@ that take them, `passModel` and `addRows`.  Infinite bounds pass as
 `solve(lower, upper)` first replaces every column's bounds and clears the
 solver, so it is again a cold solve, without stacking the matrices or
 passing the model anew; `solve()` keeps the bounds and the basis.
-Branch-and-bound re-solves its one relaxation this way per node.  A
+Branch-and-bound solves its root and every pinned point this way.  A
 solve with bounds is the cold solve a fresh session with those bounds
 gives, bit for bit, only when every row was passed before the session's
 first solve: after `solve` and then `add_rows`, `x` and the objective can
@@ -49,6 +49,16 @@ cheaper.  The pricing rule only chooses the path to an optimum, so when
 `min_nonbasic_dual` shows that optimum is unique, the rule cannot change
 it.  A fresh session and a solve with bounds use the default pricing, so
 cold solves are unaffected.
+
+`solve_hot(basis, lower, upper, bound)` is branch-and-bound's node
+re-solve: it replaces every column's bounds, installs `basis` (a
+`basis()` read after an optimal solve of the same model under other
+bounds) and runs dual simplex from it, without presolve, at the session's
+pricing.  `bound` is HiGHS's `objective_bound`: dual simplex stops as soon
+as its dual objective, a lower bound on the optimum, exceeds it, and the
+solve returns status CUTOFF without a point.  The bound holds for that one
+solve.  A cold solve never carries a bound, so it always runs to its
+optimum; only a hot solve can return CUTOFF.
 
 A solve reads back only its status, iteration count, objective and `x`.
 The duals and the basis of the last optimal solve are read from HiGHS
@@ -93,6 +103,8 @@ _STATUS = {
     _core.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
     _core.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
 }
+_HOT_STATUS = {**_STATUS, _core.HighsModelStatus.kObjectiveBound: Status.CUTOFF}
+_BOUND = "objective_bound"  # dual simplex stops once its objective exceeds it
 
 
 def _csr_of_rows(
@@ -168,20 +180,44 @@ class LpSession:
         the solve is a cold one (see the module docstring for when it gives
         a fresh session's bits)."""
         if lower is not None:
-            self._lower = np.array(lower, dtype=float)
-            self._upper = np.array(upper, dtype=float)
             self._highs.clearSolver()
             self._highs.setOptionValue(_PRICING, _COLD_PRICING)
-            n_cols = self._lower.size
-            status = self._highs.changeColsBounds(
-                n_cols, np.arange(n_cols, dtype=np.int32), self._lower, self._upper
-            )
-            if status == _core.HighsStatus.kError:
-                raise SolverError("HiGHS rejected the column bounds")
+            self._set_bounds(lower, upper)
+        return self._run(_STATUS)
+
+    def solve_hot(self, basis, lower: np.ndarray, upper: np.ndarray, bound: float) -> Solution:
+        """Replace every column's bounds and run dual simplex from `basis`
+        (a `basis()` of this model) under the objective bound `bound`: the
+        solve ends with status CUTOFF once its dual objective exceeds it.
+        The bound holds for this one solve."""
+        if self._highs.setBasis(basis) == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the basis")
+        self._set_bounds(lower, upper)
+        self._highs.setOptionValue(_BOUND, bound)
+        try:
+            return self._run(_HOT_STATUS)
+        finally:
+            self._highs.setOptionValue(_BOUND, np.inf)
+
+    def basis(self):
+        """HiGHS's basis after the last solve, to pass to `solve_hot`."""
+        return self._highs.getBasis()
+
+    def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
+        self._lower = np.array(lower, dtype=float)
+        self._upper = np.array(upper, dtype=float)
+        n_cols = self._lower.size
+        status = self._highs.changeColsBounds(
+            n_cols, np.arange(n_cols, dtype=np.int32), self._lower, self._upper
+        )
+        if status == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the column bounds")
+
+    def _run(self, statuses: dict) -> Solution:
         self._x = None
         self._highs.run()
         model_status = self._highs.getModelStatus()
-        status = _STATUS.get(model_status)
+        status = statuses.get(model_status)
         if status is None:
             raise SolverError(f"LP solve failed: {self._highs.modelStatusToString(model_status)}")
         info = self._highs.getInfo()

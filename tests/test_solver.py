@@ -21,6 +21,7 @@ from cqreg import (
     L0Penalty,
     L1Penalty,
     OptProblem,
+    Solution,
     SolverError,
     Status,
     add_l0,
@@ -366,6 +367,27 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
                 assert got.objective == want.objective
                 assert session.dual_objective() == fresh.dual_objective()
         assert statuses[4:6] == [Status.INFEASIBLE, Status.OPTIMAL]
+
+    def test_hot_solve_stops_at_its_objective_bound_only(self, small_noisy):
+        problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(1, 5.0))
+        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+        session = LpSession(relaxed)
+        root = session.solve(relaxed.lower, relaxed.upper)
+        basis = session.basis()
+        lower, upper = relaxed.lower.copy(), relaxed.upper.copy()
+        upper[np.flatnonzero(problem.integer)] = [0.0, 1.0, 1.0]
+        cold = LpSession(replace(relaxed, lower=lower, upper=upper)).solve()
+        assert cold.objective > root.objective + 1e-3
+
+        cut = session.solve_hot(basis, lower, upper, (root.objective + cold.objective) / 2)
+        assert cut.status is Status.CUTOFF and cut.x is None
+        hot = session.solve_hot(basis, lower, upper, np.inf)
+        assert hot.optimal and hot.objective == pytest.approx(cold.objective, abs=1e-9)
+        # The bound does not carry over: a cold solve after hot ones is a
+        # fresh session's.
+        again = session.solve(lower, upper)
+        assert again.x.tobytes() == cold.x.tobytes()
+        assert again.iterations == cold.iterations
 
 
 @pytest.mark.parametrize(
@@ -1087,38 +1109,78 @@ class TestSolveMip:
 
     @pytest.mark.parametrize("n", [12, 16, 20])
     @pytest.mark.parametrize("master", ["full", "cuts"])
-    def test_matches_fresh_session_at_every_node(self, monkeypatch, n, master):
-        ds = make_instance(n, 3, seed=n)
-        spec = EstimatorSpec("quantile", 0.5)
-        pairs = ALL_PAIRS if master == "full" else initial_constraints(ds)
-        problem = add_l0(build_cqr(ds, 0.5, pairs), L0Penalty(2, anchor_big_m(ds, spec, 1.0)))
+    def test_matches_fresh_session_at_every_node(self, n, master):
+        problem = _l0_cqr(make_instance(n, 3, seed=n), master, k=2, multiplier=1.0)
         kept = solve_mip(problem)
-
-        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
-        original = LpSession.solve
-
-        def fresh(self, lower, upper):
-            return original(LpSession(replace(relaxed, lower=lower, upper=upper)))
-
-        monkeypatch.setattr(LpSession, "solve", fresh)
-        rebuilt = solve_mip(problem)
+        rebuilt = _cold_bnb(problem)
         assert kept.status is rebuilt.status is Status.OPTIMAL
-        assert np.array_equal(kept.x, rebuilt.x)
-        assert kept.objective == rebuilt.objective
-        assert kept.nodes == rebuilt.nodes
+        _assert_same_result(kept, rebuilt)
 
-    def test_repeated_bounds_are_solved_once(self, monkeypatch, small_noisy):
+    # The tree's hot nodes supply only bounds and branching choices, so every
+    # point that can become the result is a cold solve's: the result is the
+    # all-cold B&B's, bit for bit, on full and MST-seed masters alike.
+    @settings(max_examples=25)
+    @given(
+        master=st.sampled_from(["full", "cuts"]),
+        n=st.integers(8, 20),
+        d=st.integers(3, 6),
+        k=st.integers(1, 5),
+        multiplier=st.sampled_from([1.0, 10.0]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_hot_nodes_match_the_cold_bnb(self, master, n, d, k, multiplier, seed):
+        problem = _l0_cqr(make_instance(n, d, seed=seed), master, min(k, d - 1), multiplier)
+        _assert_same_result(solve_mip(problem), _cold_bnb(problem))
+
+    @pytest.mark.parametrize("n, d, seed", [(20, 5, 6), (20, 6, 3), (24, 6, 8), (30, 6, 4)])
+    @pytest.mark.parametrize("master", ["full", "cuts"])
+    def test_cut_off_nodes_are_above_their_cutoff(self, master, n, d, seed):
+        problem = _l0_cqr(make_instance(n, d, seed=seed), master, k=2, multiplier=1.0)
+        sol, solves = _solve_recording(problem)
+        cut = [s for s in solves if s.sol.status is Status.CUTOFF]
+        assert cut
+        relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+        for s in cut:
+            # The incumbent only improves, so no cutoff lies below the
+            # result's objective less the gap.
+            assert s.bound >= sol.objective - bnb._GAP
+            cold = LpSession(replace(relaxed, lower=s.lower, upper=s.upper)).solve()
+            assert cold.status is Status.INFEASIBLE or cold.objective >= s.bound - 1e-9
+
+    @pytest.mark.parametrize("master", ["full", "cuts"])
+    def test_capped_hot_nodes_get_their_cold_solve(self, master):
+        problem = _l0_cqr(make_instance(20, 5, seed=7), master, k=2, multiplier=1.0)
+        sol, solves = _solve_recording(problem, hot_iteration_cap=3)
+        capped = [i for i, s in enumerate(solves) if s.hot and s.sol.status is Status.ITERATION_LIMIT]
+        assert capped and len(capped) < sum(s.hot for s in solves)
+        for i in capped:
+            hot, after = solves[i], solves[i + 1]
+            assert not after.hot
+            assert np.array_equal(after.lower, hot.lower) and np.array_equal(after.upper, hot.upper)
+        assert sol.nodes == len(solves)
+        _assert_same_result(sol, _cold_bnb(problem))
+
+    def test_nodes_and_iterations_count_every_highs_run(self, monkeypatch):
+        problem = _l0_cqr(make_instance(20, 6, seed=3), "cuts", k=2, multiplier=1.0)
+        runs = []
+
+        def counting(self, original=_core._Highs.run):
+            status = original(self)
+            runs.append(self.getInfo().simplex_iteration_count)
+            return status
+
+        monkeypatch.setattr(_core._Highs, "run", counting)
+        sol, solves = _solve_recording(problem)
+        assert {s.sol.status for s in solves if s.hot} >= {Status.OPTIMAL, Status.CUTOFF}
+        assert sol.nodes == len(runs) == len(solves)
+        assert sol.iterations == sum(runs)
+
+    def test_repeated_bounds_are_solved_once(self, small_noisy):
         problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(1, 1.0))
-        bounds = []
-        original = LpSession.solve
-
-        def recording(self, lower, upper):
-            bounds.append((lower[problem.integer].tobytes(), upper[problem.integer].tobytes()))
-            return original(self, lower, upper)
-
-        monkeypatch.setattr(LpSession, "solve", recording)
-        sol = solve_mip(problem, incumbent_hint=np.array([1.0, 0.0, 0.0]))
-        assert len(bounds) == len(set(bounds)) == sol.nodes
+        sol, solves = _solve_recording(problem, incumbent_hint=np.array([1.0, 0.0, 0.0]))
+        boxes = [(s.lower[problem.integer].tobytes(), s.upper[problem.integer].tobytes()) for s in solves]
+        assert any(s.hot for s in solves)
+        assert len(boxes) == len(set(boxes)) == sol.nodes
 
     # Bertsimas, King and Mazumder (2016): the big-M MIP against enumeration.
     @settings(max_examples=20)
@@ -1155,19 +1217,63 @@ class TestSolveMip:
         assert sol.objective == pytest.approx(oracle_obj, abs=1e-6)
 
 
-def _solve_recording_lowers(problem: OptProblem) -> tuple:
-    """solve_mip on `problem`, and the selector lower bounds of every
-    relaxation it solved."""
-    lowers = []
+def _l0_cqr(ds: Dataset, master: str, k: int, multiplier: float) -> OptProblem:
+    """L0-CQR at the median on all Afriat rows or on the MST seed pairs,
+    with big-M from `anchor_big_m`."""
+    spec = EstimatorSpec("quantile", 0.5)
+    pairs = ALL_PAIRS if master == "full" else initial_constraints(ds)
+    return add_l0(build_cqr(ds, 0.5, pairs), L0Penalty(k, anchor_big_m(ds, spec, multiplier)))
+
+
+def _cold_bnb(problem: OptProblem) -> Solution:
+    """solve_mip with every LP relaxation, hot nodes included, solved cold in
+    a fresh session: the branch-and-bound whose result the tree's hot nodes
+    must not change."""
+    relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
+    original = LpSession.solve
+
+    def fresh(self, lower, upper):
+        return original(LpSession(replace(relaxed, lower=lower, upper=upper)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LpSession, "solve", fresh)
+        mp.setattr(LpSession, "solve_hot", lambda self, basis, lower, upper, bound: fresh(self, lower, upper))
+        return solve_mip(problem)
+
+
+def _assert_same_result(a: Solution, b: Solution) -> None:
+    assert a.status is b.status
+    assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert (a.x is None) is (b.x is None)
+    if a.x is not None:
+        assert a.x.tobytes() == b.x.tobytes()
+
+
+def _solve_recording(problem: OptProblem, incumbent_hint=None, hot_iteration_cap=None) -> tuple:
+    """solve_mip on `problem`, and every relaxation it solved, in order:
+    whether it was a hot LP solve, its bounds, its objective bound (inf for
+    a cold solve) and its outcome.  `hot_iteration_cap` caps the simplex
+    iterations of the hot solves."""
+    solves = []
+
+    def record(hot, lower, upper, bound, sol):
+        solves.append(SimpleNamespace(hot=hot, lower=lower.copy(), upper=upper.copy(), bound=bound, sol=sol))
+        return sol
+
+    def hot(self, basis, lower, upper, bound, original=LpSession.solve_hot):
+        if hot_iteration_cap is not None:
+            self._highs.setOptionValue("simplex_iteration_limit", hot_iteration_cap)
+        return record(True, lower, upper, bound, original(self, basis, lower, upper, bound))
+
     with pytest.MonkeyPatch.context() as mp:
         for cls in (LpSession, qp.QpContext):
 
-            def recording(self, lower, upper, original=cls.solve):
-                lowers.append(lower[problem.integer].copy())
-                return original(self, lower, upper)
+            def cold(self, lower, upper, original=cls.solve):
+                return record(False, lower, upper, np.inf, original(self, lower, upper))
 
-            mp.setattr(cls, "solve", recording)
-        return solve_mip(problem), lowers
+            mp.setattr(cls, "solve", cold)
+        mp.setattr(LpSession, "solve_hot", hot)
+        return solve_mip(problem, incumbent_hint), solves
 
 
 class TestSelectorRowSkip:
@@ -1210,7 +1316,8 @@ class TestSelectorRowSkip:
         spec = EstimatorSpec(family, 0.5)
         build = build_cqr if family == "quantile" else build_cer
         problem = add_l0(build(ds, 0.5, ALL_PAIRS), L0Penalty(k, anchor_big_m(ds, spec, 1.0)))
-        skipping, lowers = _solve_recording_lowers(problem)
+        skipping, solves = _solve_recording(problem)
+        lowers = [s.lower[problem.integer] for s in solves]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bnb, "_box_breaks", lambda *args: False)
             solving = solve_mip(problem)
