@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .model import FEAS_TOL, FitResult, OptProblem, afriat_rows, extract_fit
+from .model import FEAS_TOL, FitResult, OptProblem, afriat_rows, afriat_slack, extract_fit
 from .solver import Solution, Status, solve_mip, solve_qp
 # Unused: kept only because bench/instrument.py wraps it; ROADMAP item 8 deletes it.
 from .solver import solve_lp  # noqa: F401
@@ -181,12 +181,6 @@ def _distances(X: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _slack(fit: FitResult, dataset: Dataset) -> np.ndarray:
-    """slack[i, h] = yhat_i + beta_i @ (x_h - x_i) - yhat_h."""
-    planes = fit.alpha[:, None] + fit.beta @ dataset.inputs.T
-    return planes - fit.y_hat[None, :]
-
-
 def separate(
     fit: FitResult, dataset: Dataset, tol: float, slack: np.ndarray | None = None
 ) -> list[tuple[int, int, float]]:
@@ -198,7 +192,7 @@ def separate(
     fit's slack matrix when the caller has it already.
     """
     if slack is None:
-        slack = _slack(fit, dataset)
+        slack = afriat_slack(fit, dataset)
     m_idx = np.argmin(slack, axis=1)
     values = slack[np.arange(fit.n), m_idx]
     return [
@@ -211,7 +205,6 @@ def solve_with_cuts(
     builder: Callable[[np.ndarray], OptProblem],
     dataset: Dataset,
     tol: float = 0.01,
-    max_rounds: int | None = None,
 ) -> tuple[FitResult, CutLoopStats]:
     """Run the reduced-master loop until the full system is tol-feasible.
 
@@ -221,10 +214,10 @@ def solve_with_cuts(
     masters with binary selectors are re-solved as MIPs each round,
     warm-started from the previous round's selection.  The fit's
     `meta.iterations` is the total over every master solve, hot, rejected
-    and rebuilt.
+    and rebuilt.  The loop raises `CutLoopLimitError` after `_max_rounds(n)`
+    master solves.
     """
-    if max_rounds is None:
-        max_rounds = max(1, math.ceil(dataset.n * dataset.n / 2))
+    max_rounds = _max_rounds(dataset.n)
     # (m, 2) pairs in the order their rows sit in the master.
     active, present = _seed(dataset)
     added: list[int] = []
@@ -254,7 +247,7 @@ def solve_with_cuts(
             if session is not None and session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
                 session = None
             fit = extract_fit(problem, dataset, sol)
-            slack = _slack(fit, dataset)
+            slack = afriat_slack(fit, dataset)
         fit = replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=len(active)))
         if fit.z is not None:
             hint = fit.z
@@ -268,6 +261,11 @@ def solve_with_cuts(
     raise CutLoopLimitError(
         f"no tol-feasible master after {max_rounds} resolves", fit, stats
     )
+
+
+def _max_rounds(n: int) -> int:
+    """Cap on one cut loop's master solves: ceil(n^2 / 2)."""
+    return max(1, math.ceil(n * n / 2))
 
 
 def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset) -> FitResult:
@@ -294,7 +292,7 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
     iterations = sol.iterations
     while sol.optimal:
         fit = extract_fit(problem, dataset, sol)
-        slack = _slack(fit, dataset)
+        slack = afriat_slack(fit, dataset)
         new_pairs = _new_pairs(fit, dataset, _GROW_TOL, present, slack)
         if len(new_pairs) == 0:
             break
@@ -350,7 +348,7 @@ def _hot_fit(
     if not sol.optimal or session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
         return None, None
     fit = extract_fit(problem, dataset, sol)
-    slack = _slack(fit, dataset)
+    slack = afriat_slack(fit, dataset)
     two = np.partition(slack, 1, axis=1)
     least, second = two[:, 0], two[:, 1]
     if np.any(np.abs(least + tol) <= _TIE_MARGIN):

@@ -65,6 +65,11 @@ class MCConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.n, numbers.Integral) or self.n < 2:
             raise ValueError(f"n must be an integer of at least 2, got {self.n!r}")
+        for name in ("d", "k_true", "replications"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.k_true < 1 or self.k_true > self.d:
             raise ValueError(f"k_true={self.k_true} must lie in [1, d={self.d}]")
         if not self.rho > 0:  # a NaN rho fails this too

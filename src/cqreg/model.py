@@ -272,6 +272,13 @@ def afriat_rows(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray, 
     return np.arange(0, indices.size + 1, width, dtype=np.int32), indices, data
 
 
+def afriat_slack(fit: FitResult, dataset: Dataset) -> np.ndarray:
+    """slack[i, h] = yhat_i + beta_i @ (x_h - x_i) - yhat_h: how far plane i
+    lies above the fitted value at x_h; a negative entry violates row (i, h)."""
+    planes = fit.alpha[:, None] + fit.beta @ dataset.inputs.T
+    return planes - fit.y_hat[None, :]
+
+
 def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
     """Common constraint fabric shared by the quantile and expectile builders.
 
@@ -453,9 +460,7 @@ def validate_fit(
     if np.max(np.abs(recon - fit.alpha)) > tol:
         problems.append("intercepts inconsistent with y_hat - beta @ x")
     # Full Afriat scan: hyperplane i must dominate every fitted value.
-    planes = fit.alpha[:, None] + fit.beta @ X.T
-    slack = planes - fit.y_hat[None, :]
-    worst = slack.min()
+    worst = afriat_slack(fit, dataset).min()
     if worst < -tol:
         problems.append(f"Afriat system violated by {-worst:.3g}")
     if fit.z is not None:

@@ -2,40 +2,39 @@
 
 The integer variables are the d selectors z, so the tree has at most 2^d
 leaves; each node solves an LP or diagonal-QP relaxation with tightened
-z bounds.  One relaxation model is built per `solve_mip`: an `LpSession`,
-or a `QpContext` with its constraint matrices, scaling and KKT pattern.
+z bounds.  One relaxation model is built per `solve_mip`, an `LpSession`
+or a `QpContext` with its constraint matrices, scaling and KKT pattern,
+and every relaxation of the tree is solved in it.
 
-Which solves are cold.  The root and every solve the incumbent rule reads
-call the model's `solve(lower, upper)`; for an LP that is a cold solve,
-which gives the bits a fresh session would.  Only selector bounds differ
-between nodes, and a selector bound set that comes back (the root as the
-first tree node, or a hinted or probed point that is also a leaf) is
-solved once.  There is one incumbent rule, `try_fixed`: an integral point
-(the hint, the probe, a node's rounded z or a pinned leaf's bounds) is
-solved with the selectors pinned to it, and becomes the incumbent when
-that objective beats the incumbent's.  Every point that can become the
-result therefore comes from a cold solve, whatever the tree looks like.
-
-Hot nodes.  Every other LP tree node is solved in a second `LpSession`,
-made when the tree first needs one, by dual simplex from its parent's
-optimal basis (`solve_hot`).  Its objective bound is the incumbent cutoff
-`best_obj - _GAP`: dual simplex keeps a dual feasible basis, so its dual
+Every node goes through one routine, `node_solve(lower, upper, basis)`.
+A box that breaks a row involving only selectors (in every model built
+here, the cardinality row sum(z) <= k) is ruled out as infeasible without
+a solve and does not count in `nodes`: the row's least activity over the
+box exceeds its right-hand side.  The expectile IPM is slow to prove such
+a node infeasible and often runs to its iteration cap.  Given its parent's
+optimal basis, an LP node is solved hot, by dual simplex from that basis
+(`solve_hot`) with the objective bound at the incumbent cutoff
+`best_obj - _GAP`.  Dual simplex keeps a dual feasible basis, so its dual
 objective is a lower bound on the node's optimum, and once that bound
-passes the cutoff HiGHS stops with status CUTOFF.  The node could not
-have beaten the incumbent by more than the gap, so it is pruned, as a
-full solve with that objective would have been.  A hot node supplies only
-this prune, a bound for its children and a branching choice.  A dual
-degenerate node can end at another optimal vertex than a cold solve
-would, which can change the branching and so the tree, but not the
-incumbent's bits.  A hot solve that ends any other way than optimal,
-infeasible or cut off gets the cold solve instead.  QP nodes are all
-solved through `solve(lower, upper)`: the IPM has no basis.
+passes the cutoff HiGHS stops with status CUTOFF: the node could not have
+beaten the incumbent by more than the gap, so it is pruned, as a full
+solve with that objective would have been.  A node without a basis (the
+root, a pinned point, every QP node: the IPM has no basis), and a hot
+solve that ends any other way than optimal, infeasible or cut off, gets
+the model's cold `solve(lower, upper)`, once per selector box.  For an LP
+that clears the solver first, so it gives the bits a fresh session would,
+hot solves before it or not.
 
-A node whose selector box breaks a row that involves only selectors (in
-every model built here, the cardinality row sum(z) <= k) is pruned as
-infeasible without a solve and does not count in `nodes`: the row's least
-activity over the box exceeds its right-hand side.  The expectile IPM is
-slow to prove such a node infeasible and often runs to its iteration cap.
+There is one incumbent rule, `try_fixed`: an integral point (the hint, the
+probe, a node's rounded z or a pinned leaf's bounds) is solved cold with
+the selectors pinned to it, and becomes the incumbent when that objective
+beats the incumbent's.  Every returned point is therefore a cold solve's.
+A hot node supplies only its prune, a bound for its children and a
+branching choice, but a dual degenerate node can end at another optimal
+vertex than a cold solve would, which can change the branching and so the
+tree.  Which of several (near-)tied optimal supports comes back can
+therefore depend on the tree (ROADMAP item 7).
+
 After the root solve a round-up probe fixes every positive selector to 1;
 when the cardinality row allows it this proves optimality in two solves,
 otherwise the probe is ruled out as above.  On an integral root the probe
@@ -82,10 +81,10 @@ def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[cand[np.argmax(frac[cand])]])
 
 
-def _selector_rows(problem: OptProblem, int_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _selector_rows(problem: OptProblem, int_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of `problem.a` whose nonzeros all fall on the integer columns
-    `int_idx`: dense coefficients over those columns, an is-equality mask and
-    the right-hand sides."""
+    `int_idx`: dense coefficients over those columns and the right-hand
+    sides."""
     a = problem.a.tocsr()
     # Nonzeros on continuous columns before each row boundary.
     continuous = np.concatenate(([0], np.cumsum(~problem.integer[a.indices])))[a.indptr]
@@ -94,18 +93,15 @@ def _selector_rows(problem: OptProblem, int_idx: np.ndarray) -> tuple[np.ndarray
     for i, r in enumerate(rows):
         span = slice(a.indptr[r], a.indptr[r + 1])
         coef[i, a.indices[span]] = a.data[span]
-    return coef[:, int_idx], problem.sense[rows] == "E", problem.rhs[rows]
+    return coef[:, int_idx], problem.rhs[rows]
 
 
-def _box_breaks(rows: tuple[np.ndarray, np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray) -> bool:
+def _box_breaks(rows: tuple[np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray) -> bool:
     """True when no selector point in the box [lo, up] meets every row of
-    `rows`: a row's least activity over the box exceeds its right-hand side,
-    or an equality row's greatest activity falls short of it."""
-    coef, is_eq, rhs = rows
-    pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
-    least = pos @ lo + neg @ up
-    greatest = pos @ up + neg @ lo
-    return bool(np.any(least > rhs + _INT_TOL) or np.any(is_eq & (greatest < rhs - _INT_TOL)))
+    `rows`: a row's least activity over the box exceeds its right-hand side."""
+    coef, rhs = rows
+    least = np.maximum(coef, 0.0) @ lo + np.minimum(coef, 0.0) @ up
+    return bool(np.any(least > rhs + _INT_TOL))
 
 
 def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> Solution:
@@ -123,47 +119,37 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     selector_rows = _selector_rows(problem, int_idx)
     relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
     relax = QpContext(relaxed) if problem.has_quad else LpSession(relaxed)
-    tree: LpSession | None = None  # hot node solves; made when the tree first needs one
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
 
     best_x: np.ndarray | None = None
     best_obj = np.inf
-    # Keyed by selector bounds: the continuous bounds are the same at every node.
+    # Cold solves, keyed by selector bounds: the continuous bounds are the
+    # same at every node.
     solved: dict[bytes, Solution] = {}
     nodes = iterations = 0  # over every relaxation solved, cold or hot
 
-    def counted(sol: Solution) -> Solution:
+    def node_solve(lo, up, basis=None) -> Solution:
+        """The relaxation over the box [lo, up]: ruled out when the box
+        breaks a selector row, else hot from `basis` under the incumbent
+        cutoff when that ends optimal, infeasible or cut off, else cold."""
         nonlocal nodes, iterations
-        nodes += 1
-        iterations += sol.iterations
-        return sol
-
-    def node_solve(lo, up) -> Solution:
         zlo, zup = lo[int_idx], up[int_idx]
+        if _box_breaks(selector_rows, zlo, zup):
+            return _RULED_OUT
+        if basis is not None:
+            try:
+                sol = relax.solve_hot(basis, lo, up, best_obj - _GAP)
+            except SolverError:  # a HiGHS status no node outcome maps to; not counted
+                sol = None
+            else:
+                nodes, iterations = nodes + 1, iterations + sol.iterations
+            if sol is not None and sol.status in (Status.OPTIMAL, Status.INFEASIBLE, Status.CUTOFF):
+                return sol
         key = zlo.tobytes() + zup.tobytes()
         if key not in solved:
-            if _box_breaks(selector_rows, zlo, zup):
-                return _RULED_OUT
-            solved[key] = counted(relax.solve(lo, up))
+            solved[key] = sol = relax.solve(lo, up)
+            nodes, iterations = nodes + 1, iterations + sol.iterations
         return solved[key]
-
-    def hot_solve(node: _Node) -> tuple[Solution, LpSession]:
-        """The node's relaxation from its parent's basis, stopped at the
-        incumbent cutoff, and the session that solved it.  A hot solve that
-        ends any other way than optimal, infeasible or cut off gets the cold
-        solve instead."""
-        nonlocal tree
-        if _box_breaks(selector_rows, node.lower[int_idx], node.upper[int_idx]):
-            return _RULED_OUT, relax
-        if tree is None:
-            tree = LpSession(relaxed)
-        try:
-            sol = counted(tree.solve_hot(node.basis, node.lower, node.upper, best_obj - _GAP))
-        except SolverError:  # a HiGHS status no node outcome maps to; not counted
-            sol = None
-        if sol is not None and sol.status in (Status.OPTIMAL, Status.INFEASIBLE, Status.CUTOFF):
-            return sol, tree
-        return node_solve(node.lower, node.upper), relax
 
     def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
         return Solution(status, x, objective, iterations, nodes)
@@ -194,15 +180,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
 
     if incumbent_hint is not None:
         try_fixed(np.rint(incumbent_hint).astype(float))
-
     # Round-up probe: selecting every positive z proves optimality when the
     # big-M rows were already slack at the root (on an integral root it pins
     # the root's own point); node_solve rules it out without a solve when it
     # breaks the cardinality row.
     try_fixed((root.x[int_idx] > _INT_TOL).astype(float))
-    # best_obj stays inf until an incumbent is set.
-    if best_obj <= root.objective + _GAP:
-        return result(Status.OPTIMAL, best_x, best_obj)
 
     stack = [_Node(lower, upper, root.objective)]
     limited = False
@@ -211,20 +193,19 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
             limited = True
             break
         node = stack.pop()
+        # best_obj stays inf until an incumbent is set.
         if node.bound >= best_obj - _GAP:
             continue
+        # A pinned leaf, which try_fixed reads and which never branches,
+        # is solved cold.
         pinned = np.array_equal(node.lower[int_idx], node.upper[int_idx])
-        if node.basis is None or pinned:
-            # The root, solved already, or a pinned leaf, which try_fixed
-            # reads and which never branches.
-            sol, session = node_solve(node.lower, node.upper), None
-        else:
-            sol, session = hot_solve(node)
+        hot = None if pinned else node.basis
+        sol = node_solve(node.lower, node.upper, hot)
         if not sol.optimal or sol.objective >= best_obj - _GAP:
             continue
         # The children start from this node's basis: read it before
-        # try_fixed re-solves `relax`.
-        basis = session.basis() if session else root_basis
+        # try_fixed re-solves the model.  The root's was read after its solve.
+        basis = root_basis if hot is None else relax.basis()
         zvals = sol.x[int_idx]
         j = _pick_branch(zvals, int_idx)
         if j is None:

@@ -58,7 +58,9 @@ pricing.  `bound` is HiGHS's `objective_bound`: dual simplex stops as soon
 as its dual objective, a lower bound on the optimum, exceeds it, and the
 solve returns status CUTOFF without a point.  The bound holds for that one
 solve.  A cold solve never carries a bound, so it always runs to its
-optimum; only a hot solve can return CUTOFF.
+optimum; only a hot solve can return CUTOFF.  Branch-and-bound runs its hot
+and cold solves in one session: a `solve(lower, upper)` after hot solves
+still gives a fresh session's bits, since it clears the solver first.
 
 A solve reads back only its status, iteration count, objective and `x`.
 The duals and the basis of the last optimal solve are read from HiGHS
@@ -102,8 +104,8 @@ _STATUS = {
     _core.HighsModelStatus.kIterationLimit: Status.ITERATION_LIMIT,
     _core.HighsModelStatus.kInfeasible: Status.INFEASIBLE,
     _core.HighsModelStatus.kUnbounded: Status.UNBOUNDED,
+    _core.HighsModelStatus.kObjectiveBound: Status.CUTOFF,  # only a hot solve carries a bound
 }
-_HOT_STATUS = {**_STATUS, _core.HighsModelStatus.kObjectiveBound: Status.CUTOFF}
 _BOUND = "objective_bound"  # dual simplex stops once its objective exceeds it
 
 
@@ -183,7 +185,7 @@ class LpSession:
             self._highs.clearSolver()
             self._highs.setOptionValue(_PRICING, _COLD_PRICING)
             self._set_bounds(lower, upper)
-        return self._run(_STATUS)
+        return self._run()
 
     def solve_hot(self, basis, lower: np.ndarray, upper: np.ndarray, bound: float) -> Solution:
         """Replace every column's bounds and run dual simplex from `basis`
@@ -195,7 +197,7 @@ class LpSession:
         self._set_bounds(lower, upper)
         self._highs.setOptionValue(_BOUND, bound)
         try:
-            return self._run(_HOT_STATUS)
+            return self._run()
         finally:
             self._highs.setOptionValue(_BOUND, np.inf)
 
@@ -213,11 +215,11 @@ class LpSession:
         if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the column bounds")
 
-    def _run(self, statuses: dict) -> Solution:
+    def _run(self) -> Solution:
         self._x = None
         self._highs.run()
         model_status = self._highs.getModelStatus()
-        status = statuses.get(model_status)
+        status = _STATUS.get(model_status)
         if status is None:
             raise SolverError(f"LP solve failed: {self._highs.modelStatusToString(model_status)}")
         info = self._highs.getInfo()

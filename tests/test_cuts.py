@@ -176,11 +176,12 @@ class TestSolveWithCuts:
         # Rows are only added, so the master optimum cannot decrease.
         assert (np.diff(objectives) >= -1e-9).all()
 
-    def test_round_cap_carries_best_fit(self):
+    def test_round_cap_carries_best_fit(self, monkeypatch):
         ds = make_instance(30, 3, seed=7)
         builder = make_builder(ds, EstimatorSpec("quantile", 0.5))
+        monkeypatch.setattr(cuts, "_max_rounds", lambda n: 2)
         with pytest.raises(CutLoopLimitError) as err:
-            solve_with_cuts(builder, ds, tol=1e-9, max_rounds=2)
+            solve_with_cuts(builder, ds, tol=1e-9)
         assert err.value.fit is not None
         assert err.value.stats.iterations == 2
 

@@ -116,8 +116,16 @@ def test_bad_worker_count_raises(workers):
         (dict(n=0), "n must be an integer of at least 2, got 0"),
         (dict(n=1), "n must be an integer of at least 2, got 1"),
         (dict(n=30.0), "n must be an integer of at least 2, got 30.0"),
+        (dict(d=6.0), "d must be an integer, got 6.0"),
+        (dict(k_true=1.0), "k_true must be an integer, got 1.0"),
+        (dict(replications=2.0), "replications must be an integer, got 2.0"),
+        (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+        (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
     ],
-    ids=["rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one", "n-float"],
+    ids=[
+        "rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one", "n-float",
+        "d-float", "k_true-float", "replications-float", "seed-negative", "seed-float",
+    ],
 )
 def test_bad_design_rejected_before_drawing(field, message):
     with pytest.raises(ValueError, match=message):

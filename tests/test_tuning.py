@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cqreg import CVConfig, EstimatorSpec, cross_validate, kfold_split, tuning
-from cqreg.model import FitMeta, FitResult, L0Penalty
+from cqreg import CVConfig, EstimatorSpec, L1Penalty, cross_validate, fit, kfold_split, tuning
+from cqreg.model import FEAS_TOL, FitMeta, FitResult, L0Penalty
 from tests.conftest import make_instance
 
 
@@ -35,6 +35,35 @@ def flat_fit(alpha: float) -> FitResult:
         objective=0.0,
         meta=FitMeta(status="optimal"),
     )
+
+
+class TestOofPredict:
+    # Plane h passes through (x_h, yhat_h) and every other plane lies above
+    # it there (the Afriat rows), so the envelope at a training input is its
+    # fitted value.  Full mode at n=12 and n=40 covers the cold and the grown
+    # CQR paths.
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("family", ["quantile", "expectile"])
+    @pytest.mark.parametrize("penalty", [None, L1Penalty(0.1)], ids=["plain", "l1"])
+    def test_training_inputs_give_the_fitted_values(self, family, penalty, n):
+        ds = make_instance(n, 3, seed=n)
+        result = fit(ds, EstimatorSpec(family, 0.3, penalty=penalty))
+        assert np.max(np.abs(tuning.oof_predict(result, ds.inputs) - result.y_hat)) <= FEAS_TOL
+
+    def test_two_planes_give_their_lower_envelope(self):
+        # y = x and y = 4 cross at x = 4.
+        two = FitResult(
+            alpha=np.array([0.0, 4.0]),
+            beta=np.array([[1.0], [0.0]]),
+            eps_plus=np.zeros(2),
+            eps_minus=np.zeros(2),
+            y_hat=np.array([2.0, 4.0]),
+            z=None,
+            objective=0.0,
+            meta=FitMeta(status="optimal"),
+        )
+        x_new = np.array([[0.5], [3.0], [4.0], [5.0], [9.0]])
+        assert np.array_equal(tuning.oof_predict(two, x_new), [0.5, 3.0, 4.0, 4.0, 4.0])
 
 
 class TestTieBreak:
