@@ -6,39 +6,56 @@ z bounds.  One relaxation model is built per `solve_mip`, an `LpSession`
 or a `QpContext` with its constraint matrices, scaling and KKT pattern,
 and every relaxation of the tree is solved in it.
 
-Every node goes through one routine, `node_solve(lower, upper, basis)`.
-A box that breaks a row involving only selectors (in every model built
-here, the cardinality row sum(z) <= k) is ruled out as infeasible without
-a solve and does not count in `nodes`: the row's least activity over the
-box exceeds its right-hand side.  The expectile IPM is slow to prove such
-a node infeasible and often runs to its iteration cap.  Given its parent's
-optimal basis, an LP node is solved hot, by dual simplex from that basis
-(`solve_hot`) with the objective bound at the incumbent cutoff
-`best_obj - _GAP`.  Dual simplex keeps a dual feasible basis, so its dual
-objective is a lower bound on the node's optimum, and once that bound
-passes the cutoff HiGHS stops with status CUTOFF: the node could not have
-beaten the incumbent by more than the gap, so it is pruned, as a full
-solve with that objective would have been.  A node without a basis (the
-root, a pinned point, every QP node: the IPM has no basis), and a hot
-solve that ends any other way than optimal, infeasible or cut off, gets
-the model's cold `solve(lower, upper)`, once per selector box.  For an LP
-that clears the solver first, so it gives the bits a fresh session would,
-hot solves before it or not.
+Before its solve, each node's selector box is propagated through the rows
+that involve only selectors (in every model built here, the cardinality
+row sum(z) <= k; Savelsbergh 1994, bound propagation).  A box whose least
+activity on such a row exceeds its right-hand side is ruled out without a
+solve.  A free selector that cannot move to its other bound without
+breaking a row is fixed where it is: once k selectors are fixed to 1,
+every free one is pinned to 0.  A box that propagation pins is solved as
+its pinned leaf, cold, and `try_fixed` reads that solve back.  The IPM has
+no interior on the unpinned box, where sum(z) <= k forces the free
+selectors to 0, and often ran to its iteration cap there.  Only an LP box
+with a parent basis, an incumbent and no cached cold solve first gets the
+hot cutoff solve over the node's own bounds, since a cutoff spares the
+cold solve.
+
+An include-child (z_j fixed to 1) is not solved when its parent's optimal
+point, with z_j set to 1, still meets every selector row.  Selectors cost
+nothing and enter the other rows only as big-M bounds beta <= M z, so that
+point is feasible for the child at the parent's objective.  The child's
+box lies inside the parent's, so it is the child's optimum.  The child
+inherits it, the parent's objective and the parent's basis.
+
+Every node that is solved goes through one routine,
+`node_solve(lower, upper, basis)`.  Given its parent's optimal basis, an
+LP node is solved hot, by dual simplex from that basis (`solve_hot`) with
+the objective bound at the incumbent cutoff `best_obj - _GAP`.  Dual
+simplex keeps a dual feasible basis, so its dual objective is a lower
+bound on the node's optimum, and once that bound passes the cutoff HiGHS
+stops with status CUTOFF: the node could not have beaten the incumbent by
+more than the gap, so it is pruned, as a full solve with that objective
+would have been.  A node without a basis (the root, a pinned point, every
+QP node: the IPM has no basis), and a hot solve that ends any other way
+than optimal, infeasible or cut off, gets the model's cold
+`solve(lower, upper)`, once per selector box.  For an LP that clears the
+solver first, so it gives the bits a fresh session would, hot solves
+before it or not.
 
 There is one incumbent rule, `try_fixed`: an integral point (the hint, the
 probe, a node's rounded z or a pinned leaf's bounds) is solved cold with
 the selectors pinned to it, and becomes the incumbent when that objective
 beats the incumbent's.  Every returned point is therefore a cold solve's.
-A hot node supplies only its prune, a bound for its children and a
-branching choice, but a dual degenerate node can end at another optimal
-vertex than a cold solve would, which can change the branching and so the
-tree.  Which of several (near-)tied optimal supports comes back can
-therefore depend on the tree (ROADMAP item 7).
+A hot node and an inherited point supply only a prune, a bound for the
+children and a branching choice, but a dual degenerate node can end at
+another optimal vertex than a cold solve would, which can change the
+branching and so the tree.  Which of several (near-)tied optimal supports
+comes back can therefore depend on the tree (ROADMAP item 7).
 
 After the root solve a round-up probe fixes every positive selector to 1;
 when the cardinality row allows it this proves optimality in two solves,
-otherwise the probe is ruled out as above.  On an integral root the probe
-is the root's own point.  Children with z fixed to 1 are explored first,
+otherwise the probe breaks it and is skipped without a solve.  On an
+integral root the probe is the root's own point.  Children with z fixed to 1 are explored first,
 so a greedy dive reaches an integral incumbent within d solves.  A node
 whose relaxation stops at a solver cap is pruned as well, so a result
 can read optimal without being proven (ROADMAP item 6).
@@ -60,8 +77,6 @@ from .qp import QpContext
 _INT_TOL = 1e-6
 _GAP = 1e-6  # absolute optimality gap
 _MAX_NODES = 1_000_000
-# What a node gets when its selector box breaks a selector-only row.
-_RULED_OUT = Solution(Status.INFEASIBLE, None, np.nan)
 
 
 @dataclass
@@ -70,6 +85,7 @@ class _Node:
     upper: np.ndarray
     bound: float
     basis: object = None  # the parent's optimal basis; None at the root and on QP nodes
+    sol: Solution | None = None  # the parent's optimum, when it is this node's too
 
 
 def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
@@ -96,24 +112,41 @@ def _selector_rows(problem: OptProblem, int_idx: np.ndarray) -> tuple[np.ndarray
     return coef[:, int_idx], problem.rhs[rows]
 
 
-def _box_breaks(rows: tuple[np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray) -> bool:
-    """True when no selector point in the box [lo, up] meets every row of
-    `rows`: a row's least activity over the box exceeds its right-hand side."""
+def _propagate(rows: tuple[np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray):
+    """Bound propagation (Savelsbergh 1994) of the selector rows `rows` over
+    the binary box [lo, up].  None when no point of the box meets every row:
+    a row's least activity over the box exceeds its right-hand side.  Else
+    the box with every free selector that cannot move to its other bound
+    without breaking a row fixed where it is.  Fixing a selector where its
+    least activity is taken leaves every row's least activity as it was, so
+    one pass reaches the fixpoint."""
     coef, rhs = rows
-    least = np.maximum(coef, 0.0) @ lo + np.minimum(coef, 0.0) @ up
-    return bool(np.any(least > rhs + _INT_TOL))
+    slack = rhs - (np.maximum(coef, 0.0) @ lo + np.minimum(coef, 0.0) @ up)
+    if np.any(slack < -_INT_TOL):
+        return None
+    blocked = np.abs(coef) * (up - lo) > slack[:, None] + _INT_TOL
+    stay_low = np.any(blocked & (coef > 0), axis=0)
+    stay_high = np.any(blocked & (coef < 0), axis=0)
+    return np.where(stay_high, up, lo), np.where(stay_low, lo, up)
 
 
 def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> Solution:
     """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic).
 
     `nodes` and `iterations` count every relaxation solved: cold, hot and
-    cut off.  A node whose selector bounds break a row that involves only
-    selectors is infeasible by that row alone; it is pruned without a
-    relaxation solve and is not counted.  A node whose relaxation ends
-    neither optimal nor infeasible (the IPM's iteration cap) is still
-    pruned, and the result can read optimal: that is a known defect
-    (ROADMAP item 6).
+    cut off.  Before its solve, each node's selector box is propagated
+    through the rows that involve only selectors (`_propagate`).  A box
+    that breaks one is pruned without a solve, and a box that propagation
+    pins is solved as its pinned leaf.  An include-child whose parent's
+    optimum, with its selector set to 1, still meets every selector row
+    takes that point without a solve.  Neither counts in `nodes`.  A node
+    whose relaxation ends neither optimal nor infeasible (the IPM's
+    iteration cap) is still pruned, and the result can read optimal: that
+    is a known defect (ROADMAP item 6).
+
+    The selectors must cost nothing and, outside the selector rows, enter
+    only `<=` rows with coefficients <= 0, as `add_l0`'s big-M rows do:
+    raising a selector then keeps every point feasible at its objective.
     """
     int_idx = np.flatnonzero(problem.integer)
     selector_rows = _selector_rows(problem, int_idx)
@@ -128,14 +161,14 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     solved: dict[bytes, Solution] = {}
     nodes = iterations = 0  # over every relaxation solved, cold or hot
 
+    def key(lo, up) -> bytes:
+        return lo[int_idx].tobytes() + up[int_idx].tobytes()
+
     def node_solve(lo, up, basis=None) -> Solution:
-        """The relaxation over the box [lo, up]: ruled out when the box
-        breaks a selector row, else hot from `basis` under the incumbent
-        cutoff when that ends optimal, infeasible or cut off, else cold."""
+        """The relaxation over the box [lo, up]: hot from `basis` under the
+        incumbent cutoff when that ends optimal, infeasible or cut off, else
+        cold, once per selector box."""
         nonlocal nodes, iterations
-        zlo, zup = lo[int_idx], up[int_idx]
-        if _box_breaks(selector_rows, zlo, zup):
-            return _RULED_OUT
         if basis is not None:
             try:
                 sol = relax.solve_hot(basis, lo, up, best_obj - _GAP)
@@ -145,11 +178,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
                 nodes, iterations = nodes + 1, iterations + sol.iterations
             if sol is not None and sol.status in (Status.OPTIMAL, Status.INFEASIBLE, Status.CUTOFF):
                 return sol
-        key = zlo.tobytes() + zup.tobytes()
-        if key not in solved:
-            solved[key] = sol = relax.solve(lo, up)
+        box = key(lo, up)
+        if box not in solved:
+            solved[box] = sol = relax.solve(lo, up)
             nodes, iterations = nodes + 1, iterations + sol.iterations
-        return solved[key]
+        return solved[box]
 
     def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
         return Solution(status, x, objective, iterations, nodes)
@@ -157,8 +190,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     def try_fixed(zfix: np.ndarray) -> None:
         """The incumbent rule, which every pinned leaf goes through: solve
         with z pinned to an integral point (once per point) and keep it when
-        it beats the incumbent."""
+        it beats the incumbent.  A point that breaks a selector row is
+        skipped."""
         nonlocal best_x, best_obj
+        if _propagate(selector_rows, zfix, zfix) is None:
+            return
         lo, up = lower.copy(), upper.copy()
         lo[int_idx] = zfix
         up[int_idx] = zfix
@@ -170,6 +206,10 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
             x[int_idx] = np.abs(zfix)
             best_x, best_obj = x, sol.objective
 
+    box = _propagate(selector_rows, lower[int_idx], upper[int_idx])
+    if box is None:
+        return result(Status.INFEASIBLE, None, np.nan)
+    lower[int_idx], upper[int_idx] = box
     root = node_solve(lower, upper)
     if root.x is None:
         # Infeasible, unbounded, or stopped at the solver's cap without a point.
@@ -182,7 +222,7 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         try_fixed(np.rint(incumbent_hint).astype(float))
     # Round-up probe: selecting every positive z proves optimality when the
     # big-M rows were already slack at the root (on an integral root it pins
-    # the root's own point); node_solve rules it out without a solve when it
+    # the root's own point); try_fixed skips it without a solve when it
     # breaks the cardinality row.
     try_fixed((root.x[int_idx] > _INT_TOL).astype(float))
 
@@ -196,35 +236,65 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         # best_obj stays inf until an incumbent is set.
         if node.bound >= best_obj - _GAP:
             continue
-        # A pinned leaf, which try_fixed reads and which never branches,
-        # is solved cold.
-        pinned = np.array_equal(node.lower[int_idx], node.upper[int_idx])
-        hot = None if pinned else node.basis
-        sol = node_solve(node.lower, node.upper, hot)
+        box = _propagate(selector_rows, node.lower[int_idx], node.upper[int_idx])
+        if box is None:
+            continue
+        pinned = np.array_equal(*box)
+        if node.sol is not None:
+            sol, basis = node.sol, node.basis
+        else:
+            lo, up = node.lower.copy(), node.upper.copy()
+            lo[int_idx], up[int_idx] = box
+            hot = node.basis
+            if pinned:
+                # A pinned box is solved cold, and try_fixed reads that solve
+                # back.  A box that propagation pinned, with a basis and an
+                # incumbent at hand and no cold solve cached, first gets the
+                # hot cutoff solve over the node's own bounds: a cutoff
+                # spares the cold solve.
+                own_pinned = np.array_equal(node.lower[int_idx], node.upper[int_idx])
+                if hot is None or best_obj == np.inf or own_pinned or key(lo, up) in solved:
+                    hot = None
+                else:
+                    lo, up = node.lower, node.upper
+            sol = node_solve(lo, up, hot)
+            # The children start from this node's basis: read it before
+            # try_fixed re-solves the model.  The root's was read after its solve.
+            basis = root_basis if hot is None else relax.basis()
         if not sol.optimal or sol.objective >= best_obj - _GAP:
             continue
-        # The children start from this node's basis: read it before
-        # try_fixed re-solves the model.  The root's was read after its solve.
-        basis = root_basis if hot is None else relax.basis()
         zvals = sol.x[int_idx]
         j = _pick_branch(zvals, int_idx)
         if j is None:
-            # A pinned leaf passes its own bounds, so try_fixed reads back
-            # the solve above; it then always holds the incumbent.
-            try_fixed(node.lower[int_idx] if pinned else np.rint(zvals))
+            # A pinned box passes its pinned point: try_fixed reads back its
+            # cold solve, or makes it after a hot solve.
+            try_fixed(box[0] if pinned else np.rint(zvals))
             if best_obj <= sol.objective + _GAP:
                 continue
             # Pinning the near-integral selectors moved the optimum; split on
-            # the first unfixed one so leaves carry exact bounds.
+            # the first unfixed one so leaves carry exact bounds.  A box with
+            # none left (an inherited point whose pinned solve did not end
+            # optimal) is dropped.
             unfixed = int_idx[node.lower[int_idx] < node.upper[int_idx]]
+            if not unfixed.size:
+                continue
             j = int(unfixed[0])
         lo0, up0 = node.lower.copy(), node.upper.copy()
         up0[j] = 0.0
         lo1, up1 = node.lower.copy(), node.upper.copy()
         lo1[j] = 1.0
+        include = _Node(lo1, up1, sol.objective, basis)
+        # Unless it breaks a selector row, the parent's optimum with z_j
+        # raised to 1 stays feasible at the same objective, so it is the
+        # child's optimum too: the child's box lies inside the parent's.
+        x1 = sol.x.copy()
+        x1[j] = 1.0
+        coef, rhs = selector_rows
+        if np.all(coef @ x1[int_idx] <= rhs + _INT_TOL):
+            include.sol = Solution(Status.OPTIMAL, x1, sol.objective)
         # LIFO: push the exclude-child first so the include-child dives first.
         stack.append(_Node(lo0, up0, sol.objective, basis))
-        stack.append(_Node(lo1, up1, sol.objective, basis))
+        stack.append(include)
 
     if best_x is None:
         return result(Status.ITERATION_LIMIT if limited else Status.INFEASIBLE, None, np.nan)

@@ -53,6 +53,19 @@ the entry.  Each solve recomputes the cost scale, the
 scaled costs and the constant part of K.  The memo's arrays are
 read-only, so a caller cannot change what a later solve reads.
 
+Between the partitions of one system only the identity rows of bounded
+columns move (a branch-and-bound node fixes a selector, and its row turns
+into an equality); the constraint rows keep their sides.  An inequality
+identity row touches only K's diagonal, which is always in the pattern.
+So the system builds the constraint rows' pair expansion and the sorted
+slot map of K's upper-left block once, on its first partition (`_Pairs`;
+the block's keys are bounded, so marking them in a dense array sorts
+them), and each partition assembles K's pattern, weight map and constant
+slots from it by index arithmetic, with no sort over the pairs.  The
+arrays are the ones a partition built from its own rows by sorting every
+pair's key would have, so `refill` sums each slot's terms in the same
+order.  Each new pattern still gets its own minimum-degree ordering.
+
 The products with the row slices and the refill of K call scipy's private
 kernels `_sparsetools.csr_matvec` and `csc_matvec` directly: they are what
 `@` dispatches to, so every iterate has the bits `@` gives, without the
@@ -322,8 +335,9 @@ def _system(a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> _Sys
 class _System:
     """The cost-independent part of a QP: the stacked rows A0 (constraint
     rows, then one identity row per bounded column), their Ruiz scaling
-    d, e with the scaled A_s = diag(e) A0 diag(d) and scaled P, and the
-    row split of the last partition solved.  Every array is read-only."""
+    d, e with the scaled A_s = diag(e) A0 diag(d) and scaled P, the `_Pairs`
+    of its constraint rows and the row split of the last partition solved.
+    Every array is read-only."""
 
     def __init__(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray):
         self.key = (a.shape, a.indptr.copy(), a.indices.copy(), a.data.copy(), quad.copy(), bounded.copy())
@@ -336,7 +350,9 @@ class _System:
         self.p_diag0 = 2.0 * quad
         self._equilibrate()
         _freeze(*self.key[1:], self.a0, self.p_diag0, self.d, self.e, self.p, self.a_s)
+        self.nb = a.shape[0]  # constraint rows; the identity rows follow them
         self._part: _Partition | None = None
+        self._pairs: _Pairs | None = None
 
     def matches(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> bool:
         shape, indptr, indices, data, q, b = self.key
@@ -385,8 +401,68 @@ class _System:
         part = self._part
         if part is None or not all(map(_same, (eq, up, lo), part.masks)):
             part = self._part = None  # let the old split go before the new one is built
-            part = self._part = _Partition(self.a_s, eq, up, lo)
+            part = self._part = _Partition(self, eq, up, lo)
         return part
+
+    def pairs(self, up: np.ndarray, a_in: sparse.csr_matrix) -> _Pairs:
+        """The `_Pairs` of the constraint rows on the upper side under the
+        mask `up`, which lead the rows of `a_in`; built when those rows
+        differ from the last."""
+        rows = up[: self.nb]
+        pairs = self._pairs
+        if pairs is None or not _same(rows, pairs.rows):
+            pairs = self._pairs = None
+            pairs = self._pairs = _Pairs(a_in, rows)
+        return pairs
+
+
+class _Pairs:
+    """What K's pattern takes from the constraint rows of A_in, built once per
+    system.  Those rows are the constraint rows on the upper side: a
+    constraint row has no finite lower side of its own (an equality's is
+    its upper side), and only the identity rows of bounded columns move
+    between partitions.  An identity row touches K on its column's diagonal
+    alone, so the pairs below fix K's upper-left block, the x block, for
+    every partition of the system.
+
+    Pair t couples nonzeros first[t] and second[t] of the same row, over
+    the rows in order and within a row first-major.  `slot` is the pair's
+    place among the x block's sorted entries (the pairs' and the diagonal's)
+    and `data` the product of the two nonzeros; `before` counts the pairs
+    before each row.  The x block's entries have rows `x_rows` and columns
+    `x_col`, `x_count` counts them in each column and `x_end` through each
+    column, and `diag` is the place of each diagonal entry."""
+
+    def __init__(self, a_in: sparse.csr_matrix, rows: np.ndarray):
+        self.rows = rows.copy()
+        nv = a_in.shape[1]
+        indptr = a_in.indptr[: np.count_nonzero(rows) + 1]
+        lens = np.diff(indptr).astype(np.int32)
+        per = np.repeat(lens, lens)
+        first = np.repeat(np.arange(indptr[-1], dtype=np.int32), per)
+        within = np.arange(first.size, dtype=np.int32) - np.repeat(np.cumsum(per) - per, per)
+        second = np.repeat(np.repeat(indptr[:-1].astype(np.int32), lens), per) + within
+        del per, within
+        # Entry (row, col) of the x block has the key col * nv + row, its CSC
+        # order.  The keys lie below nv * nv, so marking them sorts them.
+        key = a_in.indices[first].astype(np.int64) * nv + a_in.indices[second]
+        diag = np.arange(nv) * (nv + 1)
+        present = np.zeros(nv * nv, dtype=bool)
+        present[key] = present[diag] = True
+        keys = np.flatnonzero(present)
+        del present
+        place = np.empty(nv * nv, dtype=np.int32)  # only the marked keys' entries are written and read
+        place[keys] = np.arange(keys.size, dtype=np.int32)
+        self.slot, self.diag = place[key], place[diag]
+        self.data = a_in.data[first] * a_in.data[second]
+        del first, second, key, place
+        self.before = np.zeros(lens.size + 1, dtype=np.int32)
+        np.cumsum(lens * lens, out=self.before[1:])
+        self.x_rows, self.x_col = (keys % nv).astype(np.intc), keys // nv
+        self.x_count = np.bincount(self.x_col, minlength=nv)
+        self.x_end = np.cumsum(self.x_count)
+        _freeze(self.rows, self.slot, self.diag, self.data, self.before,
+                self.x_rows, self.x_col, self.x_count, self.x_end)
 
 
 class _Partition:
@@ -402,12 +478,20 @@ class _Partition:
     increasing r, and relabelling K's slots maps its row indices alone.  The
     rest of K is const: P + delta I, -delta I and A_eq, summed into the
     slots `const_slot` by `_Kkt` for each solve's scaled P.
+
+    K is assembled from the system's `_Pairs`: A_in is the constraint rows
+    on the upper side, then identity rows, one nonzero each.  Column c < nv
+    of K holds the x block's entries, then A_eq's column c as rows nv + i;
+    column nv + i holds row i of A_eq, then its diagonal.  So an x block
+    entry moves down by the A_eq entries in the columns before its own.
     """
 
-    def __init__(self, a_s: sparse.csr_matrix, eq: np.ndarray, up: np.ndarray, lo: np.ndarray):
+    def __init__(self, system: _System, eq: np.ndarray, up: np.ndarray, lo: np.ndarray):
+        a_s = system.a_s
         a_eq = a_s[eq]
         a_up = a_s[up]
         a_in = sparse.vstack([a_up, -a_s[lo]], format="csr")
+        pairs = system.pairs(up, a_in)
         self.masks = (eq, up, lo)
         _freeze(a_eq, a_in, *self.masks)
         self.n_up = a_up.shape[0]
@@ -416,44 +500,53 @@ class _Partition:
         self.a_in, self.a_in_t = _matvec(a_in), _matvec(a_in.T)
 
         nv = a_s.shape[1]
-        self.size = size = nv + self.m_eq
-        # Pair t couples nonzeros first[t] and second[t] of the same row.
-        lens = np.diff(a_in.indptr).astype(np.int32)
-        per = np.repeat(lens, lens)
-        first = np.repeat(np.arange(a_in.nnz, dtype=np.int32), per)
-        within = np.arange(first.size, dtype=np.int32) - np.repeat(np.cumsum(per) - per, per)
-        second = np.repeat(np.repeat(a_in.indptr[:-1].astype(np.int32), lens), per) + within
-        del per, within
+        self.size = nv + self.m_eq
         eq_coo = a_eq.tocoo()
-        eq_row, eq_col = nv + eq_coo.row.astype(np.int64), eq_coo.col.astype(np.int64)
-        # Entry (row, col) of K has the key col * size + row, its CSC order.
-        key = np.concatenate(
-            [
-                a_in.indices[first].astype(np.int64) * size + a_in.indices[second],
-                np.arange(size) * (size + 1),
-                eq_row * size + eq_col,
-                eq_col * size + eq_row,
-            ]
-        )
-        keys, slot = np.unique(key, return_inverse=True)
-        del key
-        n_pair = first.size
-        # Column r holds the pairs of row r, in pair order.
-        pairs_before = np.zeros(a_in.shape[0] + 1, dtype=np.int32)
-        np.cumsum(lens * lens, out=pairs_before[1:])
+        eq_row, eq_col = eq_coo.row.astype(np.int64), eq_coo.col.astype(np.int64)
+        eq_count = np.bincount(eq_col, minlength=nv)
+        shift = np.cumsum(eq_count) - eq_count  # A_eq entries in the columns before each
+        indptr = np.zeros(self.size + 1, dtype=np.intc)
+        np.cumsum(np.concatenate([pairs.x_count + eq_count, np.diff(a_eq.indptr) + 1]), out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.intc)
+        # The slot in K of each x block entry.
+        x_pos = (np.arange(pairs.x_col.size) + shift[pairs.x_col]).astype(np.int32)
+        indices[x_pos] = pairs.x_rows
+        # A_eq in column c < nv, below the x block: the A_eq entry k-th in
+        # column order sits k places after the x block's entries through column c.
+        by_col = np.argsort(eq_col, kind="stable")
+        lower_pos = np.empty(eq_col.size, dtype=np.int64)
+        lower_pos[by_col] = pairs.x_end[eq_col[by_col]] + np.arange(eq_col.size)
+        indices[lower_pos] = nv + eq_row
+        # A_eq' in column nv + i, above the diagonal: row i of A_eq by column.
+        by_row = np.lexsort((eq_col, eq_row))
+        upper_pos = np.empty(eq_col.size, dtype=np.int64)
+        upper_pos[by_row] = indptr[nv + eq_row[by_row]] + np.arange(eq_col.size) - a_eq.indptr[eq_row[by_row]]
+        indices[upper_pos] = eq_col
+        eq_diag = indptr[nv + 1 :] - 1
+        indices[eq_diag] = np.arange(nv, self.size)
+
+        # Identity rows follow the constraint rows in A_in: one diagonal entry each.
+        ident = slice(a_in.indptr[pairs.before.size - 1], a_in.nnz)
+        ident_col, ident_val = a_in.indices[ident], a_in.data[ident]
+        slots = np.empty(pairs.slot.size + ident_col.size, dtype=np.int32)
+        np.take(x_pos, pairs.slot, out=slots[: pairs.slot.size])
+        slots[pairs.slot.size :] = x_pos[pairs.diag[ident_col]]
         weight_map = sparse.csc_matrix(
-            (a_in.data[first] * a_in.data[second], slot[:n_pair].astype(np.int32), pairs_before),
-            shape=(keys.size, a_in.shape[0]),
+            (
+                np.concatenate([pairs.data, ident_val * ident_val]),
+                slots,
+                np.concatenate([pairs.before, pairs.before[-1] + np.arange(1, ident_col.size + 1, dtype=np.int32)]),
+            ),
+            shape=(indices.size, self.m_in),
         )
-        del first, second
         self.eq_data = eq_coo.data
         _freeze(self.eq_data)
         # In K's own labelling until the first factorization orders it.
         self.pattern = _Pattern(
-            (keys % size).astype(np.intc),
-            np.searchsorted(keys, np.arange(size + 1) * size).astype(np.intc),
+            indices,
+            indptr,
             weight_map,
-            slot[n_pair:].copy(),  # not a view that keeps every pair's slot
+            np.concatenate([pairs.diag + shift, eq_diag, upper_pos, lower_pos]),
         )
 
 
