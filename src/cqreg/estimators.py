@@ -129,16 +129,24 @@ def support(fit_result: FitResult) -> frozenset:
     return frozenset(int(j) for j in np.flatnonzero(selected))
 
 
-def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int) -> tuple[float, frozenset]:
+def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int, big_m: float | None = None) -> tuple[float, frozenset]:
     """Exhaustive-subset optimum of the cardinality-constrained problem.
 
     Solves the unpenalized problem restricted to every input subset of size
     <= k (columns removed, so the path is independent of the binary
     reformulation) and returns the best objective with its subset; ties go
     to the lexicographically smallest subset.
+
+    With `big_m`, each subset's slopes are capped at big_m, as the L0
+    model's beta <= big_m * z caps them: each subset is one cold LP or QP
+    on every row with the slope columns' upper bounds at big_m, never a
+    `solve_mip`, whose results this checks.  A subset fit that does not
+    end optimal raises RuntimeError, as `fit` does without the cap.
     """
     if spec.penalty is not None:
         raise ValueError("oracle spec must be penalty-free")
+    if big_m is not None and not (math.isfinite(big_m) and big_m > 0):
+        raise ValueError(f"big_m must be finite and > 0, got {big_m}")
     d = dataset.d
     k = int(k)
     if k < 1:
@@ -153,11 +161,26 @@ def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int) -> tuple[float, fro
     best_subset: tuple[int, ...] = ()
     for subset in subsets:
         restricted = dataset.restrict(subset)
-        result = fit(restricted, spec)
-        if result.objective < best_obj - 1e-9:
-            best_obj = result.objective
+        if big_m is None:
+            objective = fit(restricted, spec).objective
+        else:
+            objective = _capped_objective(restricted, spec, big_m, subset)
+        if objective < best_obj - 1e-9:
+            best_obj = objective
             best_subset = subset
     return float(best_obj), frozenset(best_subset)
+
+
+def _capped_objective(dataset: Dataset, spec: EstimatorSpec, big_m: float, subset: tuple[int, ...]) -> float:
+    """Optimal objective of the unpenalized fit with every slope at most big_m."""
+    problem = make_builder(dataset, spec)(ALL_PAIRS)
+    upper = problem.upper.copy()
+    upper[problem.layout.beta_all()] = big_m
+    problem = replace(problem, upper=upper)
+    sol = solve_qp(problem) if problem.has_quad else solve_lp(problem)
+    if sol.status is not Status.OPTIMAL:
+        raise RuntimeError(f"support {subset} fit under big_m={big_m} ended with status {sol.status}")
+    return sol.objective
 
 
 def expectile_to_quantile(fit_result: FitResult) -> float:

@@ -66,7 +66,8 @@ arrays are the ones a partition built from its own rows by sorting every
 pair's key would have, so `refill` sums each slot's terms in the same
 order.  Each new pattern still gets its own minimum-degree ordering.
 
-The products with the row slices and the refill of K call scipy's private
+The products with the row slices, with A_s and A0' in the residuals of a
+solve's end point, and the refill of K call scipy's private
 kernels `_sparsetools.csr_matvec` and `csc_matvec` directly: they are what
 `@` dispatches to, so every iterate has the bits `@` gives, without the
 dispatch cost of each call.  The factorization likewise calls SuperLU's
@@ -150,9 +151,9 @@ class QpContext:
         stationarity alone.
         """
         x, y, z = self._unscaled(x_s, y_s, z_s)
-        ax = (self.a_s @ x_s) / self.e
+        ax = self.system.a_s_matvec(x_s) / self.e
         px = self.p_diag0 * x
-        aty = self.a0.T @ y
+        aty = self.system.a0_rmatvec(y)
         r_prim = np.max(np.abs(ax - z))
         r_dual = np.max(np.abs(px + self.q0 + aty))
         s_prim = max(np.max(np.abs(ax)), np.max(np.abs(z)), 1e-12)
@@ -193,7 +194,7 @@ class QpContext:
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
         l_s, u_s = self._scaled_bounds(lower, upper)
         x_s, y_row, status, iters = self._ipm(l_s, u_s)
-        z_s = np.clip(self.a_s @ x_s, l_s, u_s)
+        z_s = np.clip(self.system.a_s_matvec(x_s), l_s, u_s)
         if status in (Status.INFEASIBLE, Status.UNBOUNDED):
             return Solution(status, None, np.nan, iters)
         ok = self._acceptable(x_s, y_row, z_s, l_s / self.e, u_s / self.e)
@@ -335,9 +336,10 @@ def _system(a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> _Sys
 class _System:
     """The cost-independent part of a QP: the stacked rows A0 (constraint
     rows, then one identity row per bounded column), their Ruiz scaling
-    d, e with the scaled A_s = diag(e) A0 diag(d) and scaled P, the `_Pairs`
-    of its constraint rows and the row split of the last partition solved.
-    Every array is read-only."""
+    d, e with the scaled A_s = diag(e) A0 diag(d) and scaled P, the products
+    x -> A_s x and y -> A0' y of a solve's residuals, the `_Pairs` of its
+    constraint rows and the row split of the last partition solved.  Every
+    array is read-only."""
 
     def __init__(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray):
         self.key = (a.shape, a.indptr.copy(), a.indices.copy(), a.data.copy(), quad.copy(), bounded.copy())
@@ -350,6 +352,7 @@ class _System:
         self.p_diag0 = 2.0 * quad
         self._equilibrate()
         _freeze(*self.key[1:], self.a0, self.p_diag0, self.d, self.e, self.p, self.a_s)
+        self.a_s_matvec, self.a0_rmatvec = _matvec(self.a_s), _matvec(self.a0.T)
         self.nb = a.shape[0]  # constraint rows; the identity rows follow them
         self._part: _Partition | None = None
         self._pairs: _Pairs | None = None

@@ -17,10 +17,13 @@ settings.load_profile("cqreg")
 
 def run_fresh(code: str) -> str:
     """Stdout of `code` run in a fresh interpreter that imports this cqreg;
-    the test process has loaded most of scipy already."""
+    the test process has loaded most of scipy already.  A child that exits
+    non-zero fails the test with the child's stderr as the message."""
     src = os.path.dirname(os.path.dirname(cqreg.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    if out.returncode != 0:
+        pytest.fail(f"fresh interpreter exited with status {out.returncode}:\n{out.stderr}", pytrace=False)
     return out.stdout
 
 

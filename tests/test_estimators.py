@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -189,6 +190,33 @@ class TestL0Oracle:
         oracle_obj, _ = l0_oracle(ds, spec, 2)
         mip = fit(ds, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(2, m)))
         assert abs(mip.objective - oracle_obj) <= 1e-6
+
+    @pytest.mark.parametrize("family", ["quantile", "expectile"])
+    @pytest.mark.parametrize("n, d, seed, level, k", [(10, 3, 1, 0.5, 2), (12, 2, 6, 0.3, 1)])
+    def test_cap_that_does_not_bind_changes_nothing(self, monkeypatch, family, n, d, seed, level, k):
+        ds = make_instance(n, d, seed=seed)
+        spec = EstimatorSpec(family, level)
+        subsets = [s for size in range(1, k + 1) for s in combinations(range(d), size)]
+        big_m = 2.0 * max(fit(ds.restrict(s), spec).beta.max() for s in subsets)
+        uncapped = l0_oracle(ds, spec, k)
+        monkeypatch.setattr(estimators, "solve_mip", None)  # the oracle must not use it
+        capped = l0_oracle(ds, spec, k, big_m=big_m)
+        assert capped[0] == pytest.approx(uncapped[0], rel=1e-6, abs=1e-9)
+        assert capped[1] == uncapped[1]
+
+    @pytest.mark.parametrize("family", ["quantile", "expectile"])
+    def test_binding_cap_raises_the_optimum(self, family):
+        ds = make_instance(10, 3, seed=1)
+        spec = EstimatorSpec(family, 0.5)
+        obj, _ = l0_oracle(ds, spec, 2)
+        big_m = anchor_big_m(ds, spec, 0.01)
+        capped, _ = l0_oracle(ds, spec, 2, big_m=big_m)
+        assert capped > obj + 1e-6
+
+    @pytest.mark.parametrize("big_m", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_a_bad_cap(self, small_noisy, big_m):
+        with pytest.raises(ValueError, match="big_m"):
+            l0_oracle(small_noisy, EstimatorSpec("quantile", 0.5), 1, big_m=big_m)
 
     def test_enumeration_guard(self):
         # C(30, 15) is far beyond the 1e4 cap; the guard fires before any solve.

@@ -149,6 +149,7 @@ def test_repeated_tau_or_method_rejected():
         "scipy.sparse.csgraph",
         "scipy.sparse.linalg",
         "scipy.linalg",
+        "scipy.special",
         "multiprocessing",
     ],
 )
@@ -157,6 +158,34 @@ def test_package_import_leaves_package_unloaded(package):
     # packages, loaded from their files; the packages themselves are never
     # imported, and the process pool is imported only to start one.
     assert run_fresh(f"import sys, cqreg; print({package!r} in sys.modules)").strip() == "False"
+
+
+def test_scipy_special_loads_on_the_first_read_of_q_star():
+    # Drawing a scenario and fitting it leave scipy.special unloaded; the
+    # ground-truth curves load it and keep the bits of scipy.stats.
+    cfg = MCConfig(n=8, d=2, k_true=1, taus=(0.1, 0.5, 0.9), seed=1)
+    code = f"""
+import sys
+from cqreg import EXPECTILE, QUANTILE, EstimatorSpec, MCConfig, fit, generate_scenario
+scenario = generate_scenario({cfg!r}, 0)
+fit(scenario.dataset, EstimatorSpec(QUANTILE, 0.5))
+fit(scenario.dataset, EstimatorSpec(EXPECTILE, 0.5))
+print("scipy.special" in sys.modules)
+q_star = scenario.q_star
+print("scipy.special" in sys.modules)
+for tau in {cfg.taus!r}:
+    print(q_star[tau].tobytes().hex())
+"""
+    before, after, *curves = run_fresh(code).split()
+    assert (before, after) == ("False", "True")
+    scenario = generate_scenario(cfg, 0)
+    want = [(scenario.signal + scenario.sigma * norm.ppf(tau)).tobytes().hex() for tau in cfg.taus]
+    assert curves == want
+
+
+def test_run_fresh_fails_with_the_child_stderr():
+    with pytest.raises(pytest.fail.Exception, match=r"status 1:\n(.|\n)*ValueError: no such input"):
+        run_fresh("raise ValueError('no such input')")
 
 
 def test_support_metrics_penalize_a_dense_fit():
