@@ -5,7 +5,8 @@ writes, states all n(n-1) Afriat rows (`EstimatorSpec`'s default full
 mode); no flag selects the cut loop or its tolerance.  `verify` checks a
 result document at `FEAS_TOL` (1e-6) unless `--tol` is given.
 
-Exit codes: 0 success, 2 malformed input data, 3 invalid flags or flag
+Exit codes: 0 success, 2 malformed input data (a CSV, or a result document
+that is malformed or holds a non-finite number), 3 invalid flags or flag
 combinations, 4 solver or verification failure.  `main` maps a ValueError
 from any command to 3 and a RuntimeError to 4.
 """
@@ -140,28 +141,43 @@ def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
     return spec
 
 
+# The fields of each observation in a result document, after its "id": the
+# data (x, y), then the FitResult arrays of the same names.  `fit` writes
+# them and `verify` reads them back.
+_OBSERVATION_FIELDS = ("x", "y", "alpha", "beta", "y_hat", "eps_plus", "eps_minus")
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write a JSON document of the package, stamped with the schema version and the tool."""
+    doc = {"schema_version": SCHEMA_VERSION, "tool": {"name": "cqreg", "version": __version__}, **payload}
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=2)
+        handle.write("\n")
+
+
+# The columns of `simulate`'s metrics CSV, one line per (method, tau, metric).
+_METRICS_COLUMNS = ("method", "family", "tau", "n", "d", "k_true", "rho", "metric", "mean", "sd", "reps")
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(_METRICS_COLUMNS) + "\n")
+        for row in rows:
+            handle.write(",".join(str(row[c]) for c in _METRICS_COLUMNS) + "\n")
+
+
 def _result_document(dataset: Dataset, names, ids, spec: EstimatorSpec, result: FitResult) -> dict:
     chosen = None
     if isinstance(spec.penalty, L1Penalty):
         chosen = {"kind": "l1", "lambda": spec.penalty.lam}
     elif isinstance(spec.penalty, L0Penalty):
         chosen = {"kind": "l0", "k": spec.penalty.k, "big_m": spec.penalty.big_m}
+    data = {"x": dataset.inputs, "y": dataset.output}
+    columns = [(key, data[key] if key in data else getattr(result, key)) for key in _OBSERVATION_FIELDS]
     observations = [
-        {
-            "id": ids[i],
-            "x": list(dataset.inputs[i]),
-            "y": float(dataset.output[i]),
-            "alpha": float(result.alpha[i]),
-            "beta": list(result.beta[i]),
-            "y_hat": float(result.y_hat[i]),
-            "eps_plus": float(result.eps_plus[i]),
-            "eps_minus": float(result.eps_minus[i]),
-        }
-        for i in range(dataset.n)
+        {"id": ids[i], **{key: column[i].tolist() for key, column in columns}} for i in range(dataset.n)
     ]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "cqreg", "version": __version__},
         "spec": {
             "family": spec.family,
             "level": spec.level,
@@ -223,6 +239,13 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--big-m", type=float, default=None, help="L0 cap, explicit value")
 
 
+def _add_cv_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--lambda-count", type=int, default=None)
+    p.add_argument("--k-grid", default=None, help="comma-separated subset sizes")
+    p.add_argument("--m-multipliers", default=None, help="comma-separated multipliers")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cqreg", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cqreg {__version__}")
@@ -238,13 +261,10 @@ def _build_parser() -> _Parser:
     p_tune.add_argument("--family", choices=["quantile", "expectile"], required=True)
     p_tune.add_argument("--level", type=float, required=True)
     p_tune.add_argument("--penalty", choices=["l1", "l0"], required=True)
-    p_tune.add_argument("--folds", type=int, default=5)
+    _add_cv_flags(p_tune)
     p_tune.add_argument("--cv-seed", type=int, default=0)
     p_tune.add_argument("--preset", choices=["sdg"], default=None)
     p_tune.add_argument("--lambda-grid", default=None, help="comma-separated values")
-    p_tune.add_argument("--lambda-count", type=int, default=None)
-    p_tune.add_argument("--k-grid", default=None, help="comma-separated subset sizes")
-    p_tune.add_argument("--m-multipliers", default=None, help="comma-separated multipliers")
     p_tune.add_argument("--out", required=True, help="report JSON path")
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo protocol")
@@ -257,10 +277,8 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--methods", default="l0-cqr", help="comma-separated method names")
     p_sim.add_argument("--exponent-mode", choices=["even", "position"], default="even")
-    p_sim.add_argument("--folds", type=int, default=5)
-    p_sim.add_argument("--lambda-count", type=int, default=None)
-    p_sim.add_argument("--k-grid", default=None)
-    p_sim.add_argument("--m-multipliers", default=None)
+    _add_cv_flags(p_sim)
+    p_sim.set_defaults(cv_seed=0, preset=None, lambda_grid=None)
     p_sim.add_argument("--workers", type=int, default=None)
     p_sim.add_argument("--out", required=True, help="metrics CSV path")
     p_sim.add_argument("--json", dest="json_out", default=None, help="optional JSON path")
@@ -289,43 +307,34 @@ def _cmd_fit(args) -> int:
     spec = _spec_from_args(args, dataset)
     result = fit(dataset, spec)
     doc = _result_document(dataset, names, ids, spec, result)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
-        handle.write("\n")
+    _write_json(args.out, doc)
     _print_fit_table(doc)
     print(f"result written to {args.out}")
     return EXIT_OK
 
 
-def _cv_config_from_args(args, preset: str | None = None) -> CVConfig:
-    if preset == "sdg":
-        cfg = CVConfig.sdg(folds=args.folds, seed=getattr(args, "cv_seed", 0))
-    else:
-        cfg = CVConfig(folds=args.folds, seed=getattr(args, "cv_seed", 0))
+def _cv_config_from_args(args) -> CVConfig:
+    make = CVConfig.sdg if args.preset == "sdg" else CVConfig
+    cfg = make(folds=args.folds, seed=args.cv_seed)
     lam = None
-    if getattr(args, "lambda_grid", None):
+    if args.lambda_grid:
         lam = _parse_list(args.lambda_grid, "--lambda-grid")
-    elif getattr(args, "lambda_count", None) is not None:
+    elif args.lambda_count is not None:
         lam = default_lambda_grid(args.lambda_count)
     if lam is not None:
         cfg = replace(cfg, lambda_grid=lam)
-    if getattr(args, "k_grid", None):
+    if args.k_grid:
         cfg = replace(cfg, k_grid=_parse_list(args.k_grid, "--k-grid", int))
-    if getattr(args, "m_multipliers", None):
+    if args.m_multipliers:
         cfg = replace(cfg, m_multipliers=_parse_list(args.m_multipliers, "--m-multipliers"))
     return cfg
 
 
 def _cmd_tune(args) -> int:
     dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
-    cfg = _cv_config_from_args(args, args.preset)
+    cfg = _cv_config_from_args(args)
     report = cross_validate(dataset, EstimatorSpec(args.family, args.level), args.penalty, cfg)
-    payload = report.to_dict()
-    payload["schema_version"] = SCHEMA_VERSION
-    payload["tool"] = {"name": "cqreg", "version": __version__}
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_json(args.out, report.to_dict())
     if report.failures:
         print(f"warning: {report.failures} CV fold fit(s) failed; their candidates were left out")
     chosen = ", ".join(f"{k}={v}" for k, v in report.chosen_params.items())
@@ -348,9 +357,9 @@ def _cmd_simulate(args) -> int:
         exponent_mode=args.exponent_mode,
     )
     report = run_mc(cfg, methods, _cv_config_from_args(args), workers=args.workers)
-    report.to_csv(args.out)
+    _write_csv(args.out, report.rows)
     if args.json_out:
-        report.to_json(args.json_out)
+        _write_json(args.json_out, report.to_dict())
     if report.failures:
         print(f"warning: {report.failures} replication cell(s) failed and were excluded")
     if report.fold_failures:
@@ -369,6 +378,17 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _numbers(value, shape: tuple, what: str) -> np.ndarray:
+    """A document's JSON numbers as a float array of the given shape; a null,
+    a string or a non-finite number raises ValueError."""
+    array = np.array(value)
+    if array.shape != shape:
+        raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
+    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        raise ValueError(f"{what} holds a null, a string or a non-finite number")
+    return array.astype(float)
+
+
 def _cmd_verify(args) -> int:
     try:
         with open(args.result, encoding="utf-8") as handle:
@@ -377,18 +397,19 @@ def _cmd_verify(args) -> int:
         raise CliError(f"cannot read result document: {exc}", EXIT_DATA) from exc
     try:
         observations = doc["observations"]
-        dataset = Dataset(
-            np.array([o["x"] for o in observations]),
-            np.array([o["y"] for o in observations]),
-        )
+        n, d = len(observations), len(doc["variable_names"])
+        columns = {
+            key: _numbers([o[key] for o in observations], (n, d) if key in ("x", "beta") else (n,), key)
+            for key in _OBSERVATION_FIELDS
+        }
+        dataset = Dataset(columns.pop("x"), columns.pop("y"))
+        z = None if doc.get("z") is None else _numbers(doc["z"], (d,), "z")
+        if z is not None and not np.isin(z, (0, 1)).all():
+            raise ValueError(f"z must hold 0s and 1s, got {doc['z']}")
         result = FitResult(
-            alpha=np.array([o["alpha"] for o in observations]),
-            beta=np.array([o["beta"] for o in observations]),
-            eps_plus=np.array([o["eps_plus"] for o in observations]),
-            eps_minus=np.array([o["eps_minus"] for o in observations]),
-            y_hat=np.array([o["y_hat"] for o in observations]),
-            z=None if doc.get("z") is None else np.array(doc["z"], dtype=int),
-            objective=float(doc["objective"]),
+            **columns,
+            z=z,
+            objective=_numbers(doc["objective"], (), "objective").item(),
             meta=FitMeta(status=doc["solver"]["status"]),
         )
         big_m = k = None

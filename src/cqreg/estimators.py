@@ -40,7 +40,7 @@ from .model import (
     build_cqr,
     extract_fit,
 )
-from .solver import Status, solve_lp, solve_mip, solve_qp
+from .solver import Solution, Status, solve_lp, solve_mip, solve_qp
 
 QUANTILE = "quantile"
 EXPECTILE = "expectile"
@@ -107,16 +107,22 @@ def fit(dataset: Dataset, spec: EstimatorSpec) -> FitResult:
         result = solve_full_lp(builder, dataset)
     else:
         problem = builder(ALL_PAIRS)
-        if problem.is_mip:
-            sol = solve_mip(problem)
-        elif problem.has_quad:
-            sol = solve_qp(problem)
-        else:
-            sol = solve_lp(problem)
-        if sol.status is not Status.OPTIMAL:
-            raise RuntimeError(f"solve ended with status {sol.status}")
-        result = extract_fit(problem, dataset, sol)
+        result = extract_fit(problem, dataset, _solve_cold(problem, "solve"))
     return replace(result, meta=replace(result.meta, wall_time=time.perf_counter() - start))
+
+
+def _solve_cold(problem: OptProblem, what: str) -> Solution:
+    """One cold solve with the solver the problem's kind needs; a status
+    other than optimal raises RuntimeError naming `what`."""
+    if problem.is_mip:
+        sol = solve_mip(problem)
+    elif problem.has_quad:
+        sol = solve_qp(problem)
+    else:
+        sol = solve_lp(problem)
+    if sol.status is not Status.OPTIMAL:
+        raise RuntimeError(f"{what} ended with status {sol.status}")
+    return sol
 
 
 def support(fit_result: FitResult) -> frozenset:
@@ -137,11 +143,12 @@ def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int, big_m: float | None
     reformulation) and returns the best objective with its subset; ties go
     to the lexicographically smallest subset.
 
+    Each subset is one cold LP or QP on every row, never `fit`'s grown LP
+    or a `solve_mip`, whose results this checks; from _GROWN_LP_MIN_N
+    observations on, a CQR subset is thus a cold LP over all n(n-1) rows.
     With `big_m`, each subset's slopes are capped at big_m, as the L0
-    model's beta <= big_m * z caps them: each subset is one cold LP or QP
-    on every row with the slope columns' upper bounds at big_m, never a
-    `solve_mip`, whose results this checks.  A subset fit that does not
-    end optimal raises RuntimeError, as `fit` does without the cap.
+    model's beta <= big_m * z caps them.  A subset fit that does not end
+    optimal raises RuntimeError, as `fit` does.
     """
     if spec.penalty is not None:
         raise ValueError("oracle spec must be penalty-free")
@@ -160,27 +167,22 @@ def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int, big_m: float | None
     best_obj = np.inf
     best_subset: tuple[int, ...] = ()
     for subset in subsets:
-        restricted = dataset.restrict(subset)
-        if big_m is None:
-            objective = fit(restricted, spec).objective
-        else:
-            objective = _capped_objective(restricted, spec, big_m, subset)
+        objective = _capped_objective(dataset.restrict(subset), spec, big_m, subset)
         if objective < best_obj - 1e-9:
             best_obj = objective
             best_subset = subset
     return float(best_obj), frozenset(best_subset)
 
 
-def _capped_objective(dataset: Dataset, spec: EstimatorSpec, big_m: float, subset: tuple[int, ...]) -> float:
-    """Optimal objective of the unpenalized fit with every slope at most big_m."""
+def _capped_objective(dataset: Dataset, spec: EstimatorSpec, big_m: float | None, subset: tuple[int, ...]) -> float:
+    """Optimal objective of the unpenalized fit, with every slope at most big_m if given."""
     problem = make_builder(dataset, spec)(ALL_PAIRS)
-    upper = problem.upper.copy()
-    upper[problem.layout.beta_all()] = big_m
-    problem = replace(problem, upper=upper)
-    sol = solve_qp(problem) if problem.has_quad else solve_lp(problem)
-    if sol.status is not Status.OPTIMAL:
-        raise RuntimeError(f"support {subset} fit under big_m={big_m} ended with status {sol.status}")
-    return sol.objective
+    if big_m is not None:
+        upper = problem.upper.copy()
+        upper[problem.layout.beta_all()] = big_m
+        problem = replace(problem, upper=upper)
+    cap = "" if big_m is None else f" under big_m={big_m}"
+    return _solve_cold(problem, f"support {subset} fit{cap}").objective
 
 
 def expectile_to_quantile(fit_result: FitResult) -> float:

@@ -13,7 +13,6 @@ fits every estimator in full mode, on all n(n-1) Afriat rows.
 
 from __future__ import annotations
 
-import json
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -36,20 +35,6 @@ METHODS: dict[str, tuple[str, str | None]] = {
 }
 
 _METRICS = ("prediction_error", "accuracy", "false_positives", "exact_support")
-
-_REPORT_COLUMNS = (
-    "method",
-    "family",
-    "tau",
-    "n",
-    "d",
-    "k_true",
-    "rho",
-    "metric",
-    "mean",
-    "sd",
-    "reps",
-)
 
 
 @dataclass(frozen=True)
@@ -195,23 +180,8 @@ class MetricsReport:
     def fold_failures(self) -> int:
         return sum(self.fold_failures_by_method.values())
 
-    def to_csv(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(",".join(_REPORT_COLUMNS) + "\n")
-            for row in self.rows:
-                handle.write(",".join(_format_cell(row[c]) for c in _REPORT_COLUMNS) + "\n")
-
-    def to_json(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            doc = {**asdict(self), "failures": self.failures, "fold_failures": self.fold_failures}
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    def to_dict(self) -> dict[str, Any]:
+        return {**asdict(self), "failures": self.failures, "fold_failures": self.fold_failures}
 
 
 def _replicate(args: tuple) -> tuple[list[dict[str, Any]], dict[str, int], dict[str, int]]:

@@ -448,6 +448,11 @@ def validate_fit(
     if big_m is not None and not np.isfinite(big_m):
         raise ValueError(f"big_m must be finite, got {big_m}")
     problems: list[str] = []
+    # NaN makes every comparison below false, so a non-finite fit would pass them all.
+    arrays = ("alpha", "beta", "eps_plus", "eps_minus", "y_hat")
+    bad = [name for name in arrays if not np.isfinite(getattr(fit, name)).all()]
+    if bad:
+        problems.append(f"non-finite entries in {', '.join(bad)}")
     X, y = dataset.inputs, dataset.output
     if np.any(fit.beta < -tol):
         problems.append(f"beta has negative entries (min {fit.beta.min():.3g})")

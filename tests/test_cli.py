@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 
@@ -176,13 +177,52 @@ class TestExitCodes:
         assert run("verify", "--result", out) == EXIT_DATA
         assert capsys.readouterr().err.startswith("malformed result document:")
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["observations"][0].update(alpha="abc"),
+            lambda doc: doc["observations"][0].update(alpha="0.5"),
+            lambda doc: doc["observations"][0].update(alpha=None),
+            lambda doc: doc["observations"][0].update(alpha=float("nan")),
+            lambda doc: doc["observations"][0].update(y_hat=None),
+            lambda doc: doc["observations"][0].update(eps_plus=float("nan")),
+            lambda doc: doc["observations"][0].update(eps_minus=float("inf")),
+            lambda doc: doc["observations"][0]["x"].__setitem__(0, None),
+            lambda doc: doc["observations"][0]["beta"].__setitem__(0, None),
+            lambda doc: doc["observations"][0]["beta"].append(0.0),
+            lambda doc: [o["beta"].append(0.0) for o in doc["observations"]],
+            lambda doc: [o.update(beta=[float("nan")] * 3) for o in doc["observations"]],
+            lambda doc: doc["observations"][0].pop("eps_plus"),
+            lambda doc: doc.update(z=[1]),
+            lambda doc: doc.update(z=[1, 0, 2]),
+            lambda doc: doc.update(objective=None),
+            lambda doc: doc.update(objective="abc"),
+            lambda doc: doc.update(objective=float("nan")),
+            lambda doc: doc.update(observations=[]),
+        ],
+        ids=["alpha-string", "alpha-numeric-string", "alpha-null", "alpha-nan", "y_hat-null", "eps_plus-nan",
+             "eps_minus-inf", "x-null", "beta-null", "one-beta-row-wider", "every-beta-row-wider",
+             "every-beta-nan", "eps_plus-missing", "z-too-short", "z-not-binary", "objective-null",
+             "objective-string", "objective-nan", "no-observations"],
+    )
+    def test_malformed_result_fails_verify_as_data(self, csv_path, tmp_path, capsys, corrupt):
+        out = tmp_path / "r.json"
+        assert run(*fit_args(csv_path, out)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        corrupt(doc)
+        out.write_text(json.dumps(doc))
+        assert run("verify", "--result", out) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("malformed result document:")
+        assert "ok" not in captured.out
+
     def test_sdg_preset_with_lambda_count_replaces_only_lambda(self, csv_path, tmp_path):
         args = cli._build_parser().parse_args(
             ["tune", "--data", str(csv_path), "--output-col", "y", "--family", "quantile",
              "--level", "0.5", "--penalty", "l1", "--preset", "sdg", "--lambda-count", "5",
              "--out", str(tmp_path / "cv.json")]
         )
-        cfg = cli._cv_config_from_args(args, args.preset)
+        cfg = cli._cv_config_from_args(args)
         assert cfg == replace(CVConfig.sdg(), lambda_grid=default_lambda_grid(5))
 
     def test_anchor_failure_is_a_solver_error(self, csv_path, tmp_path, capsys, monkeypatch):
@@ -202,6 +242,77 @@ class TestExitCodes:
         out.write_text(json.dumps(doc))
         assert run("verify", "--result", out) == EXIT_SOLVER
         assert "FAIL: residual split identity violated" in capsys.readouterr().out
+
+
+# Every subcommand's flags: (option strings, default, type, choices, required).
+FLAG_TABLE = {
+    "fit": [
+        ("--data", None, None, None, True),
+        ("--output-col", None, None, None, True),
+        ("--id-col", None, None, None, False),
+        ("--family", None, None, ["quantile", "expectile"], True),
+        ("--level", None, "float", None, True),
+        ("--penalty", "none", None, ["none", "l1", "l0"], False),
+        ("--lam", None, "float", None, False),
+        ("--k", None, "int", None, False),
+        ("--m-mult", None, "float", None, False),
+        ("--big-m", None, "float", None, False),
+        ("--out", None, None, None, True),
+    ],
+    "tune": [
+        ("--data", None, None, None, True),
+        ("--output-col", None, None, None, True),
+        ("--id-col", None, None, None, False),
+        ("--family", None, None, ["quantile", "expectile"], True),
+        ("--level", None, "float", None, True),
+        ("--penalty", None, None, ["l1", "l0"], True),
+        ("--folds", 5, "int", None, False),
+        ("--cv-seed", 0, "int", None, False),
+        ("--preset", None, None, ["sdg"], False),
+        ("--lambda-grid", None, None, None, False),
+        ("--lambda-count", None, "int", None, False),
+        ("--k-grid", None, None, None, False),
+        ("--m-multipliers", None, None, None, False),
+        ("--out", None, None, None, True),
+    ],
+    "simulate": [
+        ("--n", 100, "int", None, False),
+        ("--d", 6, "int", None, False),
+        ("--k-true", 2, "int", None, False),
+        ("--rho", 10.0, "float", None, False),
+        ("--tau", "0.5", None, None, False),
+        ("--reps", 10, "int", None, False),
+        ("--seed", 0, "int", None, False),
+        ("--methods", "l0-cqr", None, None, False),
+        ("--exponent-mode", "even", None, ["even", "position"], False),
+        ("--folds", 5, "int", None, False),
+        ("--lambda-count", None, "int", None, False),
+        ("--k-grid", None, None, None, False),
+        ("--m-multipliers", None, None, None, False),
+        ("--workers", None, "int", None, False),
+        ("--out", None, None, None, True),
+        ("--json", None, None, None, False),
+    ],
+    "verify": [
+        ("--result", None, None, None, True),
+        ("--tol", 1e-6, "float", None, False),
+    ],
+}
+FLAG_TABLE["export"] = FLAG_TABLE["fit"]
+
+
+def test_flag_table():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    table = {
+        name: sorted(
+            (*a.option_strings, a.default, getattr(a.type, "__name__", None), a.choices, a.required)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        )
+        for name, sub in commands.items()
+    }
+    assert table == {name: sorted(rows) for name, rows in FLAG_TABLE.items()}
 
 
 @pytest.mark.parametrize("inject", [False, True])

@@ -8,7 +8,8 @@ from scipy.stats import norm
 
 from cqreg import CVConfig, L1Penalty, MCConfig, SolverError, expectile_level_for_quantile, run_mc
 from cqreg import mc, tuning
-from cqreg.cli import EXIT_OK, main
+from cqreg import __version__
+from cqreg.cli import EXIT_OK, SCHEMA_VERSION, main
 from cqreg.estimators import EXPECTILE
 from cqreg.mc import METHODS, accuracy, exact_support, false_positives, generate_scenario
 from cqreg.tuning import default_lambda_grid
@@ -51,8 +52,7 @@ def test_fold_failures_are_counted(monkeypatch, tmp_path, workers):
     assert report.failures == 0
     assert report.fold_failures == 2
     assert report.fold_failures_by_method == {"l1-cqr": 2}
-    report.to_json(tmp_path / "report.json")
-    assert json.loads((tmp_path / "report.json").read_text())["fold_failures"] == 2
+    assert json.loads(json.dumps(report.to_dict()))["fold_failures"] == 2
 
 
 def test_failures_are_attributed_to_their_method(monkeypatch, tmp_path, capsys):
@@ -84,6 +84,8 @@ def test_failures_are_attributed_to_their_method(monkeypatch, tmp_path, capsys):
         "warning: 2 CV fold fit(s) failed; their candidates were left out",
     ]
     doc = json.loads(out.read_text())
+    assert doc["schema_version"] == SCHEMA_VERSION
+    assert doc["tool"] == {"name": "cqreg", "version": __version__}
     assert (doc["failures"], doc["fold_failures"]) == (2, 2)
     assert doc["failures_by_method"] == {"l1-cqr": 0, "cer": 2}
     assert doc["fold_failures_by_method"] == {"l1-cqr": 2, "cer": 0}

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -386,6 +388,14 @@ class TestFitResultInvariants:
         result = fit(small_noisy, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(1, 5.0)))
         with pytest.raises(ValueError, match="big_m must be finite"):
             validate_fit(result, small_noisy, big_m=float("nan"), k=1)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "eps_plus", "eps_minus", "y_hat"])
+    def test_non_finite_fit_fails(self, field):
+        # NaN makes every other check's comparison false, so only this one can catch it.
+        ds = make_instance(10, 3, seed=1)
+        result = fit(ds, EstimatorSpec("quantile", 0.5))
+        broken = replace(result, **{field: np.full_like(getattr(result, field), np.nan)})
+        assert validate_fit(broken, ds) == [f"non-finite entries in {field}"]
 
     def test_extract_requires_layout(self, small_noisy):
         problem = build_cqr(small_noisy, 0.5, ALL_PAIRS)
