@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import operator
 import sys
 from dataclasses import replace
 
@@ -380,13 +379,17 @@ def _cmd_export(args) -> int:
 
 def _numbers(value, shape: tuple, what: str) -> np.ndarray:
     """A document's JSON numbers as a float array of the given shape; a null,
-    a string or a non-finite number raises ValueError."""
-    array = np.array(value)
+    a boolean, a string or a non-finite number raises ValueError."""
+    array = np.array(value, dtype=object)
     if array.shape != shape:
         raise ValueError(f"{what} has shape {array.shape}, expected {shape}")
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
-        raise ValueError(f"{what} holds a null, a string or a non-finite number")
-    return array.astype(float)
+    # type(), not isinstance: a JSON true is a bool, which is an int.
+    if any(type(v) not in (int, float) for v in array.flat):
+        raise ValueError(f"{what} holds a null, a boolean or a string")
+    array = array.astype(float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} holds a non-finite number")
+    return array
 
 
 def _cmd_verify(args) -> int:
@@ -415,9 +418,11 @@ def _cmd_verify(args) -> int:
         big_m = k = None
         penalty = doc["spec"].get("penalty")
         if penalty and penalty.get("kind") == "l0":
-            cap = L0Penalty(operator.index(penalty["k"]), float(penalty["big_m"]))
+            if type(penalty["k"]) is not int:
+                raise ValueError(f"k must be an integer, got {penalty['k']!r}")
+            cap = L0Penalty(penalty["k"], _numbers(penalty["big_m"], (), "big_m").item())
             big_m, k = cap.big_m, cap.k
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CliError(f"malformed result document: {exc}", EXIT_DATA) from exc
     violations = validate_fit(result, dataset, tol=args.tol, big_m=big_m, k=k)
     if violations:

@@ -69,6 +69,8 @@ class EstimatorSpec:
             raise ValueError(f"family must be 'quantile' or 'expectile', got {self.family!r}")
         if not (np.isfinite(self.level) and 0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        if not (self.penalty is None or isinstance(self.penalty, (L1Penalty, L0Penalty))):
+            raise ValueError(f"penalty must be None, an L1Penalty or an L0Penalty, got {self.penalty!r}")
         if self.solve not in ("full", "cuts"):
             raise ValueError(f"solve must be 'full' or 'cuts', got {self.solve!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):

@@ -1,31 +1,30 @@
 """Branch-and-bound over the binary selection variables.
 
-The integer variables are the d selectors z, so the tree has at most 2^d
-leaves; each node solves an LP or diagonal-QP relaxation with tightened
-z bounds.  One relaxation model is built per `solve_mip`, an `LpSession`
-or a `QpContext` with its constraint matrices, scaling and KKT pattern,
-and every relaxation of the tree is solved in it.
+`solve_mip` solves the MIP `add_l0` builds: d binary selectors z that cost
+nothing, big-M rows beta <= M z and one cardinality row sum(z) <= k.  Each
+node solves an LP or diagonal-QP relaxation with tightened z bounds, all
+of one tree in one relaxation model: an `LpSession`, or a `QpContext` with
+its constraint matrices, scaling and KKT pattern.
 
-Before its solve, each node's selector box is propagated through the rows
-that involve only selectors (in every model built here, the cardinality
-row sum(z) <= k; Savelsbergh 1994, bound propagation).  A box whose least
-activity on such a row exceeds its right-hand side is ruled out without a
-solve.  A free selector that cannot move to its other bound without
-breaking a row is fixed where it is: once k selectors are fixed to 1,
-every free one is pinned to 0.  A box that propagation pins is solved as
-its pinned leaf, cold, and `try_fixed` reads that solve back.  The IPM has
-no interior on the unpinned box, where sum(z) <= k forces the free
+Before its solve, each node's selector box is propagated through the
+cardinality row (Savelsbergh 1994, bound propagation).  A box with more
+than k selectors fixed to 1 is ruled out without a solve; once k are at 1,
+every free selector is pinned to 0.  A box that propagation pins is solved
+as its pinned leaf, cold, and `try_fixed` reads that solve back.  The IPM
+has no interior on the unpinned box, where sum(z) <= k forces the free
 selectors to 0, and often ran to its iteration cap there.  Only an LP box
 with a parent basis, an incumbent and no cached cold solve first gets the
 hot cutoff solve over the node's own bounds, since a cutoff spares the
 cold solve.
 
 An include-child (z_j fixed to 1) is not solved when its parent's optimal
-point, with z_j set to 1, still meets every selector row.  Selectors cost
-nothing and enter the other rows only as big-M bounds beta <= M z, so that
-point is feasible for the child at the parent's objective.  The child's
-box lies inside the parent's, so it is the child's optimum.  The child
-inherits it, the parent's objective and the parent's basis.
+point, with z_j set to 1, still has sum(z) <= k.  Selectors cost nothing
+and enter the other rows only as big-M bounds beta <= M z, so that point
+is feasible for the child at the parent's objective.  The child's box lies
+inside the parent's, so it is the child's optimum.  The child inherits it,
+the parent's objective and the parent's basis.  So a root with at most k
+positive selectors dives to their support without a solve, and that
+support's pinned solve proves the root's objective optimal.
 
 Every node that is solved goes through one routine,
 `node_solve(lower, upper, basis)`.  Given its parent's optimal basis, an
@@ -42,9 +41,9 @@ than optimal, infeasible or cut off, gets the model's cold
 solver first, so it gives the bits a fresh session would, hot solves
 before it or not.
 
-There is one incumbent rule, `try_fixed`: an integral point (the hint, the
-probe, a node's rounded z or a pinned leaf's bounds) is solved cold with
-the selectors pinned to it, and becomes the incumbent when that objective
+There is one incumbent rule, `try_fixed`: an integral point (the hint, a
+node's rounded z or a pinned leaf's bounds) is solved cold with the
+selectors pinned to it, and becomes the incumbent when that objective
 beats the incumbent's.  Every returned point is therefore a cold solve's.
 A hot node and an inherited point supply only a prune, a bound for the
 children and a branching choice, but a dual degenerate node can end at
@@ -52,13 +51,10 @@ another optimal vertex than a cold solve would, which can change the
 branching and so the tree.  Which of several (near-)tied optimal supports
 comes back can therefore depend on the tree (ROADMAP item 7).
 
-After the root solve a round-up probe fixes every positive selector to 1;
-when the cardinality row allows it this proves optimality in two solves,
-otherwise the probe breaks it and is skipped without a solve.  On an
-integral root the probe is the root's own point.  Children with z fixed to 1 are explored first,
-so a greedy dive reaches an integral incumbent within d solves.  A node
-whose relaxation stops at a solver cap is pruned as well, so a result
-can read optimal without being proven (ROADMAP item 6).
+Children with z fixed to 1 are explored first, so a greedy dive reaches
+an integral incumbent within d solves.  A node whose relaxation stops at
+a solver cap is pruned as well, so a result can read optimal without
+being proven (ROADMAP item 6).
 """
 
 from __future__ import annotations
@@ -97,59 +93,55 @@ def _pick_branch(zvals: np.ndarray, int_idx: np.ndarray) -> int | None:
     return int(int_idx[cand[np.argmax(frac[cand])]])
 
 
-def _selector_rows(problem: OptProblem, int_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of `problem.a` whose nonzeros all fall on the integer columns
-    `int_idx`: dense coefficients over those columns and the right-hand
-    sides."""
+def _cardinality(problem: OptProblem, int_idx: np.ndarray) -> float:
+    """k of the cardinality row sum(z) <= k over the integer columns
+    `int_idx`, which must be the one row of `problem.a` whose nonzeros all
+    fall on those columns; ValueError for any other shape."""
     a = problem.a.tocsr()
     # Nonzeros on continuous columns before each row boundary.
     continuous = np.concatenate(([0], np.cumsum(~problem.integer[a.indices])))[a.indptr]
     rows = np.flatnonzero(continuous[1:] == continuous[:-1])
-    coef = np.zeros((rows.size, problem.n_vars))
-    for i, r in enumerate(rows):
+    if int_idx.size and rows.size == 1:
+        r = rows[0]
         span = slice(a.indptr[r], a.indptr[r + 1])
-        coef[i, a.indices[span]] = a.data[span]
-    return coef[:, int_idx], problem.rhs[rows]
+        cols, coef = a.indices[span], a.data[span]
+        if problem.sense[r] == "L" and np.array_equal(np.sort(cols), int_idx) and np.all(coef == 1.0):
+            return float(problem.rhs[r])
+    raise ValueError("solve_mip needs selectors whose only selector-only row is sum(z) <= k, as add_l0 builds")
 
 
-def _propagate(rows: tuple[np.ndarray, np.ndarray], lo: np.ndarray, up: np.ndarray):
-    """Bound propagation (Savelsbergh 1994) of the selector rows `rows` over
-    the binary box [lo, up].  None when no point of the box meets every row:
-    a row's least activity over the box exceeds its right-hand side.  Else
-    the box with every free selector that cannot move to its other bound
-    without breaking a row fixed where it is.  Fixing a selector where its
-    least activity is taken leaves every row's least activity as it was, so
-    one pass reaches the fixpoint."""
-    coef, rhs = rows
-    slack = rhs - (np.maximum(coef, 0.0) @ lo + np.minimum(coef, 0.0) @ up)
-    if np.any(slack < -_INT_TOL):
+def _propagate(k: float, lo: np.ndarray, up: np.ndarray):
+    """Bound propagation of sum(z) <= k over the binary box [lo, up]: None
+    when more than k selectors are fixed to 1, else the box with every free
+    selector pinned to 0 once k are at 1."""
+    ones = lo.sum()
+    if ones > k + _INT_TOL:
         return None
-    blocked = np.abs(coef) * (up - lo) > slack[:, None] + _INT_TOL
-    stay_low = np.any(blocked & (coef > 0), axis=0)
-    stay_high = np.any(blocked & (coef < 0), axis=0)
-    return np.where(stay_high, up, lo), np.where(stay_low, lo, up)
+    return (lo, lo) if ones > k - _INT_TOL else (lo, up)
 
 
 def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> Solution:
-    """Prove optimality of a small-binary MIP within the absolute gap _GAP (deterministic).
+    """Prove optimality of an `add_l0` MIP within the absolute gap _GAP (deterministic).
 
     `nodes` and `iterations` count every relaxation solved: cold, hot and
     cut off.  Before its solve, each node's selector box is propagated
-    through the rows that involve only selectors (`_propagate`).  A box
-    that breaks one is pruned without a solve, and a box that propagation
-    pins is solved as its pinned leaf.  An include-child whose parent's
-    optimum, with its selector set to 1, still meets every selector row
-    takes that point without a solve.  Neither counts in `nodes`.  A node
-    whose relaxation ends neither optimal nor infeasible (the IPM's
-    iteration cap) is still pruned, and the result can read optimal: that
-    is a known defect (ROADMAP item 6).
+    through the cardinality row sum(z) <= k (`_propagate`).  A box with
+    more than k selectors at 1 is pruned without a solve, and a box that
+    propagation pins is solved as its pinned leaf.  An include-child whose
+    parent's optimum, with its selector set to 1, keeps sum(z) <= k takes
+    that point without a solve.  Neither counts in `nodes`.  A node whose
+    relaxation ends neither optimal nor infeasible (the IPM's iteration
+    cap) is still pruned, and the result can read optimal: that is a known
+    defect (ROADMAP item 6).
 
-    The selectors must cost nothing and, outside the selector rows, enter
-    only `<=` rows with coefficients <= 0, as `add_l0`'s big-M rows do:
-    raising a selector then keeps every point feasible at its objective.
+    ValueError unless the one row whose nonzeros all fall on the selectors
+    is sum(z) <= k (`_cardinality`).  Outside it the selectors, which must
+    cost nothing, may enter only `<=` rows with coefficients <= 0, as the
+    big-M rows do: raising a selector then keeps every point feasible at
+    its objective.
     """
     int_idx = np.flatnonzero(problem.integer)
-    selector_rows = _selector_rows(problem, int_idx)
+    k = _cardinality(problem, int_idx)
     relaxed = replace(problem, integer=np.zeros(problem.n_vars, dtype=bool))
     relax = QpContext(relaxed) if problem.has_quad else LpSession(relaxed)
     lower, upper = problem.lower.astype(float).copy(), problem.upper.astype(float).copy()
@@ -190,10 +182,10 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     def try_fixed(zfix: np.ndarray) -> None:
         """The incumbent rule, which every pinned leaf goes through: solve
         with z pinned to an integral point (once per point) and keep it when
-        it beats the incumbent.  A point that breaks a selector row is
+        it beats the incumbent.  A point with more than k selectors at 1 is
         skipped."""
         nonlocal best_x, best_obj
-        if _propagate(selector_rows, zfix, zfix) is None:
+        if _propagate(k, zfix, zfix) is None:
             return
         lo, up = lower.copy(), upper.copy()
         lo[int_idx] = zfix
@@ -206,7 +198,7 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
             x[int_idx] = np.abs(zfix)
             best_x, best_obj = x, sol.objective
 
-    box = _propagate(selector_rows, lower[int_idx], upper[int_idx])
+    box = _propagate(k, lower[int_idx], upper[int_idx])
     if box is None:
         return result(Status.INFEASIBLE, None, np.nan)
     lower[int_idx], upper[int_idx] = box
@@ -214,17 +206,10 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     if root.x is None:
         # Infeasible, unbounded, or stopped at the solver's cap without a point.
         return result(root.status, None, -np.inf if root.status is Status.UNBOUNDED else np.nan)
-    if int_idx.size == 0:
-        return result(root.status, root.x, root.objective)
     root_basis = relax.basis() if isinstance(relax, LpSession) else None
 
     if incumbent_hint is not None:
         try_fixed(np.rint(incumbent_hint).astype(float))
-    # Round-up probe: selecting every positive z proves optimality when the
-    # big-M rows were already slack at the root (on an integral root it pins
-    # the root's own point); try_fixed skips it without a solve when it
-    # breaks the cardinality row.
-    try_fixed((root.x[int_idx] > _INT_TOL).astype(float))
 
     stack = [_Node(lower, upper, root.objective)]
     limited = False
@@ -236,7 +221,7 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         # best_obj stays inf until an incumbent is set.
         if node.bound >= best_obj - _GAP:
             continue
-        box = _propagate(selector_rows, node.lower[int_idx], node.upper[int_idx])
+        box = _propagate(k, node.lower[int_idx], node.upper[int_idx])
         if box is None:
             continue
         pinned = np.array_equal(*box)
@@ -284,13 +269,12 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         lo1, up1 = node.lower.copy(), node.upper.copy()
         lo1[j] = 1.0
         include = _Node(lo1, up1, sol.objective, basis)
-        # Unless it breaks a selector row, the parent's optimum with z_j
-        # raised to 1 stays feasible at the same objective, so it is the
-        # child's optimum too: the child's box lies inside the parent's.
+        # Unless it breaks sum(z) <= k, the parent's optimum with z_j raised
+        # to 1 stays feasible at the same objective, so it is the child's
+        # optimum too: the child's box lies inside the parent's.
         x1 = sol.x.copy()
         x1[j] = 1.0
-        coef, rhs = selector_rows
-        if np.all(coef @ x1[int_idx] <= rhs + _INT_TOL):
+        if x1[int_idx].sum() <= k + _INT_TOL:
             include.sol = Solution(Status.OPTIMAL, x1, sol.objective)
         # LIFO: push the exclude-child first so the include-child dives first.
         stack.append(_Node(lo0, up0, sol.objective, basis))

@@ -164,9 +164,13 @@ class TestExitCodes:
             {"penalty": {"kind": "l0", "k": 1, "big_m": float("nan")}},
             {"penalty": {"kind": "l0", "k": 1, "big_m": float("inf")}},
             {"penalty": {"kind": "l0", "k": 1, "big_m": 0.0}},
+            {"penalty": {"kind": "l0", "k": 1, "big_m": "5"}},
+            {"penalty": {"kind": "l0", "k": 1, "big_m": True}},
+            {"penalty": {"kind": "l0", "k": True, "big_m": 1.0}},
+            {"penalty": {"kind": "l0", "k": 1, "big_m": 10**400}},
         ],
         ids=["l0-without-big-m", "spec-is-a-list", "k-not-an-integer", "k-zero", "big-m-nan", "big-m-inf",
-             "big-m-zero"],
+             "big-m-zero", "big-m-string", "big-m-true", "k-true", "big-m-overflows"],
     )
     def test_malformed_spec_fails_verify_as_data(self, csv_path, tmp_path, capsys, spec):
         out = tmp_path / "r.json"
@@ -199,11 +203,17 @@ class TestExitCodes:
             lambda doc: doc.update(objective="abc"),
             lambda doc: doc.update(objective=float("nan")),
             lambda doc: doc.update(observations=[]),
+            lambda doc: doc["observations"][0].update(y=True),
+            lambda doc: doc["observations"][0]["x"].__setitem__(0, False),
+            lambda doc: doc.update(z=[1, False, 0]),
+            lambda doc: doc.update(objective=True),
+            lambda doc: doc["observations"][0].update(alpha=10**400),
         ],
         ids=["alpha-string", "alpha-numeric-string", "alpha-null", "alpha-nan", "y_hat-null", "eps_plus-nan",
              "eps_minus-inf", "x-null", "beta-null", "one-beta-row-wider", "every-beta-row-wider",
              "every-beta-nan", "eps_plus-missing", "z-too-short", "z-not-binary", "objective-null",
-             "objective-string", "objective-nan", "no-observations"],
+             "objective-string", "objective-nan", "no-observations", "y-true", "x-false", "z-false",
+             "objective-true", "alpha-overflows"],
     )
     def test_malformed_result_fails_verify_as_data(self, csv_path, tmp_path, capsys, corrupt):
         out = tmp_path / "r.json"

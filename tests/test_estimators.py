@@ -52,6 +52,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EstimatorSpec("quantile", 0.5, solve="warm")
 
+    # A penalty of another type would be dropped by make_builder, which would
+    # then fit the unpenalized model.
+    @pytest.mark.parametrize("penalty", ["l1", 0.5, (2, 5.0)], ids=["string", "float", "tuple"])
+    def test_rejects_a_penalty_it_cannot_fit(self, penalty):
+        with pytest.raises(ValueError, match="penalty must be None, an L1Penalty or an L0Penalty"):
+            EstimatorSpec("quantile", 0.5, penalty=penalty)
+
     @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan"), float("inf")])
     def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
         with pytest.raises(ValueError, match="tol must be finite and positive"):

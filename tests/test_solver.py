@@ -3,7 +3,7 @@ import sys
 import threading
 import weakref
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -1359,10 +1359,10 @@ class TestSolveMip:
         assert np.array_equal(solves[0].lower[z], [1.0, 1.0, 0.0])
         assert np.array_equal(solves[0].upper[z], [1.0, 1.0, 0.0])
 
-    # The root has more than k positive selectors, so the round-up probe is
-    # skipped and no incumbent exists until the first pinned solve.  The
-    # first box with k selectors at 1 is pinned by propagation and solved
-    # cold at once, with no hot solve of the node's own bounds before it.
+    # The root has more than k positive selectors, so no incumbent exists
+    # until the first pinned solve.  The first box with k selectors at 1 is
+    # pinned by propagation and solved cold at once, with no hot solve of
+    # the node's own bounds before it.
     def test_pinned_lp_box_without_incumbent_is_solved_cold(self):
         problem = _l0_cqr(make_instance(20, 4, seed=0), "full", k=2, multiplier=1.0)
         z = problem.integer
@@ -1374,6 +1374,28 @@ class TestSolveMip:
         assert np.array_equal(solves[first].lower[z], solves[first].upper[z])
         assert not any(np.array_equal(s.lower[z], s.upper[z]) for s in solves[:first])
         assert sol.status is Status.OPTIMAL
+
+    # A root with at most k positive selectors: the include-first dive
+    # inherits its optimum down to the support of those selectors, whose
+    # cold pinned solve proves the root's objective optimal.  The IPM
+    # centres the selectors, which cost nothing, so an L0-CER root has every
+    # selector positive and only k = d gives the case.
+    @pytest.mark.parametrize("family, n, d, seed, k", [("quantile", 12, 3, 6, 2), ("expectile", 12, 3, 0, 3)])
+    def test_root_with_at_most_k_positive_selectors_takes_two_solves(self, family, n, d, seed, k):
+        ds = make_instance(n, d, seed=seed)
+        spec = EstimatorSpec(family, 0.5)
+        build = build_cqr if family == "quantile" else build_cer
+        problem = add_l0(build(ds, 0.5, ALL_PAIRS), L0Penalty(k, anchor_big_m(ds, spec, 1.0)))
+        z = problem.integer
+        sol, solves = _solve_recording(problem)
+        assert sol.status is Status.OPTIMAL
+        assert sol.nodes == len(solves) == 2
+        root, pinned = solves
+        positive = root.sol.x[z] > bnb._INT_TOL
+        assert not root.hot and np.count_nonzero(positive) <= k
+        assert not pinned.hot
+        assert np.array_equal(pinned.lower[z], positive) and np.array_equal(pinned.upper[z], positive)
+        assert abs(sol.objective - root.sol.objective) <= bnb._GAP
 
     # An include-child whose parent's optimum, with its selector raised to 1,
     # meets sum(z) <= k takes that point and objective without a solve; it is
@@ -1567,18 +1589,36 @@ def _solve_recording(problem: OptProblem, incumbent_hint=None, hot_iteration_cap
 
 
 class TestSelectorRowSkip:
+    # Against every box over d <= 5 selectors (each free, at 0 or at 1) and
+    # every k < d: the box's 0/1 points with sum(z) <= k are what
+    # propagation may keep.  None exactly when there are none; otherwise
+    # each selector's new bounds are the least and greatest value those
+    # points give it, so it is pinned exactly when they all agree on it.
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_propagate_matches_the_box_points(self, d):
+        for box in product([(0, 0), (1, 1), (0, 1)], repeat=d):
+            lo, up = np.array(box, dtype=float).T
+            for k in range(d):
+                points = np.array([z for z in product(*(range(l, u + 1) for l, u in box)) if sum(z) <= k])
+                got = bnb._propagate(float(k), lo.copy(), up.copy())
+                if not points.size:
+                    assert got is None
+                else:
+                    assert [g.tolist() for g in got] == [points.min(axis=0).tolist(), points.max(axis=0).tolist()]
+
+    # The cardinality row sum(z) <= 2 over three selectors, as coefficients
+    # and right-hand side; `_propagate` takes only its right-hand side.
     @pytest.mark.parametrize(
         "coef, rhs, lo, up, breaks",
         [
             ([[1, 1, 1]], [2], [1, 1, 0], [1, 1, 1], False),
             ([[1, 1, 1]], [2], [1, 1, 1], [1, 1, 1], True),
-            ([[1, -1, 0]], [0], [1, 0, 0], [1, 1, 1], False),
-            ([[1, -1, 0]], [0], [1, 0, 0], [1, 0, 1], True),
         ],
     )
     def test_box_breaks_by_least_activity(self, coef, rhs, lo, up, breaks):
-        rows = (np.array(coef, dtype=float), np.array(rhs, dtype=float))
-        assert (bnb._propagate(rows, np.array(lo, dtype=float), np.array(up, dtype=float)) is None) is breaks
+        assert np.array_equal(coef, np.ones((1, len(lo))))
+        got = bnb._propagate(float(rhs[0]), np.array(lo, dtype=float), np.array(up, dtype=float))
+        assert (got is None) is breaks
 
     @pytest.mark.parametrize(
         "coef, rhs, lo, up, box",
@@ -1589,14 +1629,11 @@ class TestSelectorRowSkip:
             ([[1, 1, 1]], [2], [1, 0, 0], [1, 1, 1], ([1, 0, 0], [1, 1, 1])),
             # ... and with three at 1 it rules the box out.
             ([[1, 1, 1]], [2], [1, 1, 1], [1, 1, 1], None),
-            # z0 <= z1 with z0 at 1 pins z1 to 1; with z1 at 0 it pins z0 to 0.
-            ([[1, -1, 0]], [0], [1, 0, 0], [1, 1, 1], ([1, 1, 0], [1, 1, 1])),
-            ([[1, -1, 0]], [0], [0, 0, 0], [1, 0, 1], ([0, 0, 0], [0, 0, 1])),
         ],
     )
     def test_propagate_pins_rules_out_and_leaves_alone(self, coef, rhs, lo, up, box):
-        rows = (np.array(coef, dtype=float), np.array(rhs, dtype=float))
-        got = bnb._propagate(rows, np.array(lo, dtype=float), np.array(up, dtype=float))
+        assert np.array_equal(coef, np.ones((1, len(lo))))
+        got = bnb._propagate(float(rhs[0]), np.array(lo, dtype=float), np.array(up, dtype=float))
         if box is None:
             assert got is None
         else:
@@ -1604,12 +1641,29 @@ class TestSelectorRowSkip:
 
     def test_the_cardinality_row_is_the_only_selector_row(self, small_noisy):
         problem = add_l0(build_cqr(small_noisy, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
-        coef, rhs = bnb._selector_rows(problem, np.flatnonzero(problem.integer))
-        assert np.array_equal(coef, np.ones((1, 3)))
-        assert np.array_equal(rhs, [2.0])
+        assert bnb._cardinality(problem, np.flatnonzero(problem.integer)) == 2.0
 
-    # Pinning every positive selector breaks sum(z) <= k whenever more than k
-    # are positive at the root; solving such a probe only wastes IPM iterations.
+    @pytest.mark.parametrize("shape", ["second-selector-row", "coefficient-2", "no-selectors"])
+    def test_another_mip_shape_is_rejected(self, small_noisy, shape):
+        problem = build_cqr(small_noisy, 0.5, ALL_PAIRS)
+        if shape != "no-selectors":
+            problem = add_l0(problem, L0Penalty(2, 5.0))
+            a = problem.a.tocsr(copy=True)
+            if shape == "coefficient-2":
+                a.data[a.indptr[-2] :] = 2.0  # add_l0's cardinality row is the last
+                problem = replace(problem, a=a)
+            else:
+                row = sparse.csr_matrix(problem.integer.astype(float)[None, :])
+                problem = replace(problem, a=sparse.vstack([a, row]).tocsr(), sense=np.append(problem.sense, "L"),
+                                  rhs=np.append(problem.rhs, 3.0))
+        with pytest.raises(ValueError, match=r"sum\(z\) <= k"):
+            bnb._cardinality(problem, np.flatnonzero(problem.integer))
+        with pytest.raises(ValueError, match=r"sum\(z\) <= k"):
+            solve_mip(problem)
+
+    # Propagation only rules out boxes with more than k selectors at 1 and
+    # pins those with k: the tree without it returns the same point, and
+    # every box solved with it has at most k selectors at 1.
     @settings(max_examples=12)
     @given(
         family=st.sampled_from(["quantile", "expectile"]),
@@ -1627,7 +1681,7 @@ class TestSelectorRowSkip:
         skipping, solves = _solve_recording(problem)
         lowers = [s.lower[problem.integer] for s in solves]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bnb, "_propagate", lambda rows, lo, up: (lo, up))
+            mp.setattr(bnb, "_propagate", lambda k, lo, up: (lo, up))
             solving = solve_mip(problem)
         assert skipping.status is solving.status
         assert np.array_equal(skipping.objective, solving.objective, equal_nan=True)
