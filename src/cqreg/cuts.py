@@ -78,6 +78,7 @@ _TIE_MARGIN = 1e-9  # least gap that float noise in a certified optimum cannot c
 # relative below the cold solve's.
 _GROW_TOL = 1e-7
 _GAP_TOL = 1e-9  # largest relative duality gap of a certified grown LP
+CUT_TOL = 0.01  # separation tolerance of the cut loop, so its fit is feasible to 0.01
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def separate(
 def solve_with_cuts(
     builder: Callable[[np.ndarray], OptProblem],
     dataset: Dataset,
-    tol: float = 0.01,
+    tol: float = CUT_TOL,
 ) -> tuple[FitResult, CutLoopStats]:
     """Run the reduced-master loop until the full system is tol-feasible.
 

@@ -15,13 +15,14 @@ relies on scipy's private file layout, `scipy/optimize/_highspy/_core.*`
 `LpSession(problem)` gives HiGHS the model that
 `scipy.optimize.linprog(method="highs")` gives it: the `<=` rows first
 and the `=` rows after (a sense without rows is a 0-row block), presolve
-on, dual simplex, the simplex and IPM iteration caps at _MAX_SIMPLEX_ITERS
-and no output.  The first solve of a session is therefore the cold solve
-`linprog` gives, bit for bit.  The model goes in through the array
-overload of `passModel`: sizes, row-wise format, minimization, a zero
-offset, costs, column and row bounds, the CSR arrays of the reordered
-rows (scipy's `csr_row_index` gather, the bits `a[order]` holds) and an
-all-continuous integrality array.  HiGHS builds the column-wise matrix
+on, dual simplex, the simplex iteration cap at _MAX_SIMPLEX_ITERS and no
+output (`linprog` also caps IPM iterations, which dual simplex never makes).
+The first solve of a session is therefore the cold solve `linprog` gives,
+bit for bit.  The model goes in through the array overload of
+`passModel`: sizes, row-wise format, minimization, a zero offset, costs,
+column and row bounds, the CSR arrays of the reordered rows (scipy's
+`csr_row_index` gather, the bits `a[order]` holds) and an all-continuous
+integrality array.  HiGHS builds the column-wise matrix
 from the rows itself, the one `linprog`'s CSC arrays give, so the
 session never transposes the matrix.  Rows pass as CSR in both calls
 that take them, `passModel` and `addRows`.  Infinite bounds pass as
@@ -87,7 +88,6 @@ _OPTIONS = (
     ("presolve", "on"),
     ("simplex_strategy", 1),  # dual simplex
     ("simplex_iteration_limit", _MAX_SIMPLEX_ITERS),
-    ("ipm_iteration_limit", _MAX_SIMPLEX_ITERS),
 )
 
 # Dual simplex pricing: HiGHS's default (-1, dual steepest edge unless it
@@ -223,7 +223,7 @@ class LpSession:
         if status is None:
             raise SolverError(f"LP solve failed: {self._highs.modelStatusToString(model_status)}")
         info = self._highs.getInfo()
-        iterations = info.simplex_iteration_count or info.ipm_iteration_count
+        iterations = int(info.simplex_iteration_count)
         if status is not Status.OPTIMAL:
             return Solution(status, None, float("nan"), iterations)
         self._x = np.array(self._highs.getSolution().col_value)
@@ -231,7 +231,7 @@ class LpSession:
             status=status,
             x=self._x,
             objective=float(info.objective_function_value),
-            iterations=int(iterations),
+            iterations=iterations,
         )
 
     def dual_objective(self) -> float:

@@ -62,6 +62,9 @@ BAD_VALUES = [
     ("--init", "path"),
     ("--solve", "full"),
     ("--tol", 0.01),
+    ("--penalty", "l1"),
+    ("--penalty", "l0", "--big-m", 1.0),
+    ("--penalty", "l0", "--k", 4, "--big-m", 1.0),  # the CSV has 3 inputs
 ]
 
 
@@ -71,6 +74,30 @@ class TestExitCodes:
         path.write_text("x1,y\n1.0,2.0\nabc,3.0\n")
         assert run(*fit_args(path, tmp_path / "r.json")) == EXIT_DATA
         assert "cannot parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            (None, (), "cannot read"),
+            ("", (), "empty file (header row required)"),
+            ("x1,x2\n1,2\n3,4\n", (), "output column 'y' not in header"),
+            ("x1,y\n1,2\n3,4\n", ("--id-col", "id"), "id column 'id' not in header"),
+            ("id,y\na,2\nb,4\n", ("--id-col", "id"), "need at least one input column"),
+            ("x1,y\n1,2\n3\n", (), "row 3 has 1 cells, header has 2"),
+            ("x1,y\n1,2\ninf,4\n", (), "row 3, column 'x1': non-finite value"),
+            ("x1,y\n1,2\n-3,4\n", (), "inputs must be elementwise nonnegative"),
+        ],
+        ids=["missing-file", "empty-file", "no-output-column", "no-id-column", "no-input-column",
+             "short-row", "infinite-cell", "negative-input"],
+    )
+    def test_bad_csv_is_a_data_error(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "data.csv"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "r.json"
+        assert run(*fit_args(path, out, *flags)) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "export"])
     @pytest.mark.parametrize("flags", BAD_VALUES, ids=lambda f: " ".join(map(str, f)))
@@ -94,6 +121,8 @@ class TestExitCodes:
             ("--penalty", "l0", "--preset", "sdg"),  # k up to 11 at d=3
             ("--penalty", "l0", "--data", "one_input.csv"),  # default k grid empty at d=1
             ("--penalty", "l1", "--solve", "full"),
+            ("--penalty", "l1", "--lambda-grid", "0.1,x"),
+            ("--penalty", "l0", "--k-grid", "1,two"),
         ],
         ids=lambda f: " ".join(map(str, f)),
     )
@@ -153,6 +182,14 @@ class TestExitCodes:
         out.write_text(json.dumps(doc))
         assert run("verify", "--result", out, "--tol", "nan") == EXIT_FLAGS
         assert "tol must be finite and nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing-file", "not-json"])
+    def test_unreadable_result_fails_verify_as_data(self, tmp_path, capsys, text):
+        out = tmp_path / "r.json"
+        if text is not None:
+            out.write_text(text)
+        assert run("verify", "--result", out) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("cannot read result document:")
 
     @pytest.mark.parametrize(
         "spec",

@@ -190,7 +190,7 @@ class TestSolveWithCuts:
         anchor = fit(ds, EstimatorSpec("quantile", 0.5))
         pen = L0Penalty(1, 10.0 * max(anchor.beta.max(), 1e-6))
         spec = EstimatorSpec("quantile", 0.5, penalty=pen)
-        via_cuts = fit(ds, EstimatorSpec("quantile", 0.5, penalty=pen, solve="cuts", tol=1e-6))
+        via_cuts, _ = solve_with_cuts(make_builder(ds, spec), ds, tol=1e-6)
         via_full = fit(ds, spec)
         assert via_cuts.objective == pytest.approx(via_full.objective, abs=1e-4)
         assert via_cuts.z is not None
@@ -292,16 +292,16 @@ def test_dual_degenerate_masters_are_rebuilt_without_a_hot_solve(monkeypatch, se
 
 
 @pytest.mark.parametrize(
-    "n, spec",
+    "n, spec, tol",
     [
-        (30, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1), tol=1e-6)),
-        (30, EstimatorSpec("quantile", 0.5, tol=1e-6)),
-        (12, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(1, 5.0), tol=1e-6)),
-        (30, EstimatorSpec("expectile", 0.5, penalty=L1Penalty(0.01))),
+        (30, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1)), 1e-6),
+        (30, EstimatorSpec("quantile", 0.5), 1e-6),
+        (12, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(1, 5.0)), 1e-6),
+        (30, EstimatorSpec("expectile", 0.5, penalty=L1Penalty(0.01)), cuts.CUT_TOL),
     ],
     ids=["l1-cqr", "cqr", "l0-cqr", "l1-cer"],
 )
-def test_every_round_passes_the_traced_seams(monkeypatch, n, spec):
+def test_every_round_passes_the_traced_seams(monkeypatch, n, spec, tol):
     # The benchmark's tracer wraps these module attributes to count rounds,
     # added rows and model builds; a loop that went around one would leave
     # its counter at 0.
@@ -321,7 +321,7 @@ def test_every_round_passes_the_traced_seams(monkeypatch, n, spec):
     for name in ("build_cqr", "build_cer", "add_l1", "add_l0"):
         count(estimators, name)
     ds = make_instance(n, 3, seed=4)
-    _, stats = solve_with_cuts(make_builder(ds, spec), ds, tol=spec.tol)
+    _, stats = solve_with_cuts(make_builder(ds, spec), ds, tol=tol)
     cold = stats.iterations - stats.warm
     assert stats.iterations > 1
     assert calls["separate"] == stats.iterations
@@ -429,15 +429,16 @@ class TestSolveFullLp:
 
 
 @pytest.mark.parametrize(
-    "n, spec",
+    "n, spec, tol",
     [
-        (30, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1), solve="cuts")),
-        (30, EstimatorSpec("quantile", 0.5, solve="cuts", tol=1e-6)),
-        (45, EstimatorSpec("quantile", 0.5)),
+        (30, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1), solve="cuts"), None),
+        (30, EstimatorSpec("quantile", 0.5), 1e-6),
+        (45, EstimatorSpec("quantile", 0.5), None),
     ],
     ids=["cuts-l1", "cuts", "full"],
 )
-def test_iterations_count_every_solve(monkeypatch, n, spec):
+def test_iterations_count_every_solve(monkeypatch, n, spec, tol):
+    # With a tol the cut loop runs at it directly; without one `fit` runs the spec.
     counts = []
     solve = cuts.LpSession.solve
 
@@ -447,6 +448,10 @@ def test_iterations_count_every_solve(monkeypatch, n, spec):
         return sol
 
     monkeypatch.setattr(cuts.LpSession, "solve", counted)
-    result = fit(make_instance(n, 3, seed=4), spec)
+    ds = make_instance(n, 3, seed=4)
+    if tol is None:
+        result = fit(ds, spec)
+    else:
+        result, _ = solve_with_cuts(make_builder(ds, spec), ds, tol=tol)
     assert len(counts) > 1
     assert result.meta.iterations == sum(counts)

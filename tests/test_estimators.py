@@ -1,5 +1,5 @@
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +19,7 @@ from cqreg import (
     support,
 )
 from cqreg import estimators
-from cqreg.cuts import solve_with_cuts
+from cqreg.cuts import CUT_TOL, solve_with_cuts
 from cqreg.estimators import make_builder
 from cqreg.model import FEAS_TOL, FitMeta, FitResult, validate_fit
 from tests.conftest import make_instance
@@ -59,10 +59,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="penalty must be None, an L1Penalty or an L0Penalty"):
             EstimatorSpec("quantile", 0.5, penalty=penalty)
 
-    @pytest.mark.parametrize("tol", [0.0, -0.01, float("nan"), float("inf")])
-    def test_rejects_tol_that_is_not_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            EstimatorSpec("quantile", 0.5, tol=tol)
+    def test_cut_tolerance_is_not_an_option(self):
+        assert [f.name for f in fields(EstimatorSpec)] == ["family", "level", "penalty", "solve"]
+        with pytest.raises(TypeError):
+            EstimatorSpec("quantile", 0.5, tol=1e-6)
+        assert EstimatorSpec.tol == CUT_TOL == 0.01
 
 
 class TestFit:
@@ -150,7 +151,7 @@ class TestFit:
             result = fit(ds, spec)
         except RuntimeError:
             return
-        tol = FEAS_TOL if solve == "full" else spec.tol
+        tol = FEAS_TOL if solve == "full" else CUT_TOL
         assert validate_fit(result, ds, tol=tol, big_m=big_m, k=k) == []
 
 

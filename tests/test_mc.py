@@ -123,10 +123,15 @@ def test_bad_worker_count_raises(workers):
         (dict(replications=2.0), "replications must be an integer, got 2.0"),
         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
         (dict(seed=1.5), "seed must be a nonnegative integer, got 1.5"),
+        (dict(k_true=3), r"k_true=3 must lie in \[1, d=2\]"),
+        (dict(replications=0), "need at least one replication"),
+        (dict(taus=(0.5, 1.0)), r"tau values must lie in \(0, 1\)"),
+        (dict(exponent_mode="odd"), "unknown exponent mode 'odd'"),
     ],
     ids=[
         "rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one", "n-float",
         "d-float", "k_true-float", "replications-float", "seed-negative", "seed-float",
+        "k_true-above-d", "replications-zero", "tau-one", "exponent-mode-unknown",
     ],
 )
 def test_bad_design_rejected_before_drawing(field, message):

@@ -27,6 +27,7 @@ from cqreg import (
 )
 from cqreg import model
 from cqreg.model import VarLayout, _pair_arrays, afriat_rows, extract_fit, validate_fit
+from cqreg.solver import Solution, Status
 from tests.conftest import make_instance
 
 
@@ -91,6 +92,25 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[1.0], [2.0]]), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize(
+        "inputs, output, message",
+        [
+            ([1.0, 2.0], [1.0, 2.0], "inputs must be 2-D"),
+            ([[1.0], [2.0]], [[1.0], [2.0]], "output must be 1-D"),
+            (np.zeros((2, 0)), [1.0, 2.0], "need at least 1 input variable"),
+            ([[1.0], [2.0], [3.0]], [1.0, 2.0], "output length 2 != n=3"),
+        ],
+        ids=["1-D-inputs", "2-D-output", "no-input-column", "length-mismatch"],
+    )
+    def test_rejects_bad_shape(self, inputs, output, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(np.asarray(inputs), np.asarray(output))
+
+    def test_restrict_rejects_no_columns(self):
+        ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="need at least one column"):
+            ds.restrict([])
+
     def test_restrict_keeps_columns(self):
         ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0]))
         sub = ds.restrict([1])
@@ -145,6 +165,22 @@ class TestBuilders:
                 build_cqr(ds, bad, ALL_PAIRS)
             with pytest.raises(ValueError):
                 build_cer(ds, bad, ALL_PAIRS)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda p: dict(a=p.a.tocsr()[:, :-1]), "constraint matrix width does not match variable count"),
+            (lambda p: dict(rhs=p.rhs[:-1]), "rhs has length"),
+            (lambda p: dict(obj_quad=p.obj_quad[:-1]), "quadratic term length does not match variable count"),
+            (lambda p: dict(obj_quad=-p.obj_quad), r"quadratic term must be PSD \(nonnegative diagonal\)"),
+            (lambda p: dict(sense=np.where(p.sense == "L", "G", p.sense)), "constraint senses must be 'L' or 'E'"),
+        ],
+        ids=["matrix-width", "rhs-length", "quad-length", "negative-quad", "unknown-sense"],
+    )
+    def test_problem_rejects_inconsistent_parts(self, change, message):
+        problem = build_cer(make_instance(4, 2), 0.5, ALL_PAIRS)
+        with pytest.raises(ValueError, match=message):
+            replace(problem, **change(problem))
 
     def test_pair_validation(self):
         ds = make_instance(3, 1)
@@ -290,6 +326,11 @@ class TestL1:
         with pytest.raises(ValueError):
             L1Penalty(-0.1)
 
+    def test_rejects_a_cardinality_model(self):
+        mip = add_l0(build_cqr(make_instance(5, 2), 0.5, ALL_PAIRS), L0Penalty(1, 1.0))
+        with pytest.raises(ValueError, match="cannot combine the shrinkage and cardinality penalties"):
+            add_l1(mip, L1Penalty(0.1))
+
 
 class TestL0:
     def test_row_and_variable_counts(self):
@@ -328,6 +369,9 @@ class TestL0:
         ds = make_instance(4, 2)
         with pytest.raises(ValueError):
             add_l0(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(3, 1.0))
+        mip = add_l0(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(1, 1.0))
+        with pytest.raises(ValueError, match="cardinality block already present"):
+            add_l0(mip, L0Penalty(1, 1.0))
 
     def test_objective_monotone_in_k(self):
         ds = make_instance(10, 3, seed=3)
@@ -396,6 +440,41 @@ class TestFitResultInvariants:
         result = fit(ds, EstimatorSpec("quantile", 0.5))
         broken = replace(result, **{field: np.full_like(getattr(result, field), np.nan)})
         assert validate_fit(broken, ds) == [f"non-finite entries in {field}"]
+
+    @pytest.mark.parametrize(
+        "breach, message",
+        [
+            ("negative-beta", "beta has negative entries (min -1)"),
+            ("negative-residual", "residual parts have negative entries"),
+            ("too-many-selectors", "selected 3 variables, cardinality bound 1"),
+            ("over-the-cap", "coefficient cap beta <= M*z violated by"),
+        ],
+    )
+    def test_broken_fit_is_reported(self, breach, message):
+        # `cqreg verify` and the benchmark's gate read these messages.
+        ds = make_instance(10, 3, seed=1)
+        pen = L0Penalty(1, 10.0)
+        result = fit(ds, EstimatorSpec("quantile", 0.5, penalty=pen))
+        assert validate_fit(result, ds, big_m=pen.big_m, k=pen.k) == []
+        if breach == "negative-beta":
+            beta = result.beta.copy()
+            beta[0, 0] = -1.0
+            broken = replace(result, beta=beta)
+        elif breach == "negative-residual":
+            # Both parts drop by 1, so the split still sums to the residual.
+            broken = replace(result, eps_plus=result.eps_plus - 1.0, eps_minus=result.eps_minus - 1.0)
+        elif breach == "too-many-selectors":
+            broken = replace(result, z=np.ones(ds.d, dtype=int))
+        else:
+            broken = replace(result, z=np.zeros(ds.d, dtype=int))
+        found = validate_fit(broken, ds, big_m=pen.big_m, k=pen.k)
+        assert any(problem.startswith(message) for problem in found), found
+
+    def test_extract_requires_a_point(self, small_noisy):
+        problem = build_cqr(small_noisy, 0.5, ALL_PAIRS)
+        stopped = Solution(Status.ITERATION_LIMIT, None, float("nan"), 1)
+        with pytest.raises(ValueError, match="no primal solution available"):
+            extract_fit(problem, small_noisy, stopped)
 
     def test_extract_requires_layout(self, small_noisy):
         problem = build_cqr(small_noisy, 0.5, ALL_PAIRS)

@@ -102,6 +102,19 @@ def test_l0_default_k_grid_at_one_input_is_rejected_before_any_fit(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "spec, penalty, message",
+    [
+        (EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1)), "l1", "pass a penalty-free spec"),
+        (EstimatorSpec("quantile", 0.5), "l2", "penalty must be 'l1' or 'l0', got 'l2'"),
+    ],
+    ids=["penalized-spec", "unknown-penalty"],
+)
+def test_bad_candidate_family_is_rejected(spec, penalty, message):
+    with pytest.raises(ValueError, match=message):
+        cross_validate(make_instance(12, 2), spec, penalty, CVConfig(folds=2))
+
+
+@pytest.mark.parametrize(
     "grid, values", [("lambda_grid", (0.1, 0.1)), ("k_grid", (1, 2, 1)), ("m_multipliers", (1.0, 1.0))]
 )
 def test_repeated_grid_value_is_rejected(grid, values):
@@ -127,6 +140,12 @@ def test_repeated_grid_value_is_rejected(grid, values):
 def test_bad_grid_value_is_rejected(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         CVConfig(**{field: value})
+
+
+@pytest.mark.parametrize("grid, name", [("k_grid", "k grid"), ("m_multipliers", "multiplier grid")])
+def test_empty_grid_is_rejected(grid, name):
+    with pytest.raises(ValueError, match=f"^{name} must be non-empty"):
+        CVConfig(**{grid: ()})
 
 
 def test_numpy_integers_are_integers():
