@@ -39,6 +39,7 @@ from .model import (
     build_cer,
     build_cqr,
     extract_fit,
+    is_integer,
 )
 from .solver import Solution, Status, solve_lp, solve_mip, solve_qp
 
@@ -156,9 +157,8 @@ def l0_oracle(dataset: Dataset, spec: EstimatorSpec, k: int, big_m: float | None
     if big_m is not None and not (math.isfinite(big_m) and big_m > 0):
         raise ValueError(f"big_m must be finite and > 0, got {big_m}")
     d = dataset.d
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if not is_integer(k) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     k = min(k, d)
     if math.comb(d, k) > 10_000:
         raise ValueError(f"C({d}, {k}) exceeds the enumeration guard")

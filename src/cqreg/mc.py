@@ -1,19 +1,20 @@
 """Monte Carlo scenario generation, evaluation statistics and the sweep driver.
 
 Scenarios follow an additive Cobb-Douglas design: inputs uniform on [1, 10],
-a randomly located true support of size k_true with exponents summing to
-0.8, and Gaussian noise whose variance is calibrated to the requested
-signal-to-noise ratio.  Ground-truth quantile curves come from the analytic
-Gaussian inverse CDF (`scipy.special.ndtri`), computed when a scenario's
-`q_star` is first read.  `scipy.special` is imported there and in
-`expectile_level_for_quantile`, not with this module: no fit uses it, and
-it adds about 3.6 MiB to the peak memory of an `import cqreg`.  `run_mc`
-fits every estimator in full mode, on all n(n-1) Afriat rows.
+a randomly located true support of size k_true, each input in it with
+exponent 0.8/k_true (they sum to 0.8, so the true frontier is concave, as
+the CQR/CER model class assumes), and Gaussian noise whose variance is
+calibrated to the requested signal-to-noise ratio.  Ground-truth quantile
+curves come from the analytic Gaussian inverse CDF (`scipy.special.ndtri`),
+computed when a scenario's `q_star` is first read.  `scipy.special` is
+imported there and in `expectile_level_for_quantile`, not with this module:
+no fit uses it, and it adds about 3.6 MiB to the peak memory of an
+`import cqreg`.  `run_mc` fits every estimator in full mode, on all n(n-1)
+Afriat rows.
 """
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -23,6 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .estimators import EXPECTILE, QUANTILE, EstimatorSpec, fit, support
+from .model import is_integer
 from .tuning import CVConfig, chosen_penalty, cross_validate
 
 METHODS: dict[str, tuple[str, str | None]] = {
@@ -39,7 +41,8 @@ _METRICS = ("prediction_error", "accuracy", "false_positives", "exact_support")
 
 @dataclass(frozen=True)
 class MCConfig:
-    """One cell of the experimental design plus replication controls."""
+    """One cell of the experimental design plus replication controls: n
+    observations of d inputs, k_true of them with exponent 0.8/k_true each."""
 
     n: int = 100
     d: int = 6
@@ -48,15 +51,14 @@ class MCConfig:
     taus: tuple[float, ...] = (0.5,)
     replications: int = 10
     seed: int = 0
-    exponent_mode: str = "even"  # "even": 0.8/k_true each; "position": 0.8/1, 0.8/2, ...
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+        if not is_integer(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer of at least 2, got {self.n!r}")
         for name in ("d", "k_true", "replications"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.k_true < 1 or self.k_true > self.d:
             raise ValueError(f"k_true={self.k_true} must lie in [1, d={self.d}]")
@@ -68,8 +70,6 @@ class MCConfig:
             raise ValueError("tau values must lie in (0, 1)")
         if len(set(self.taus)) != len(self.taus):
             raise ValueError(f"tau values must be distinct, got {self.taus}")
-        if self.exponent_mode not in ("even", "position"):
-            raise ValueError(f"unknown exponent mode {self.exponent_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,7 @@ def generate_scenario(cfg: MCConfig, rep_index: int) -> MCScenario:
     rng = np.random.default_rng([cfg.seed, int(rep_index)])
     X = rng.uniform(1.0, 10.0, (cfg.n, cfg.d))
     omega = np.sort(rng.choice(cfg.d, size=cfg.k_true, replace=False))
-    if cfg.exponent_mode == "even":
-        exponents = np.full(cfg.k_true, 0.8 / cfg.k_true)
-    else:
-        exponents = 0.8 / np.arange(1, cfg.k_true + 1)
-    signal = np.prod(X[:, omega] ** exponents, axis=1)
+    signal = np.prod(X[:, omega] ** (0.8 / cfg.k_true), axis=1)
     sigma = float(np.sqrt(signal.var() / cfg.rho))
     noise = rng.normal(0.0, sigma, cfg.n)
     y = signal + noise
@@ -232,6 +228,8 @@ def run_mc(
 ) -> MetricsReport:
     """Generate, tune, fit and score every replication; fully deterministic
     per master seed regardless of worker count."""
+    if not methods:
+        raise ValueError("need at least one method")
     for name in methods:
         if name not in METHODS:
             raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")

@@ -38,6 +38,11 @@ class AllPairs:
 ALL_PAIRS = AllPairs()
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one, nor is a whole float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class L1Penalty:
     """Sparsity-inducing shrinkage weight on sum_{j,i} |beta_{j,i}|."""
@@ -57,8 +62,8 @@ class L0Penalty:
     big_m: float
 
     def __post_init__(self) -> None:
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        if not is_integer(self.k) or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not np.isfinite(self.big_m) or self.big_m <= 0:
             raise ValueError(f"big_m must be a finite positive real, got {self.big_m}")
         object.__setattr__(self, "k", int(self.k))

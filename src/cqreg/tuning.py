@@ -14,13 +14,9 @@ import numpy as np
 
 from .data import Dataset
 from .estimators import EXPECTILE, QUANTILE, EstimatorSpec, anchor_big_m, fit
-from .model import FitResult, L0Penalty, L1Penalty, check_loss, expectile_loss
+from .model import FitResult, L0Penalty, L1Penalty, check_loss, expectile_loss, is_integer
 
 _SDG_MULTIPLIERS = (0.1, 0.5, 0.8, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def default_lambda_grid(count: int = 100) -> tuple[float, ...]:
@@ -43,7 +39,7 @@ class CVConfig:
     k_grid: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.folds) or self.folds < 2:
+        if not is_integer(self.folds) or self.folds < 2:
             raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
         if self.lambda_grid is not None and len(self.lambda_grid) == 0:
             raise ValueError("lambda grid must be non-empty")
@@ -52,7 +48,7 @@ class CVConfig:
         if self.k_grid is not None:
             if len(self.k_grid) == 0:
                 raise ValueError("k grid must be non-empty")
-            if not all(_is_integer(k) and k >= 1 for k in self.k_grid):
+            if not all(is_integer(k) and k >= 1 for k in self.k_grid):
                 raise ValueError(f"k_grid values must be integers >= 1, got {self.k_grid}")
         if self.lambda_grid is not None and not all(np.isfinite(v) and v >= 0 for v in self.lambda_grid):
             raise ValueError(f"lambda_grid values must be finite and >= 0, got {self.lambda_grid}")
@@ -78,7 +74,11 @@ class CVConfig:
 
 @dataclass(frozen=True)
 class CVReport:
-    """Per-candidate out-of-fold losses and the selected candidate."""
+    """Per-candidate out-of-fold losses and the selected candidate.
+
+    `failures` counts the (candidate, fold) fits that raised `RuntimeError`:
+    the cells of the loss table left NaN.  A candidate with one is not chosen.
+    """
 
     penalty: str
     candidates: tuple[dict[str, Any], ...]
@@ -133,6 +133,18 @@ def _oof_loss(family: str, level: float, y_true: np.ndarray, y_pred: np.ndarray)
     return float(np.mean(expectile_loss(resid, level)))
 
 
+def _penalties(
+    dataset: Dataset, spec: EstimatorSpec, penalty: str, candidates: tuple[dict[str, Any], ...]
+) -> list[L1Penalty | L0Penalty]:
+    """The penalty each candidate names on `dataset`.  An L0 cap is its
+    multiplier times one anchor fit: `anchor_big_m(dataset, spec, m)`, bit
+    for bit."""
+    if penalty == "l1":
+        return [L1Penalty(c["lambda"]) for c in candidates]
+    anchor = anchor_big_m(dataset, spec, 1.0)
+    return [L0Penalty(c["k"], c["m_multiplier"] * anchor) for c in candidates]
+
+
 def cross_validate(
     dataset: Dataset, spec: EstimatorSpec, penalty: str, cfg: CVConfig
 ) -> CVReport:
@@ -167,29 +179,16 @@ def cross_validate(
         tie_keys = [(c["k"], c["m_multiplier"]) for c in candidates]
 
     losses = np.full((len(candidates), cfg.folds), np.nan)
-    failures = 0
     for fold in range(cfg.folds):
-        test_idx = np.flatnonzero(assignment == fold)
-        train_idx = np.flatnonzero(assignment != fold)
-        train = dataset.subset(train_idx)
-        x_test = dataset.inputs[test_idx]
-        y_test = dataset.output[test_idx]
-        anchor = None
-        if penalty == "l0":
-            anchor = anchor_big_m(train, spec, 1.0)
-        for ci, cand in enumerate(candidates):
-            if penalty == "l1":
-                cand_penalty = L1Penalty(cand["lambda"])
-            else:
-                cand_penalty = L0Penalty(cand["k"], cand["m_multiplier"] * anchor)
+        train = dataset.subset(np.flatnonzero(assignment != fold))
+        test = assignment == fold
+        for ci, cand_penalty in enumerate(_penalties(train, spec, penalty, candidates)):
             try:
                 trained = fit(train, replace(spec, penalty=cand_penalty))
             except RuntimeError:
-                failures += 1
                 continue
-            losses[ci, fold] = _oof_loss(
-                spec.family, spec.level, y_test, oof_predict(trained, x_test)
-            )
+            y_pred = oof_predict(trained, dataset.inputs[test])
+            losses[ci, fold] = _oof_loss(spec.family, spec.level, dataset.output[test], y_pred)
 
     # A failed fold invalidates the whole candidate.
     complete = ~np.isnan(losses).any(axis=1)
@@ -209,7 +208,7 @@ def cross_validate(
         se_loss=tuple(float(v) for v in se_loss),
         chosen=int(chosen),
         fold_assignment=tuple(int(f) for f in assignment),
-        failures=failures,
+        failures=int(np.isnan(losses).sum()),
     )
 
 
@@ -218,8 +217,4 @@ def chosen_penalty(
 ) -> L1Penalty | L0Penalty:
     """Materialize the selected candidate as a penalty for a full-data refit;
     the cardinality cap re-anchors on the full sample."""
-    params = report.chosen_params
-    if report.penalty == "l1":
-        return L1Penalty(params["lambda"])
-    big_m = anchor_big_m(dataset, spec, params["m_multiplier"])
-    return L0Penalty(params["k"], big_m)
+    return _penalties(dataset, spec, report.penalty, (report.chosen_params,))[0]

@@ -331,7 +331,6 @@ FLAG_TABLE = {
         ("--reps", 10, "int", None, False),
         ("--seed", 0, "int", None, False),
         ("--methods", "l0-cqr", None, None, False),
-        ("--exponent-mode", "even", None, ["even", "position"], False),
         ("--folds", 5, "int", None, False),
         ("--lambda-count", None, "int", None, False),
         ("--k-grid", None, None, None, False),
@@ -360,6 +359,19 @@ def test_flag_table():
         for name, sub in commands.items()
     }
     assert table == {name: sorted(rows) for name, rows in FLAG_TABLE.items()}
+
+
+def test_simulate_csv_holds_the_report_rows(tmp_path):
+    # The header is the keys of run_mc's rows, in the order run_mc writes them.
+    out, doc = tmp_path / "mc.csv", tmp_path / "mc.json"
+    args = ("simulate", "--n", 10, "--d", 2, "--k-true", 1, "--reps", 2, "--methods", "cqr,cer",
+            "--workers", 1, "--out", out, "--json", doc)
+    assert run(*args) == EXIT_OK
+    header, *lines = out.read_text().splitlines()
+    assert header == "method,family,tau,n,d,k_true,rho,metric,mean,sd,reps"
+    rows = json.loads(doc.read_text())["rows"]
+    assert lines == [",".join(str(v) for v in row.values()) for row in rows]
+    assert len(lines) == 8
 
 
 @pytest.mark.parametrize("inject", [False, True])

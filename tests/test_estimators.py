@@ -226,6 +226,11 @@ class TestL0Oracle:
         with pytest.raises(ValueError, match="big_m"):
             l0_oracle(small_noisy, EstimatorSpec("quantile", 0.5), 1, big_m=big_m)
 
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
+    def test_rejects_a_bad_k(self, small_noisy, k):
+        with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}"):
+            l0_oracle(small_noisy, EstimatorSpec("quantile", 0.5), k)
+
     def test_enumeration_guard(self):
         # C(30, 15) is far beyond the 1e4 cap; the guard fires before any solve.
         ds = make_instance(5, 30)

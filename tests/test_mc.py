@@ -11,7 +11,7 @@ from cqreg import mc, tuning
 from cqreg import __version__
 from cqreg.cli import EXIT_OK, SCHEMA_VERSION, main
 from cqreg.estimators import EXPECTILE
-from cqreg.mc import METHODS, accuracy, exact_support, false_positives, generate_scenario
+from cqreg.mc import METHODS, accuracy, exact_support, false_positives, generate_scenario, prediction_error
 from cqreg.tuning import default_lambda_grid
 from tests.conftest import run_fresh
 
@@ -126,17 +126,38 @@ def test_bad_worker_count_raises(workers):
         (dict(k_true=3), r"k_true=3 must lie in \[1, d=2\]"),
         (dict(replications=0), "need at least one replication"),
         (dict(taus=(0.5, 1.0)), r"tau values must lie in \(0, 1\)"),
-        (dict(exponent_mode="odd"), "unknown exponent mode 'odd'"),
+        (dict(d=True), "d must be an integer, got True"),
+        (dict(n=True), "n must be an integer of at least 2, got True"),
+        (dict(seed=False), "seed must be a nonnegative integer, got False"),
     ],
     ids=[
         "rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one", "n-float",
         "d-float", "k_true-float", "replications-float", "seed-negative", "seed-float",
-        "k_true-above-d", "replications-zero", "tau-one", "exponent-mode-unknown",
+        "k_true-above-d", "replications-zero", "tau-one", "d-bool", "n-bool", "seed-bool",
     ],
 )
 def test_bad_design_rejected_before_drawing(field, message):
     with pytest.raises(ValueError, match=message):
         MCConfig(**{**dict(n=12, d=2, k_true=1, replications=1), **field})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cfg: run_mc(cfg, ()), "need at least one method"),
+        (lambda cfg: run_mc(cfg, ("cqr", "l2-cqr")), "unknown method 'l2-cqr'"),
+        (lambda cfg: expectile_level_for_quantile(0.0), r"tau must lie in \(0, 1\)"),
+        (lambda cfg: expectile_level_for_quantile(1.0), r"tau must lie in \(0, 1\)"),
+        (lambda cfg: prediction_error(np.ones(3), np.ones(4)), "vectors must have equal length"),
+        (lambda cfg: prediction_error(np.ones(3), np.zeros(3)), "ground-truth vector must not be all-zero"),
+        (lambda cfg: accuracy({0}, {0}, 0), "k_true must be at least 1"),
+    ],
+    ids=["no-method", "unknown-method", "tau-zero", "tau-one", "length-mismatch", "zero-truth", "k_true-zero"],
+)
+def test_bad_argument_rejected_before_drawing(monkeypatch, call, message):
+    monkeypatch.setattr(mc, "generate_scenario", lambda *args: pytest.fail("a scenario was drawn"))
+    with pytest.raises(ValueError, match=message):
+        call(MCConfig(n=12, d=2, k_true=1, replications=1))
 
 
 def test_repeated_tau_or_method_rejected():

@@ -15,6 +15,7 @@ from cqreg import (
     add_l0,
     add_l1,
     add_l1_budget,
+    anchor_big_m,
     build_cer,
     build_cqr,
     check_loss,
@@ -75,6 +76,11 @@ class TestExpectileLoss:
     def test_weights(self):
         assert expectile_loss(2.0, 0.9) == pytest.approx(0.9 * 4.0)
         assert expectile_loss(-2.0, 0.9) == pytest.approx(0.1 * 4.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, np.array([1.0, -np.inf])], ids=["nan", "inf", "array"])
+    def test_rejects_nonfinite(self, t):
+        with pytest.raises(ValueError, match="expectile loss argument must be finite"):
+            expectile_loss(t, 0.5)
 
 
 class TestDataset:
@@ -332,6 +338,32 @@ class TestL1:
             add_l1(mip, L1Penalty(0.1))
 
 
+@pytest.mark.parametrize(
+    "attach, message",
+    [
+        (lambda base, mip: add_l1(replace(base, layout=None), L1Penalty(0.1)), "not built by build_cqr/build_cer"),
+        (lambda base, mip: add_l1_budget(mip, L0Penalty(1, 1.0)), "relaxation applies to the unpenalized problem"),
+        (lambda base, mip: add_l1_budget(base, L0Penalty(3, 1.0)), "k=3 exceeds the number of input variables d=2"),
+    ],
+    ids=["l1-without-layout", "budget-on-l0", "budget-k-above-d"],
+)
+def test_penalty_block_rejects_the_wrong_problem(attach, message):
+    base = build_cqr(make_instance(5, 2), 0.5, ALL_PAIRS)
+    mip = add_l0(base, L0Penalty(1, 1.0))
+    with pytest.raises(ValueError, match=message):
+        attach(base, mip)
+
+
+# Expectile seeds 0-4 of the monotonicity grid: most failing cells sit 1e-6
+# to 1e-4 relative above an inner cell, where the IPM ends a pinned QP short
+# of its optimum; at seed 3, (k=3, 2x) reads optimal 0.55% above (k=3, 0.5x).
+_L0_CER_NOT_MONOTONE = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="an L0-CER fit reads optimal above a fit with a smaller feasible set (ROADMAP items 6, 14 and 17)",
+)
+
+
 class TestL0:
     def test_row_and_variable_counts(self):
         ds = make_instance(5, 3)
@@ -366,6 +398,11 @@ class TestL0:
             L0Penalty(0, 1.0)
         with pytest.raises(ValueError):
             L0Penalty(2, 0.0)
+        # k follows the package's one integer rule: no bool, no float.
+        for k in (float("inf"), True, 2.0, 1.5):
+            with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}"):
+                L0Penalty(k, 1.0)
+        assert L0Penalty(np.int64(2), 1.0).k == 2 and type(L0Penalty(np.int64(2), 1.0).k) is int
         ds = make_instance(4, 2)
         with pytest.raises(ValueError):
             add_l0(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(3, 1.0))
@@ -373,17 +410,29 @@ class TestL0:
         with pytest.raises(ValueError, match="cardinality block already present"):
             add_l0(mip, L0Penalty(1, 1.0))
 
-    def test_objective_monotone_in_k(self):
-        ds = make_instance(10, 3, seed=3)
-        spec = EstimatorSpec("quantile", 0.5)
-        anchor = fit(ds, spec)
-        m = 10.0 * max(anchor.beta.max(), 1e-6)
-        objectives = [
-            fit(ds, EstimatorSpec("quantile", 0.5, penalty=L0Penalty(k, m))).objective
-            for k in (1, 2, 3)
+    # ROADMAP item 17: the feasible set at (k', M') lies inside the one at
+    # (k, M) when k' <= k and M' <= M, so no cell's optimum exceeds such a
+    # cell's.  The grid and its instances were fixed before the first run.
+    @pytest.mark.parametrize(
+        "family, seed",
+        [("quantile", seed) for seed in range(6)]
+        + [pytest.param("expectile", seed, marks=_L0_CER_NOT_MONOTONE) for seed in range(5)]
+        + [("expectile", 5)],
+    )
+    def test_objective_monotone_in_k_and_cap(self, family, seed):
+        ds = make_instance(10, 3, seed=seed)
+        spec = EstimatorSpec(family, 0.5)
+        anchor = anchor_big_m(ds, spec, 1.0)
+        cells = [(k, m) for k in (1, 2, 3) for m in (0.5, 1.0, 2.0, 10.0)]
+        objective = {(k, m): fit(ds, replace(spec, penalty=L0Penalty(k, m * anchor))).objective for k, m in cells}
+        above = [
+            (cell, inner)
+            for cell in cells
+            for inner in cells
+            if inner[0] <= cell[0] and inner[1] <= cell[1]
+            and objective[cell] > objective[inner] + 1e-6 * abs(objective[inner])
         ]
-        assert objectives[0] >= objectives[1] - 1e-9
-        assert objectives[1] >= objectives[2] - 1e-9
+        assert above == []
 
 
 class TestRelaxation:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cqreg import CVConfig, EstimatorSpec, L1Penalty, cross_validate, fit, kfold_split, tuning
+from cqreg import CVConfig, EstimatorSpec, L1Penalty, SolverError, anchor_big_m, cross_validate, fit, kfold_split, tuning
+from cqreg.tuning import CVReport, chosen_penalty
 from cqreg.model import FEAS_TOL, FitMeta, FitResult, L0Penalty
 from tests.conftest import make_instance
 
@@ -21,6 +22,11 @@ class TestKfoldSplit:
     def test_more_folds_than_observations_rejected(self):
         with pytest.raises(ValueError):
             kfold_split(4, 5, seed=0)
+
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        with pytest.raises(ValueError, match="need at least 2 folds"):
+            kfold_split(4, folds, seed=0)
 
 
 def flat_fit(alpha: float) -> FitResult:
@@ -89,6 +95,50 @@ class TestTieBreak:
         report = cross_validate(make_instance(12, 3), EstimatorSpec("quantile", 0.5), "l0", cfg)
         assert report.mean_loss.count(min(report.mean_loss)) == 5
         assert report.chosen_params == {"k": 1, "m_multiplier": 1.0}
+
+
+class TestFailures:
+    def test_failures_are_the_nan_cells_of_the_loss_table(self, monkeypatch):
+        # lambda = 1 fails in the first fold only (the second fit); it drops
+        # out of selection and is the one failure the report counts.
+        original, calls = tuning.fit, []
+
+        def failing(ds, spec):
+            calls.append(spec.penalty)
+            if len(calls) == 2:
+                raise SolverError("injected fold failure")
+            return original(ds, spec)
+
+        monkeypatch.setattr(tuning, "fit", failing)
+        cfg = CVConfig(folds=3, lambda_grid=(0.01, 1.0))
+        report = cross_validate(make_instance(12, 2), EstimatorSpec("quantile", 0.5), "l1", cfg)
+        assert report.failures == 1 and report.to_dict()["failures"] == 1
+        assert report.mean_loss[1] == np.inf and np.isfinite(report.mean_loss[0])
+        assert calls[1] == L1Penalty(1.0) and report.chosen_params == {"lambda": 0.01}
+
+    @pytest.mark.parametrize("penalty", ["l1", "l0"])
+    def test_every_candidate_failing_raises(self, monkeypatch, penalty):
+        def failing(ds, spec):
+            raise SolverError("injected fold failure")
+
+        monkeypatch.setattr(tuning, "fit", failing)
+        monkeypatch.setattr(tuning, "anchor_big_m", lambda *args: 1.0)
+        cfg = CVConfig(folds=2, lambda_grid=(0.1, 1.0), k_grid=(1,), m_multipliers=(1.0, 2.0))
+        with pytest.raises(RuntimeError, match="every candidate failed in at least one fold"):
+            cross_validate(make_instance(12, 2), EstimatorSpec("quantile", 0.5), penalty, cfg)
+
+
+@pytest.mark.parametrize("family", ["quantile", "expectile"])
+def test_chosen_penalty_reanchors_on_the_full_sample(family):
+    # The selected multiplier times the full-sample anchor at 1 is the
+    # anchor at that multiplier, bit for bit.
+    ds = make_instance(12, 3, seed=2)
+    spec = EstimatorSpec(family, 0.5)
+    for m in (0.1, 1.5, 3.0):
+        report = CVReport("l0", ({"k": 2, "m_multiplier": m},), (0.0,), (0.0,), 0, ())
+        assert chosen_penalty(ds, spec, report) == L0Penalty(2, anchor_big_m(ds, spec, m))
+    report = CVReport("l1", ({"lambda": 0.3},), (0.0,), (0.0,), 0, ())
+    assert chosen_penalty(ds, spec, report) == L1Penalty(0.3)
 
 
 def test_l0_default_k_grid_at_one_input_is_rejected_before_any_fit(monkeypatch):
