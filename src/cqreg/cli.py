@@ -146,11 +146,21 @@ def _spec_from_args(args, dataset: Dataset) -> EstimatorSpec:
 _OBSERVATION_FIELDS = ("x", "y", "alpha", "beta", "y_hat", "eps_plus", "eps_minus")
 
 
+def _standard(value):
+    """`value` with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _standard(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_standard(item) for item in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def _write_json(path, payload: dict) -> None:
-    """Write a JSON document of the package, stamped with the schema version and the tool."""
+    """Write a JSON document of the package, stamped with the schema version
+    and the tool; a non-finite number is written as null (standard JSON)."""
     doc = {"schema_version": SCHEMA_VERSION, "tool": {"name": "cqreg", "version": __version__}, **payload}
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2)
+        json.dump(_standard(doc), handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 

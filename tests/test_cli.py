@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqreg import cli, tuning
+from cqreg import cli, mc, tuning
 from cqreg.cli import EXIT_DATA, EXIT_FLAGS, EXIT_OK, EXIT_SOLVER, main
 from cqreg import (
     ALL_PAIRS,
@@ -17,6 +17,8 @@ from cqreg import (
     add_l0,
     build_cqr,
     cross_validate,
+    expectile_to_quantile,
+    fit,
 )
 from cqreg.tuning import default_lambda_grid
 from tests.conftest import make_instance
@@ -401,6 +403,52 @@ def test_failed_fold_fits_are_reported(csv_path, tmp_path, capsys, monkeypatch, 
     assert warnings == (["warning: 1 CV fold fit(s) failed; their candidates were left out"] if inject else [])
 
 
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# A candidate whose fold fit fails has an infinite mean and standard error,
+# and a method whose every replication fails has a NaN mean: both documents
+# write them as null.
+@pytest.mark.parametrize("command", ["tune", "simulate"])
+def test_documents_with_failed_fits_are_standard_json(csv_path, tmp_path, monkeypatch, command):
+    out = tmp_path / "doc.json"
+    if command == "tune":
+        original = tuning.fit
+
+        def fold_fit(dataset, spec):
+            if spec.penalty.lam == 1.0:
+                raise SolverError("injected fold failure")
+            return original(dataset, spec)
+
+        monkeypatch.setattr(tuning, "fit", fold_fit)
+        args = ("tune", "--data", csv_path, "--output-col", "y", "--family", "quantile", "--level", 0.5,
+                "--penalty", "l1", "--folds", 2, "--lambda-grid", "0.01,1", "--out", out)
+    else:
+        original = mc.fit
+
+        def method_fit(dataset, spec):
+            if spec.family == "expectile":
+                raise SolverError("injected fit failure")
+            return original(dataset, spec)
+
+        monkeypatch.setattr(mc, "fit", method_fit)
+        args = ("simulate", "--n", 10, "--d", 2, "--k-true", 1, "--reps", 2, "--methods", "cqr,cer",
+                "--workers", 1, "--out", tmp_path / "mc.csv", "--json", out)
+    assert run(*args) == EXIT_OK
+    doc = _strict_json(out.read_text())
+    if command == "tune":
+        assert doc["mean_loss"][1] is doc["se_loss"][1] is None
+        assert all(np.isfinite(doc[key][0]) for key in ("mean_loss", "se_loss"))
+    else:
+        means = {(row["method"], row["metric"]): row["mean"] for row in doc["rows"]}
+        assert all((mean is None) is (method == "cer") for (method, _), mean in means.items())
+        assert doc["failures_by_method"] == {"cqr": 0, "cer": 2}
+
+
 @pytest.mark.parametrize(
     "flags, grid",
     [
@@ -461,13 +509,23 @@ def test_fit_then_verify_round_trip(tmp_path, capsys, monkeypatch, n, flags):
 
     monkeypatch.setattr(cli, "fit", recording_fit)
     assert run(*fit_args(csv_path, out, *flags)) == EXIT_OK
-    doc = json.loads(out.read_text())
+    doc = _strict_json(out.read_text())
     assert doc["solver"]["status"] == "optimal"
     assert doc["solver"]["wall_time"] == fits[0].meta.wall_time > 0
     assert doc["solver"]["constraints"] == n * (n - 1)
     assert len(doc["observations"]) == n
     assert run("verify", "--result", out) == EXIT_OK
     assert "ok: all invariants hold" in capsys.readouterr().out
+
+
+def test_expectile_fit_prints_the_quantile_read_from_its_residuals(csv_path, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert run("fit", "--data", csv_path, "--output-col", "y", "--family", "expectile", "--level", 0.3,
+               "--out", out) == EXIT_OK
+    dataset, _, _ = cli.load_csv(str(csv_path), "y")
+    quantile = expectile_to_quantile(fit(dataset, EstimatorSpec("expectile", 0.3)))
+    assert json.loads(out.read_text())["quantile_from_residuals"] == quantile
+    assert f"{'quantile (residuals)':<24}{quantile:>14.2f}" in capsys.readouterr().out.splitlines()
 
 
 def test_export_lists_columns_in_order_with_selectors_marked(tmp_path):

@@ -25,6 +25,7 @@ from cqreg import cuts, estimators
 from cqreg.cuts import CutLoopLimitError
 from cqreg.estimators import make_builder
 from cqreg.model import extract_fit, validate_fit
+from cqreg.solver import lp as lp_module
 from tests.conftest import make_instance
 
 
@@ -264,6 +265,29 @@ class TestHotStartedLoop:
         _, stats = _check_hot_loop(ds, lam, 0.01)
         assert stats.warm > 0
 
+    # With a tie margin wider than any slack, every least slack lies within
+    # it of -tol, so the boundary rule rejects each hot round that passes
+    # the nondegeneracy test: every round is the rebuilt loop's cold solve.
+    def test_hot_rounds_rejected_at_the_boundary_give_the_rebuilt_loop(self, monkeypatch):
+        monkeypatch.setattr(cuts, "_TIE_MARGIN", 1e9)
+        nondegenerate, hot_fit = [], cuts._hot_fit
+
+        def recorded_hot_fit(session, sol, *args):
+            nondegenerate.append(sol.optimal and session.min_nonbasic_dual() >= cuts._DUAL_NONDEGENERATE)
+            return hot_fit(session, sol, *args)
+
+        monkeypatch.setattr(cuts, "_hot_fit", recorded_hot_fit)
+        ds = make_instance(30, 3, seed=0)
+        builder = make_builder(ds, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1)))
+        result, stats = solve_with_cuts(builder, ds, tol=1e-6)
+        ref, ref_added = _rebuild_every_round(builder, ds, 1e-6)
+        assert any(nondegenerate)
+        assert stats.warm == 0
+        assert stats.added == ref_added
+        for name in ("alpha", "beta", "eps_plus", "eps_minus", "y_hat"):
+            assert getattr(result, name).tobytes() == getattr(ref, name).tobytes()
+        assert result.objective == ref.objective
+
 
 @pytest.mark.parametrize(
     "n, d, seed, tol", [(30, 3, 0, 1e-6), (30, 3, 1, 1e-6), (48, 6, 0, 0.01), (48, 6, 1, 0.01)]
@@ -409,6 +433,12 @@ class TestSolveFullLp:
         ds = make_instance(50, 4, seed=2)
         with pytest.raises(RuntimeError, match="worst Afriat slack -"):
             fit(ds, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.01)))
+
+    def test_master_that_ends_non_optimal_is_not_returned(self, monkeypatch):
+        capped = tuple((key, 1 if key == "simplex_iteration_limit" else value) for key, value in lp_module._OPTIONS)
+        monkeypatch.setattr(lp_module, "_OPTIONS", capped)
+        with pytest.raises(RuntimeError, match="^solve ended with status iteration_limit$"):
+            fit(make_instance(50, 4, seed=2), EstimatorSpec("quantile", 0.5))
 
     def test_open_duality_gap_is_not_returned(self, monkeypatch):
         solve = cuts.LpSession.solve
