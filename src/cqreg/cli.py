@@ -63,7 +63,7 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dat
     column are split off, every remaining column is a numeric input.  Returns
     the dataset, its input column names and the ids (by default 1-based row numbers)."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:  # a byte-order mark is not data
             reader = csv.reader(handle)
             rows = list(reader)
     except OSError as exc:
@@ -321,21 +321,24 @@ def _cmd_fit(args) -> int:
 def _cv_config_from_args(args) -> CVConfig:
     make = CVConfig.sdg if args.preset == "sdg" else CVConfig
     cfg = make(folds=args.folds, seed=args.cv_seed)
-    lam = None
-    if args.lambda_grid:
-        lam = _parse_list(args.lambda_grid, "--lambda-grid")
-    elif args.lambda_count is not None:
-        lam = default_lambda_grid(args.lambda_count)
-    if lam is not None:
-        cfg = replace(cfg, lambda_grid=lam)
-    if args.k_grid:
+    if args.lambda_grid is not None:  # `tune` takes at most one of the two
+        cfg = replace(cfg, lambda_grid=_parse_list(args.lambda_grid, "--lambda-grid"))
+    if args.lambda_count is not None:
+        cfg = replace(cfg, lambda_grid=default_lambda_grid(args.lambda_count))
+    if args.k_grid is not None:
         cfg = replace(cfg, k_grid=_parse_list(args.k_grid, "--k-grid", int))
-    if args.m_multipliers:
+    if args.m_multipliers is not None:
         cfg = replace(cfg, m_multipliers=_parse_list(args.m_multipliers, "--m-multipliers"))
     return cfg
 
 
 def _cmd_tune(args) -> int:
+    # A grid flag the penalty would not read is an error, as `fit`'s --lam is.
+    for name, penalty in (("lambda_grid", "l1"), ("lambda_count", "l1"), ("k_grid", "l0"), ("m_multipliers", "l0")):
+        if getattr(args, name) is not None and args.penalty != penalty:
+            raise ValueError(f"--{name.replace('_', '-')} requires --penalty {penalty}")
+    if args.lambda_grid is not None and args.lambda_count is not None:
+        raise ValueError("--lambda-grid and --lambda-count exclude each other")
     dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
     cfg = _cv_config_from_args(args)
     report = cross_validate(dataset, EstimatorSpec(args.family, args.level), args.penalty, cfg)

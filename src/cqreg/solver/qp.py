@@ -107,7 +107,6 @@ class QpContext:
             raise ValueError("problem has no quadratic objective; use solve_lp")
         if problem.is_mip:
             raise ValueError("problem has integrality flags; use solve_mip")
-        self.problem = problem
         self.q0 = problem.obj_linear.astype(float)
 
         # Stack constraint rows and finite-bound identity rows into l <= Ax <= u.
@@ -120,8 +119,6 @@ class QpContext:
         self.system = _system(problem.a.tocsr(), problem.obj_quad, bounded)
         self.a0, self.p_diag0 = self.system.a0, self.system.p_diag0
         self.d, self.e, self.a_s = self.system.d, self.system.e, self.system.a_s
-        self.l0 = np.concatenate([lo_rows, problem.lower[bounded]])
-        self.u0 = np.concatenate([up_rows, problem.upper[bounded]])
         self.bounded = bounded
         self.m, self.nv = self.a0.shape
 
@@ -132,26 +129,22 @@ class QpContext:
         self.c = 1.0 / min(max(cost, 1e-6), 1e6)
         self.p_s = self.c * p
         self.q_s = self.c * q
-        self.l_s = self.l0 * self.e
-        self.u_s = self.u0 * self.e
+        self.l_s = np.concatenate([lo_rows, problem.lower[bounded]]) * self.e
+        self.u_s = np.concatenate([up_rows, problem.upper[bounded]]) * self.e
 
-    def _unscaled(self, x_s, y_s, z_s):
-        x = self.d * x_s
-        y = self.e * y_s / self.c
-        z = z_s / self.e
-        return x, y, z
-
-    def _residuals(self, x_s, y_s, z_s, lo, up):
-        """Unscaled primal/dual/sign residuals and the relative scales under
-        the unscaled row bounds lo <= Ax <= up.
+    def _residuals(self, x_s, y_s, l_s, u_s):
+        """Unscaled primal/dual/sign residuals and the relative scales of the
+        scaled point (x_s, y_s) under the scaled row bounds l_s <= A_s x <= u_s.
 
         The sign residual catches dual-infeasible candidates: a multiplier
         pushing on a slack (or wrong-side) bound would make the point a
         saddle rather than the optimum, even if it passes feasibility and
         stationarity alone.
         """
-        x, y, z = self._unscaled(x_s, y_s, z_s)
-        ax = self.system.a_s_matvec(x_s) / self.e
+        ax_s = self.system.a_s_matvec(x_s)
+        x, y = self.d * x_s, self.e * y_s / self.c
+        z, ax = np.clip(ax_s, l_s, u_s) / self.e, ax_s / self.e
+        lo, up = l_s / self.e, u_s / self.e
         px = self.p_diag0 * x
         aty = self.system.a0_rmatvec(y)
         r_prim = np.max(np.abs(ax - z))
@@ -170,21 +163,12 @@ class QpContext:
         r_sign = float(np.max(np.maximum(err_u, err_l)))
         return r_prim, r_dual, r_sign, s_prim, s_dual
 
-    def _acceptable(self, x_s, y_s, z_s, lo, up) -> bool:
-        # Absolute 1e-6 as the contract, relative floor only for huge scales.
-        r_p, r_d, r_s, s_p, s_d = self._residuals(x_s, y_s, z_s, lo, up)
-        return (
-            r_p <= max(_EPS_FINAL, 1e-9 * s_p)
-            and r_d <= max(_EPS_FINAL, 1e-9 * s_d)
-            and r_s <= _EPS_FINAL
-        )
-
     def _scaled_bounds(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None):
         """Scaled row bounds (l_s, u_s) under the variable bounds of a node,
         given both or neither; neither keeps the problem's own."""
         if lower is None:
             return self.l_s, self.u_s
-        nb = self.problem.a.shape[0]
+        nb = self.system.nb
         l_s = self.l_s.copy()
         u_s = self.u_s.copy()
         l_s[nb:] = lower[self.bounded] * self.e[nb:]
@@ -192,26 +176,30 @@ class QpContext:
         return l_s, u_s
 
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
+        """Solve under the variable bounds of a node (both or neither).
+
+        The one verdict on the IPM's point: an early stop is returned as it
+        is; otherwise the point is `OPTIMAL` if its unscaled residuals meet
+        the 1e-6 contract (absolute, with a relative floor only for huge
+        scales) and `ITERATION_LIMIT` if not."""
         l_s, u_s = self._scaled_bounds(lower, upper)
-        x_s, y_row, status, iters = self._ipm(l_s, u_s)
-        z_s = np.clip(self.system.a_s_matvec(x_s), l_s, u_s)
-        if status in (Status.INFEASIBLE, Status.UNBOUNDED):
-            return Solution(status, None, np.nan, iters)
-        ok = self._acceptable(x_s, y_row, z_s, l_s / self.e, u_s / self.e)
+        x_s, y_row, stop, iters = self._ipm(l_s, u_s)
+        if stop is not None:
+            return Solution(stop, None, np.nan, iters)
+        r_p, r_d, r_s, s_p, s_d = self._residuals(x_s, y_row, l_s, u_s)
+        ok = r_p <= max(_EPS_FINAL, 1e-9 * s_p) and r_d <= max(_EPS_FINAL, 1e-9 * s_d) and r_s <= _EPS_FINAL
         xu = self.d * x_s
         obj = float(self.q0 @ xu + 0.5 * (self.p_diag0 * xu) @ xu)
-        return Solution(
-            status=Status.OPTIMAL if ok else Status.ITERATION_LIMIT,
-            x=xu,
-            objective=obj,
-            iterations=iters,
-        )
+        return Solution(Status.OPTIMAL if ok else Status.ITERATION_LIMIT, xu, obj, iters)
 
     def _ipm(self, l_s: np.ndarray, u_s: np.ndarray):
         """Mehrotra predictor-corrector on the scaled problem.
 
-        Returns (x, row-space duals, status, iterations); the row-space dual
+        Returns (x, row-space duals, stop, iterations); the row-space dual
         of a two-sided row is the upper multiplier minus the lower one.
+        `stop` is `INFEASIBLE` or `UNBOUNDED` when the iteration gives up
+        early and None when it meets its scaled test or the iteration cap:
+        whether the point is optimal is `solve`'s verdict alone.
         """
         nv = self.nv
         p, q = self.p_s, self.q_s
@@ -233,7 +221,7 @@ class QpContext:
         z = np.ones(m_in)
         rhs = np.empty(part.size)  # the augmented right-hand side, rewritten in place
 
-        status = Status.ITERATION_LIMIT
+        stop = None
         it = 0
         for it in range(1, _MAX_IPM_ITERS + 1):
             r_d = p * x + q + a_eq_t(y) + a_in_t(z)
@@ -245,13 +233,12 @@ class QpContext:
             x_max = np.abs(x).max()
             scale = 1.0 + max(x_max, np.abs(z).max(initial=0.0), np.abs(y).max(initial=0.0))
             if prim <= _EPS_TARGET * scale and dual <= _EPS_TARGET * scale and mu <= _EPS_TARGET * scale:
-                status = Status.OPTIMAL
                 break
             if z.max(initial=0.0) > 1e12 or s.max(initial=0.0) > 1e14:
-                status = Status.INFEASIBLE
+                stop = Status.INFEASIBLE
                 break
             if x_max > 1e14:
-                status = Status.UNBOUNDED
+                stop = Status.UNBOUNDED
                 break
 
             s_safe = np.maximum(s, 1e-300)
@@ -294,7 +281,7 @@ class QpContext:
         y_row[eq] = y
         y_row[up] += z[: part.n_up]
         y_row[lo] -= z[part.n_up :]
-        return x, y_row, status, it
+        return x, y_row, stop, it
 
 
 def _same(x: np.ndarray, y: np.ndarray) -> bool:

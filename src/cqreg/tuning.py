@@ -21,6 +21,8 @@ _SDG_MULTIPLIERS = (0.1, 0.5, 0.8, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0)
 
 def default_lambda_grid(count: int = 100) -> tuple[float, ...]:
     """Log-spaced shrinkage grid spanning a wide range of magnitudes."""
+    if count < 1:
+        raise ValueError(f"lambda count must be at least 1, got {count}")
     return tuple(np.logspace(-3, 2, count))
 
 
@@ -41,6 +43,8 @@ class CVConfig:
     def __post_init__(self) -> None:
         if not is_integer(self.folds) or self.folds < 2:
             raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.lambda_grid is not None and len(self.lambda_grid) == 0:
             raise ValueError("lambda grid must be non-empty")
         if len(self.m_multipliers) == 0:

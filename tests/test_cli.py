@@ -125,6 +125,15 @@ class TestExitCodes:
             ("--penalty", "l1", "--solve", "full"),
             ("--penalty", "l1", "--lambda-grid", "0.1,x"),
             ("--penalty", "l0", "--k-grid", "1,two"),
+            ("--penalty", "l1", "--lambda-grid", "0.1,1", "--lambda-count", 5),
+            ("--penalty", "l0", "--lambda-count", 3),
+            ("--penalty", "l0", "--lambda-grid", "0.1,1"),
+            ("--penalty", "l1", "--k-grid", 1),
+            ("--penalty", "l1", "--m-multipliers", 1),
+            ("--penalty", "l1", "--lambda-count", -1),
+            ("--penalty", "l1", "--cv-seed", -1),
+            ("--penalty", "l1", "--lambda-grid", ""),  # not the default grid
+            ("--penalty", "l0", "--k-grid", ""),
         ],
         ids=lambda f: " ".join(map(str, f)),
     )
@@ -136,6 +145,17 @@ class TestExitCodes:
                 "--level", 0.5, "--out", tmp_path / "cv.json", *flags)
         assert run(*args) == EXIT_FLAGS
         assert capsys.readouterr().err.startswith("invalid flags:")
+
+    def test_csv_with_a_byte_order_mark_loads(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a byte-order mark before the
+        # header; with the output first, the mark would cling to its name.
+        ds = make_instance(8, 2, seed=1)
+        rows = ["y,a,b"] + [",".join(repr(float(v)) for v in (y, *row)) for row, y in zip(ds.inputs, ds.output)]
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+        dataset, names, _ = cli.load_csv(str(path), "y")
+        assert names == ["a", "b"]
+        assert np.array_equal(dataset.output, ds.output) and np.array_equal(dataset.inputs, ds.inputs)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_worker_count_is_a_flag_error(self, tmp_path, capsys, workers):

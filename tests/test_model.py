@@ -344,8 +344,9 @@ class TestL1:
         (lambda base, mip: add_l1(replace(base, layout=None), L1Penalty(0.1)), "not built by build_cqr/build_cer"),
         (lambda base, mip: add_l1_budget(mip, L0Penalty(1, 1.0)), "relaxation applies to the unpenalized problem"),
         (lambda base, mip: add_l1_budget(base, L0Penalty(3, 1.0)), "k=3 exceeds the number of input variables d=2"),
+        (lambda base, mip: base.layout.z(), "layout has no selection variables"),
     ],
-    ids=["l1-without-layout", "budget-on-l0", "budget-k-above-d"],
+    ids=["l1-without-layout", "budget-on-l0", "budget-k-above-d", "selectors-without-l0"],
 )
 def test_penalty_block_rejects_the_wrong_problem(attach, message):
     base = build_cqr(make_instance(5, 2), 0.5, ALL_PAIRS)

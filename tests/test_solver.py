@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 import threading
@@ -632,8 +633,7 @@ def _kkt_residual(ctx, lower=None, upper=None) -> float:
     under the given variable bounds."""
     l_s, u_s = ctx._scaled_bounds(lower, upper)
     x_s, y_row, _, _ = ctx._ipm(l_s, u_s)
-    z_s = np.clip(ctx.a_s @ x_s, l_s, u_s)
-    r_prim, r_dual, r_sign, _, _ = ctx._residuals(x_s, y_row, z_s, l_s / ctx.e, u_s / ctx.e)
+    r_prim, r_dual, r_sign, _, _ = ctx._residuals(x_s, y_row, l_s, u_s)
     return max(r_prim, r_dual, r_sign)
 
 
@@ -1139,6 +1139,17 @@ class TestSystemMemo:
         with pytest.raises(ValueError, match="read-only"):
             ctx.a_s *= 2.0
         assert _bits(ctx.solve()) == before
+
+    def test_context_keeps_no_reference_to_its_problem(self):
+        # A branch-and-bound tree holds its context through the whole solve;
+        # the relaxed problem it was built from need not live that long.
+        problem = build_cer(make_instance(6, 2, seed=1), 0.5, ALL_PAIRS)
+        alive = weakref.ref(problem)
+        ctx = qp.QpContext(problem)
+        del problem
+        gc.collect()
+        assert alive() is None
+        assert ctx.solve().status is Status.OPTIMAL
 
 
 _ORACLE_FIT_FAILS = pytest.mark.xfail(

@@ -185,6 +185,9 @@ def test_repeated_grid_value_is_rejected(grid, values):
         ("m_multipliers", (float("inf"),)),
         ("k_grid", (1, 2.0)),
         ("k_grid", (0,)),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
     ],
 )
 def test_bad_grid_value_is_rejected(field, value):
@@ -196,6 +199,12 @@ def test_bad_grid_value_is_rejected(field, value):
 def test_empty_grid_is_rejected(grid, name):
     with pytest.raises(ValueError, match=f"^{name} must be non-empty"):
         CVConfig(**{grid: ()})
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_default_lambda_grid_needs_a_candidate(count):
+    with pytest.raises(ValueError, match="^lambda count must be at least 1"):
+        tuning.default_lambda_grid(count)
 
 
 def test_numpy_integers_are_integers():
