@@ -172,13 +172,16 @@ class OptProblem:
 class FitMeta:
     """Solver diagnostics attached to a fitted model.  `wall_time` is set
     once, by `estimators.fit`, to the seconds of the whole call; a fit read
-    out by a lower-level function leaves it at 0."""
+    out by a lower-level function leaves it at 0.  `unproven` is the
+    solution's count of branch-and-bound boxes pruned without proof: a fit
+    can read optimal while it is above 0."""
 
     status: str
     iterations: int = 0
     nodes: int = 0
     constraints: int = 0
     wall_time: float = 0.0
+    unproven: int = 0
 
 
 @dataclass(frozen=True)
@@ -434,6 +437,7 @@ def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
         iterations=int(solution.iterations),
         nodes=int(solution.nodes),
         constraints=lay.afriat,
+        unproven=int(solution.unproven),
     )
     return FitResult(alpha, beta, eps_plus, eps_minus, y_hat, z, float(solution.objective), meta)
 

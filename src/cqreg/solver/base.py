@@ -62,13 +62,16 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class Solution:
     """Outcome of one solve: primal point, objective and work counters.
-    It holds no time: `estimators.fit` times the whole fit, once."""
+    It holds no time: `estimators.fit` times the whole fit, once.
+    `unproven` counts the branch-and-bound boxes pruned or skipped on a
+    relaxation that ended neither optimal nor infeasible."""
 
     status: Status
     x: np.ndarray | None
     objective: float
     iterations: int = 0
     nodes: int = 0
+    unproven: int = 0
 
     @property
     def optimal(self) -> bool:

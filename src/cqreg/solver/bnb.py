@@ -57,7 +57,10 @@ item 7).
 Children with z fixed to 1 are explored first, so a greedy dive reaches
 an integral incumbent within d solves.  A node whose relaxation stops at
 a solver cap is pruned as well, so a result can read optimal without
-being proven (ROADMAP item 6).
+being proven (ROADMAP item 6).  The result's `unproven` counts the boxes
+whose cold solve ended neither optimal nor infeasible: each was pruned
+or skipped without proof.  A tree that ends with no incumbent reads
+`ITERATION_LIMIT`, not `INFEASIBLE`, when that count is above 0.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     point without a solve.  Neither counts in `nodes`.  A node whose
     relaxation ends neither optimal nor infeasible (the IPM's iteration
     cap) is still pruned, and the result can read optimal: that is a known
-    defect (ROADMAP item 6).
+    defect (ROADMAP item 6), and `unproven` counts those boxes.
 
     ValueError unless the one row whose nonzeros all fall on the selectors
     is sum(z) <= k (`_cardinality`).  Outside it the selectors, which must
@@ -155,12 +158,13 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     # Cold solves, keyed by the selector box's bytes.
     solved: dict[bytes, Solution] = {}
     nodes = iterations = 0  # over every relaxation solved, cold or hot
+    unproven = 0  # boxes whose cold solve ended neither optimal nor infeasible
 
     def node_solve(zlo, zup, basis=None) -> Solution:
         """The relaxation over the selector box [zlo, zup]: hot from `basis`
         under the incumbent cutoff when that ends optimal, infeasible or cut
         off, else cold, once per box."""
-        nonlocal nodes, iterations
+        nonlocal nodes, iterations, unproven
         lo, up = lower.copy(), upper.copy()
         lo[int_idx], up[int_idx] = zlo, zup
         if basis is not None:
@@ -176,10 +180,11 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         if box not in solved:
             solved[box] = sol = relax.solve(lo, up)
             nodes, iterations = nodes + 1, iterations + sol.iterations
+            unproven += sol.status not in (Status.OPTIMAL, Status.INFEASIBLE)
         return solved[box]
 
     def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
-        return Solution(status, x, objective, iterations, nodes)
+        return Solution(status, x, objective, iterations, nodes, unproven)
 
     def try_fixed(zfix: np.ndarray) -> None:
         """The incumbent rule, which every pinned leaf goes through: solve
@@ -271,5 +276,6 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
 
     limited = bool(stack)  # stopped at _MAX_NODES with nodes left
     if best_x is None:
-        return result(Status.ITERATION_LIMIT if limited else Status.INFEASIBLE, None, np.nan)
+        # Infeasible only if every pruned relaxation was proven so.
+        return result(Status.ITERATION_LIMIT if limited or unproven else Status.INFEASIBLE, None, np.nan)
     return result(Status.ITERATION_LIMIT if limited else Status.OPTIMAL, best_x, best_obj)

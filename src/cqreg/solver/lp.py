@@ -20,11 +20,11 @@ output (`linprog` also caps IPM iterations, which dual simplex never makes).
 The first solve of a session is therefore the cold solve `linprog` gives,
 bit for bit.  The model goes in through the array overload of
 `passModel`: sizes, row-wise format, minimization, a zero offset, costs,
-column and row bounds, the CSR arrays of the reordered rows (scipy's
-`csr_row_index` gather, the bits `a[order]` holds) and an all-continuous
-integrality array.  HiGHS builds the column-wise matrix
-from the rows itself, the one `linprog`'s CSC arrays give, so the
-session never transposes the matrix.  Rows pass as CSR in both calls
+column and row bounds, the CSR arrays of the reordered rows `a[order]`
+(scipy's `csr_row_index` gather) and an all-continuous integrality
+array.  HiGHS builds the column-wise matrix from the rows itself, the
+one `linprog`'s CSC arrays give, so the session never transposes the
+matrix.  Rows pass as CSR in both calls
 that take them, `passModel` and `addRows`.  Infinite bounds pass as
 `inf`, which is HiGHS's own infinity.
 
@@ -72,8 +72,6 @@ that certifies a fit pays for them and a branch-and-bound node does not.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from ..model import OptProblem
 from .base import Solution, SolverError, Status, load_extension
@@ -109,23 +107,6 @@ _STATUS = {
 _BOUND = "objective_bound"  # dual simplex stops once its objective exceeds it
 
 
-def _csr_of_rows(
-    a: sparse.csr_matrix, order: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (row starts, column indices, values) of the rows of `a`
-    taken in `order`: the arrays `a[order]` holds, bit for bit, without
-    building the matrix."""
-    idx = a.indptr.dtype
-    indptr = np.zeros(order.size + 1, dtype=idx)
-    np.cumsum(np.diff(a.indptr)[order], out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices, data = np.empty(nnz, dtype=idx), np.empty(nnz)
-    _sparsetools.csr_row_index(
-        order.size, order.astype(idx), a.indptr, a.indices, a.data, indices, data
-    )
-    return indptr, indices, data
-
-
 class LpSession:
     """One HiGHS model of a pure LP, kept between solves so rows can be
     appended and the model re-solved from the last basis or under new
@@ -137,11 +118,10 @@ class LpSession:
         if problem.has_quad:
             raise ValueError("problem has a quadratic objective; use solve_qp")
         n_cols = problem.n_vars
-        a = problem.a.tocsr()
-        n_rows = a.shape[0]
         is_eq = problem.sense == "E"
         order = np.argsort(is_eq, kind="stable")  # the `<=` rows, then the `=` rows
-        start, index, value = _csr_of_rows(a, order)
+        rows = problem.a.tocsr()[order]
+        n_rows = rows.shape[0]
         self._lower = np.array(problem.lower, dtype=float)
         self._upper = np.array(problem.upper, dtype=float)
         self._row_upper = problem.rhs[order].astype(float)
@@ -152,10 +132,10 @@ class LpSession:
             self._highs.setOptionValue(key, option)
         self._x: np.ndarray | None = None  # x of the last solve, while it is optimal and current
         status = self._highs.passModel(
-            n_cols, n_rows, value.size, _ROWWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
+            n_cols, n_rows, rows.nnz, _ROWWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
             problem.obj_linear, self._lower, self._upper,
             np.where(self._le, -np.inf, self._row_upper), self._row_upper,
-            start, index, value,
+            rows.indptr, rows.indices, rows.data,
             np.zeros(n_cols, dtype=np.int32),  # every column continuous
         )
         if status == _core.HighsStatus.kError:

@@ -46,25 +46,27 @@ P, and, for the last row partition solved (which rows are equalities,
 upper and lower sides), the row slices, their transposes and the pattern
 of K with its ordering.  A cross-validation fold solves the same system at
 every lambda of its grid, since the shrinkage penalty is a cost bump on
-beta, so its solves share one ordering.  The key is exact bitwise
-equality of the constraint matrix's CSR arrays and shape, of the quadratic
-costs and of the set of bounded columns; a system that differs replaces
-the entry.  Each solve recomputes the cost scale, the
-scaled costs and the constant part of K.  The memo's arrays are
-read-only, so a caller cannot change what a later solve reads.
+beta, so its solves share one ordering.  A system is keyed by the dtype,
+shape and bytes of the constraint matrix's CSR arrays, the quadratic
+costs, the bounded columns and the two masks of the constraint rows that
+are equalities and that have a finite upper side; a system with another
+key replaces the entry.  A partition is keyed the same way by its masks.
+Each solve recomputes the cost scale, the scaled costs and the constant
+part of K.  The memo's arrays are read-only, so a caller cannot change
+what a later solve reads.
 
 Between the partitions of one system only the identity rows of bounded
 columns move (a branch-and-bound node fixes a selector, and its row turns
-into an equality); the constraint rows keep their sides.  An inequality
-identity row touches only K's diagonal, which is always in the pattern.
-So the system builds the constraint rows' pair expansion and the sorted
-slot map of K's upper-left block once, on its first partition (`_Pairs`;
-the block's keys are bounded, so marking them in a dense array sorts
-them), and each partition assembles K's pattern, weight map and constant
-slots from it by index arithmetic, with no sort over the pairs.  The
-arrays are the ones a partition built from its own rows by sorting every
-pair's key would have, so `refill` sums each slot's terms in the same
-order.  Each new pattern still gets its own minimum-degree ordering.
+into an equality); the constraint rows keep the sides the key fixes.  An
+inequality identity row touches only K's diagonal, which is always in the
+pattern.  So the system builds the constraint rows' pair expansion and
+the sorted slot map of K's upper-left block once, with the system
+(`_Pairs`; the block's keys are bounded, so marking them in a dense array
+sorts them), and each partition assembles K's pattern, weight map and
+constant slots from it by index arithmetic, with no sort over the pairs.
+The arrays are the ones a partition built from its own rows by sorting
+every pair's key would have, so `refill` sums each slot's terms in the
+same order.  Each new pattern still gets its own minimum-degree ordering.
 
 The products with the row slices, with A_s and A0' in the residuals of a
 solve's end point, and the refill of K call scipy's private
@@ -116,7 +118,7 @@ class QpContext:
         bounded = np.flatnonzero((problem.lower != -np.inf) | (problem.upper != np.inf))
         if problem.a.shape[0] + bounded.size == 0:
             raise ValueError("problem has no constraint rows and no finite bounds")
-        self.system = _system(problem.a.tocsr(), problem.obj_quad, bounded)
+        self.system = _system(problem.a.tocsr(), problem.obj_quad, bounded, lo_rows == up_rows, up_rows != np.inf)
         self.a0, self.p_diag0 = self.system.a0, self.system.p_diag0
         self.d, self.e, self.a_s = self.system.d, self.system.e, self.system.a_s
         self.bounded = bounded
@@ -284,9 +286,10 @@ class QpContext:
         return x, y_row, stop, it
 
 
-def _same(x: np.ndarray, y: np.ndarray) -> bool:
-    """Bitwise equality: 0.0 and -0.0 differ, as they can in the iterates."""
-    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+def _key(*arrays: np.ndarray) -> tuple:
+    """The arrays' dtypes, shapes and bytes: equal keys mean equal arrays,
+    bit for bit (0.0 and -0.0 differ, as they can in the iterates)."""
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in arrays)
 
 
 def _freeze(*items: np.ndarray | sparse.spmatrix) -> None:
@@ -310,13 +313,16 @@ def _matvec(a: sparse.csr_matrix | sparse.csc_matrix):
     return matvec
 
 
-def _system(a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> _System:
-    """The memo's system if it is this one, else a new one that replaces it."""
+def _system(a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray, eq: np.ndarray, up: np.ndarray) -> _System:
+    """The memo's system if it is this one, else a new one that replaces it.
+    `eq` and `up` mark the constraint rows that are equalities and those
+    with a finite upper side.  `quad`'s shape fixes the column count."""
     global _memo
+    key = _key(a.indptr, a.indices, a.data, quad, bounded, eq, up)
     system = _memo
-    if system is None or not system.matches(a, quad, bounded):
+    if system is None or system.key != key:
         system = _memo = None  # let the old entry go before the new one is built
-        system = _memo = _System(a, quad, bounded)
+        system = _memo = _System(key, a, quad, bounded, ~eq & up)
     return system
 
 
@@ -325,11 +331,12 @@ class _System:
     rows, then one identity row per bounded column), their Ruiz scaling
     d, e with the scaled A_s = diag(e) A0 diag(d) and scaled P, the products
     x -> A_s x and y -> A0' y of a solve's residuals, the `_Pairs` of its
-    constraint rows and the row split of the last partition solved.  Every
-    array is read-only."""
+    constraint rows on their upper side (marked by `pair_rows`) and the
+    row split of the last partition solved.  Every array is read-only."""
 
-    def __init__(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray):
-        self.key = (a.shape, a.indptr.copy(), a.indices.copy(), a.data.copy(), quad.copy(), bounded.copy())
+    def __init__(self, key: tuple, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray,
+                 pair_rows: np.ndarray):
+        self.key = key
         eye = sparse.csr_matrix(
             (np.ones(bounded.size), (np.arange(bounded.size), bounded)),
             shape=(bounded.size, a.shape[1]),
@@ -338,22 +345,11 @@ class _System:
         self.a0 = sparse.vstack([a, eye]).tocsr()
         self.p_diag0 = 2.0 * quad
         self._equilibrate()
-        _freeze(*self.key[1:], self.a0, self.p_diag0, self.d, self.e, self.p, self.a_s)
+        _freeze(self.a0, self.p_diag0, self.d, self.e, self.p, self.a_s)
         self.a_s_matvec, self.a0_rmatvec = _matvec(self.a_s), _matvec(self.a0.T)
         self.nb = a.shape[0]  # constraint rows; the identity rows follow them
+        self.pairs = _Pairs(self.a_s[np.flatnonzero(pair_rows)])
         self._part: _Partition | None = None
-        self._pairs: _Pairs | None = None
-
-    def matches(self, a: sparse.csr_matrix, quad: np.ndarray, bounded: np.ndarray) -> bool:
-        shape, indptr, indices, data, q, b = self.key
-        return (
-            a.shape == shape
-            and _same(a.indptr, indptr)
-            and _same(a.indices, indices)
-            and _same(a.data, data)
-            and _same(quad, q)
-            and _same(bounded, b)
-        )
 
     def _equilibrate(self) -> None:
         """Ruiz scaling of the KKT block matrix.
@@ -387,33 +383,22 @@ class _System:
         self.a_s = sparse.csr_matrix((data, cols, self.a0.indptr), shape=self.a0.shape)
 
     def partition(self, eq: np.ndarray, up: np.ndarray, lo: np.ndarray) -> _Partition:
-        """The row split for these masks, built when they differ from the last."""
+        """The row split for these masks, built when they differ from the last's."""
         part = self._part
-        if part is None or not all(map(_same, (eq, up, lo), part.masks)):
+        if part is None or part.key != _key(eq, up, lo):
             part = self._part = None  # let the old split go before the new one is built
             part = self._part = _Partition(self, eq, up, lo)
         return part
 
-    def pairs(self, up: np.ndarray, a_in: sparse.csr_matrix) -> _Pairs:
-        """The `_Pairs` of the constraint rows on the upper side under the
-        mask `up`, which lead the rows of `a_in`; built when those rows
-        differ from the last."""
-        rows = up[: self.nb]
-        pairs = self._pairs
-        if pairs is None or not _same(rows, pairs.rows):
-            pairs = self._pairs = None
-            pairs = self._pairs = _Pairs(a_in, rows)
-        return pairs
-
 
 class _Pairs:
     """What K's pattern takes from the constraint rows of A_in, built once per
-    system.  Those rows are the constraint rows on the upper side: a
-    constraint row has no finite lower side of its own (an equality's is
-    its upper side), and only the identity rows of bounded columns move
-    between partitions.  An identity row touches K on its column's diagonal
-    alone, so the pairs below fix K's upper-left block, the x block, for
-    every partition of the system.
+    system.  Those rows are the constraint rows on the upper side, which
+    the system's key fixes: a constraint row has no finite lower side of
+    its own (an equality's is its upper side), and only the identity rows
+    of bounded columns move between partitions.  An identity row touches K
+    on its column's diagonal alone, so the pairs below fix K's upper-left
+    block, the x block, for every partition of the system.
 
     Pair t couples nonzeros first[t] and second[t] of the same row, over
     the rows in order and within a row first-major.  `slot` is the pair's
@@ -423,10 +408,9 @@ class _Pairs:
     `x_col`, `x_count` counts them in each column and `x_end` through each
     column, and `diag` is the place of each diagonal entry."""
 
-    def __init__(self, a_in: sparse.csr_matrix, rows: np.ndarray):
-        self.rows = rows.copy()
-        nv = a_in.shape[1]
-        indptr = a_in.indptr[: np.count_nonzero(rows) + 1]
+    def __init__(self, rows: sparse.csr_matrix):
+        nv = rows.shape[1]
+        indptr = rows.indptr
         lens = np.diff(indptr).astype(np.int32)
         per = np.repeat(lens, lens)
         first = np.repeat(np.arange(indptr[-1], dtype=np.int32), per)
@@ -435,7 +419,7 @@ class _Pairs:
         del per, within
         # Entry (row, col) of the x block has the key col * nv + row, its CSC
         # order.  The keys lie below nv * nv, so marking them sorts them.
-        key = a_in.indices[first].astype(np.int64) * nv + a_in.indices[second]
+        key = rows.indices[first].astype(np.int64) * nv + rows.indices[second]
         diag = np.arange(nv) * (nv + 1)
         present = np.zeros(nv * nv, dtype=bool)
         present[key] = present[diag] = True
@@ -444,15 +428,14 @@ class _Pairs:
         place = np.empty(nv * nv, dtype=np.int32)  # only the marked keys' entries are written and read
         place[keys] = np.arange(keys.size, dtype=np.int32)
         self.slot, self.diag = place[key], place[diag]
-        self.data = a_in.data[first] * a_in.data[second]
+        self.data = rows.data[first] * rows.data[second]
         del first, second, key, place
         self.before = np.zeros(lens.size + 1, dtype=np.int32)
         np.cumsum(lens * lens, out=self.before[1:])
         self.x_rows, self.x_col = (keys % nv).astype(np.intc), keys // nv
         self.x_count = np.bincount(self.x_col, minlength=nv)
         self.x_end = np.cumsum(self.x_count)
-        _freeze(self.rows, self.slot, self.diag, self.data, self.before,
-                self.x_rows, self.x_col, self.x_count, self.x_end)
+        _freeze(self.slot, self.diag, self.data, self.before, self.x_rows, self.x_col, self.x_count, self.x_end)
 
 
 class _Partition:
@@ -477,13 +460,12 @@ class _Partition:
     """
 
     def __init__(self, system: _System, eq: np.ndarray, up: np.ndarray, lo: np.ndarray):
-        a_s = system.a_s
+        self.key = _key(eq, up, lo)
+        a_s, pairs = system.a_s, system.pairs
         a_eq = a_s[eq]
         a_up = a_s[up]
         a_in = sparse.vstack([a_up, -a_s[lo]], format="csr")
-        pairs = system.pairs(up, a_in)
-        self.masks = (eq, up, lo)
-        _freeze(a_eq, a_in, *self.masks)
+        _freeze(a_eq, a_in)
         self.n_up = a_up.shape[0]
         self.m_eq, self.m_in = a_eq.shape[0], a_in.shape[0]
         self.a_eq, self.a_eq_t = _matvec(a_eq), _matvec(a_eq.T)

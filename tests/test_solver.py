@@ -209,21 +209,9 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
             _core.ObjSense: ("kMinimize",),
             _core.HighsStatus: ("kError",),
             _core.HighsModelStatus: ("kOptimal", "kIterationLimit", "kInfeasible", "kUnbounded"),
-            lp_module._sparsetools: ("csr_row_index",),
         }
         missing = [name for owner, names in used.items() for name in names if not hasattr(owner, name)]
         assert missing == []
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_reordered_csr_arrays_match_scipy(self, seed):
-        # Any row order, not only the `<=`-rows-first one the builders give.
-        rng = np.random.default_rng(seed)
-        a = sparse.random(40, 25, density=0.2, format="csr", random_state=rng)
-        order = rng.permutation(40)
-        want = a[order]
-        for got, ref in zip(lp_module._csr_of_rows(a, order), (want.indptr, want.indices, want.data)):
-            assert got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes()
 
     def test_array_load_solves_as_the_highs_lp_load(self, small_noisy):
         # The row-wise arrays a session passes to passModel, and a HighsLp
@@ -827,6 +815,11 @@ def _bits(sol) -> tuple:
     return sol.status, sol.iterations, None if sol.x is None else sol.x.tobytes()
 
 
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality: 0.0 and -0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _pattern_from_own_rows(a_s, eq, up, lo) -> tuple:
     """K's CSC pattern for one row split, built from its rows alone by
     sorting the keys of every same-row nonzero pair of A_in, of the
@@ -959,6 +952,50 @@ class TestSystemMemo:
             live_systems.append(weakref.ref(qp._memo))
             assert all(ref() in (None, qp._memo, ctx.system) for ref in live_systems)
 
+    def test_row_sides_key_the_system_and_one_pair_structure_serves_it(self, live_systems, monkeypatch):
+        # A CER problem, the same with one Afriat row an equality, and the
+        # same with that row's right-hand side +inf differ only in the sides
+        # of one constraint row: three systems, each solved, in any order
+        # after the others, with the bits of a solve on an empty memo.
+        base = build_cer(make_instance(6, 2, seed=3), 0.5, ALL_PAIRS)
+        row = np.flatnonzero(base.sense == "L")[0]
+        problems = {
+            "base": base,
+            "equality": replace(base, sense=np.where(np.arange(base.n_rows) == row, "E", base.sense)),
+            "free": replace(base, rhs=np.where(np.arange(base.n_rows) == row, np.inf, base.rhs)),
+        }
+        cold = {}
+        for key, problem in problems.items():
+            qp._memo = None
+            cold[key] = _bits(solve_qp(problem))
+        systems = {}
+        for key in ("base", "equality", "free", "base", "free", "equality"):
+            ctx = qp.QpContext(problems[key])
+            assert _bits(ctx.solve()) == cold[key]
+            systems[key] = ctx.system
+        assert len({id(system) for system in systems.values()}) == 3
+        # Upper-side constraint rows: the equality and the free row leave them.
+        pair_rows = {key: system.pairs.before.size - 1 for key, system in systems.items()}
+        assert pair_rows["equality"] == pair_rows["free"] == pair_rows["base"] - 1
+        del systems, ctx
+
+        # One relaxed L0-CER system: one `_Pairs` for every node partition.
+        built = []
+        pairs_class = qp._Pairs
+        monkeypatch.setattr(qp, "_Pairs", lambda rows: built.append(pairs_class(rows)) or built[-1])
+        problem, relaxed = _relaxed_l0_cer(make_instance(8, 3, seed=11), 0.4, 2)
+        ctx = qp.QpContext(relaxed)
+        z = np.flatnonzero(problem.integer)
+        parts = []
+        # A partition is which selectors are fixed, not the values they take.
+        for fixed in ([], [z[0]], [z[1]], [z[0], z[2]], z):
+            lower, upper = problem.lower.copy(), problem.upper.copy()
+            lower[fixed] = upper[fixed] = 1.0
+            ctx.solve(lower, upper)
+            parts.append(ctx.system._part)
+        assert len({id(part) for part in parts}) == len(parts) == 5
+        assert len(built) == 1 and ctx.system.pairs is built[0]
+
     # K's pattern assembled from the system's pair structure is, array for
     # array, the one built from the partition's own rows alone: node masks
     # of CER, L1-CER and relaxed L0-CER systems, the first node building the
@@ -993,12 +1030,12 @@ class TestSystemMemo:
             eq = l_s == u_s
             up, lo = ~eq & (u_s != np.inf), ~eq & (l_s != -np.inf)
             pattern = ctx.system.partition(eq, up, lo).pattern
-            pairs = pairs or ctx.system._pairs
-            assert ctx.system._pairs is pairs
+            pairs = pairs or ctx.system.pairs
+            assert ctx.system.pairs is pairs
             wm = pattern.weight_map
             got = (pattern.indices, pattern.indptr, wm.data, wm.indices, wm.indptr, pattern.const_slot)
             for a, b in zip(got, _pattern_from_own_rows(ctx.a_s, eq, up, lo)):
-                assert qp._same(a, b)
+                assert _same_array(a, b)
 
     def test_threads_sharing_the_memo(self):
         # Threads that alternate systems and partitions on the shared memo
@@ -1392,6 +1429,58 @@ class TestSolveMip:
         sol, solves = _solve_recording(replace(problem, lower=lower))
         assert sol.status is Status.INFEASIBLE and sol.x is None
         assert sol.nodes == sol.iterations == len(solves) == 0
+
+    # A root relaxation that stops at the IPM's cap is pruned unproven; with
+    # no incumbent the tree has proven nothing, so it is not infeasible.
+    def test_capped_root_without_incumbent_reads_iteration_limit(self, monkeypatch):
+        ds = make_instance(12, 3, seed=0)
+        spec = EstimatorSpec("expectile", 0.5)
+        problem = add_l0(build_cer(ds, 0.5, ALL_PAIRS), L0Penalty(2, anchor_big_m(ds, spec, 1.0)))
+        solve, calls = qp.QpContext.solve, []
+
+        def capped_first(self, lower=None, upper=None):
+            sol = solve(self, lower, upper)
+            calls.append(sol.status)
+            return replace(sol, status=Status.ITERATION_LIMIT) if len(calls) == 1 else sol
+
+        monkeypatch.setattr(qp.QpContext, "solve", capped_first)
+        sol = solve_mip(problem)
+        assert calls == [Status.OPTIMAL]
+        assert sol.status is Status.ITERATION_LIMIT and sol.x is None
+        assert sol.nodes == sol.unproven == 1
+
+    # ROADMAP item 6's record on `l0-bnb`'s design at n=20, level 0.5, k=2
+    # and the anchor big-M: each box pruned or skipped on a relaxation that
+    # ended neither optimal nor infeasible counts once, and the fit still
+    # reads optimal.  Seed 9's prune is a node stopped at the IPM's
+    # 200-iteration cap, seed 3's an 11-iteration stop short of the
+    # contract; L0-CQR's LP nodes all end proven.  These pin the IPM's bits.
+    @pytest.mark.parametrize(
+        "family, seed, rep, big_m, objective, capped",
+        [
+            ("expectile", 9, 0, 1.5793148034928581, 4.1201348482120705, [(Status.ITERATION_LIMIT, 200)]),
+            ("expectile", 3, 1, 2.144949846905622, 0.6446530927784714, [(Status.ITERATION_LIMIT, 11)]),
+            ("quantile", 9, 0, 9.344890674153993, 1.769747281608837, []),
+        ],
+    )
+    def test_boxes_pruned_unproven_are_counted(self, monkeypatch, family, seed, rep, big_m, objective, capped):
+        ds = generate_scenario(MCConfig(n=20, d=6, k_true=2, rho=10, seed=seed), rep).dataset
+        cap = anchor_big_m(ds, EstimatorSpec(family, 0.5), 1.0)
+        assert cap == pytest.approx(big_m, rel=1e-9)
+        solve, stops = qp.QpContext.solve, []
+
+        def recorded(self, lower=None, upper=None):
+            sol = solve(self, lower, upper)
+            if not sol.optimal:
+                stops.append((sol.status, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(qp.QpContext, "solve", recorded)
+        result = fit(ds, EstimatorSpec(family, 0.5, penalty=L0Penalty(2, cap)))
+        assert result.meta.status == "optimal"
+        assert result.objective == pytest.approx(objective, rel=1e-9)
+        assert stops == capped
+        assert result.meta.unproven == len(capped)
 
     # A hot solve that raises is not counted and falls back to the cold
     # solve of the same box, so the result is the all-cold B&B's.
