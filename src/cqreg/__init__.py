@@ -1,12 +1,9 @@
-"""Penalized convex quantile and expectile regression with subset selection."""
+"""Penalized convex quantile and expectile regression with subset selection.
 
-from .cuts import (
-    CutLoopLimitError,
-    CutLoopStats,
-    initial_constraints,
-    separate,
-    solve_with_cuts,
-)
+The root holds the estimators' API; the solvers live in `cqreg.solver`, the
+model builders in `cqreg.model` and the cut loop in `cqreg.cuts`.
+"""
+
 from .data import Dataset
 from .estimators import (
     EXPECTILE,
@@ -30,31 +27,8 @@ from .mc import (
     prediction_error,
     run_mc,
 )
-from .model import (
-    ALL_PAIRS,
-    FitResult,
-    L0Penalty,
-    L1Penalty,
-    OptProblem,
-    add_l0,
-    add_l1,
-    add_l1_budget,
-    build_cer,
-    build_cqr,
-    check_loss,
-    expectile_loss,
-    extract_fit,
-    validate_fit,
-)
-from .solver import (
-    Solution,
-    SolverError,
-    Status,
-    export_mps,
-    solve_lp,
-    solve_mip,
-    solve_qp,
-)
+from .model import FitResult, L0Penalty, L1Penalty, check_loss, expectile_loss, validate_fit
+from .solver import SolverError
 from .tuning import CVConfig, CVReport, cross_validate, kfold_split, oof_predict
 
 __version__ = "0.1.0"

@@ -64,7 +64,8 @@ class Solution:
     """Outcome of one solve: primal point, objective and work counters.
     It holds no time: `estimators.fit` times the whole fit, once.
     `unproven` counts the branch-and-bound boxes pruned or skipped on a
-    relaxation that ended neither optimal nor infeasible."""
+    relaxation that ended without proof: neither optimal nor infeasible on
+    HiGHS, not optimal on the IPM."""
 
     status: Status
     x: np.ndarray | None

@@ -58,9 +58,11 @@ Children with z fixed to 1 are explored first, so a greedy dive reaches
 an integral incumbent within d solves.  A node whose relaxation stops at
 a solver cap is pruned as well, so a result can read optimal without
 being proven (ROADMAP item 6).  The result's `unproven` counts the boxes
-whose cold solve ended neither optimal nor infeasible: each was pruned
-or skipped without proof.  A tree that ends with no incumbent reads
-`ITERATION_LIMIT`, not `INFEASIBLE`, when that count is above 0.
+whose cold solve ended without proof: neither optimal nor infeasible on
+HiGHS, and anything but optimal on the IPM, whose infeasible verdict is a
+divergence heuristic, not a proof.  Each was pruned or skipped without
+proof.  A tree that ends with no incumbent reads `ITERATION_LIMIT`, not
+`INFEASIBLE`, when that count is above 0.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     pins is solved as its pinned leaf.  An include-child whose parent's
     optimum, with its selector set to 1, keeps sum(z) <= k takes that
     point without a solve.  Neither counts in `nodes`.  A node whose
-    relaxation ends neither optimal nor infeasible (the IPM's iteration
-    cap) is still pruned, and the result can read optimal: that is a known
-    defect (ROADMAP item 6), and `unproven` counts those boxes.
+    relaxation ends without proof (the IPM's iteration cap or its
+    infeasible verdict) is still pruned, and the result can read optimal:
+    that is a known defect (ROADMAP item 6), and `unproven` counts those
+    boxes.
 
     ValueError unless the one row whose nonzeros all fall on the selectors
     is sum(z) <= k (`_cardinality`).  Outside it the selectors, which must
@@ -158,7 +161,9 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     # Cold solves, keyed by the selector box's bytes.
     solved: dict[bytes, Solution] = {}
     nodes = iterations = 0  # over every relaxation solved, cold or hot
-    unproven = 0  # boxes whose cold solve ended neither optimal nor infeasible
+    unproven = 0  # boxes whose cold solve ended without proof
+    # HiGHS proves infeasibility; the IPM's verdict is a heuristic.
+    proven = (Status.OPTIMAL, Status.INFEASIBLE) if isinstance(relax, LpSession) else (Status.OPTIMAL,)
 
     def node_solve(zlo, zup, basis=None) -> Solution:
         """The relaxation over the selector box [zlo, zup]: hot from `basis`
@@ -180,7 +185,7 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
         if box not in solved:
             solved[box] = sol = relax.solve(lo, up)
             nodes, iterations = nodes + 1, iterations + sol.iterations
-            unproven += sol.status not in (Status.OPTIMAL, Status.INFEASIBLE)
+            unproven += sol.status not in proven
         return solved[box]
 
     def result(status: Status, x: np.ndarray | None, objective: float) -> Solution:
@@ -208,7 +213,9 @@ def solve_mip(problem: OptProblem, incumbent_hint: np.ndarray | None = None) -> 
     root = node_solve(*box)
     if root.x is None:
         # Infeasible, unbounded, or stopped at the solver's cap without a point.
-        return result(root.status, None, -np.inf if root.status is Status.UNBOUNDED else np.nan)
+        # Infeasibility without proof is no verdict on the tree.
+        status = Status.ITERATION_LIMIT if root.status is Status.INFEASIBLE and unproven else root.status
+        return result(status, None, -np.inf if root.status is Status.UNBOUNDED else np.nan)
     root_basis = relax.basis() if isinstance(relax, LpSession) else None
 
     if incumbent_hint is not None:

@@ -8,18 +8,16 @@ import pytest
 from cqreg import cli, mc, tuning
 from cqreg.cli import EXIT_DATA, EXIT_FLAGS, EXIT_OK, EXIT_SOLVER, main
 from cqreg import (
-    ALL_PAIRS,
     CVConfig,
     EstimatorSpec,
     L0Penalty,
     SolverError,
     __version__,
-    add_l0,
-    build_cqr,
     cross_validate,
     expectile_to_quantile,
     fit,
 )
+from cqreg.model import ALL_PAIRS, add_l0, build_cqr
 from cqreg.tuning import default_lambda_grid
 from tests.conftest import make_instance
 

@@ -7,24 +7,12 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from cqreg import (
-    ALL_PAIRS,
-    Dataset,
-    EstimatorSpec,
-    L0Penalty,
-    L1Penalty,
-    build_cqr,
-    build_cer,
-    fit,
-    initial_constraints,
-    separate,
-    solve_lp,
-    solve_with_cuts,
-)
+from cqreg import Dataset, EstimatorSpec, L0Penalty, L1Penalty, fit
 from cqreg import cuts, estimators
-from cqreg.cuts import CutLoopLimitError
+from cqreg.cuts import CutLoopLimitError, initial_constraints, separate, solve_with_cuts
 from cqreg.estimators import make_builder
-from cqreg.model import extract_fit, validate_fit
+from cqreg.model import ALL_PAIRS, build_cer, build_cqr, extract_fit, validate_fit
+from cqreg.solver import solve_lp
 from cqreg.solver import lp as lp_module
 from tests.conftest import make_instance
 
@@ -201,7 +189,7 @@ class TestSolveWithCuts:
         ds = make_instance(40, 3, seed=9)
         builder = make_builder(ds, EstimatorSpec("expectile", 0.8))
         result, _ = solve_with_cuts(builder, ds, tol=1e-6)
-        from cqreg import solve_qp
+        from cqreg.solver import solve_qp
 
         full = solve_qp(builder(ALL_PAIRS))
         assert abs(result.objective - full.objective) <= 1e-4

@@ -7,28 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqreg import (
-    ALL_PAIRS,
     Dataset,
     EstimatorSpec,
     L0Penalty,
     L1Penalty,
-    add_l0,
-    add_l1,
-    add_l1_budget,
     anchor_big_m,
-    build_cer,
-    build_cqr,
     check_loss,
     expectile_loss,
     fit,
-    initial_constraints,
-    solve_lp,
-    solve_mip,
-    solve_qp,
 )
 from cqreg import model
-from cqreg.model import VarLayout, _pair_arrays, afriat_rows, extract_fit, validate_fit
-from cqreg.solver import Solution, Status
+from cqreg.cuts import initial_constraints
+from cqreg.model import (
+    ALL_PAIRS,
+    VarLayout,
+    _pair_arrays,
+    add_l0,
+    add_l1,
+    add_l1_budget,
+    afriat_rows,
+    build_cer,
+    build_cqr,
+    extract_fit,
+    validate_fit,
+)
+from cqreg.solver import Solution, Status, solve_lp, solve_mip, solve_qp
 from tests.conftest import make_instance
 
 
