@@ -45,14 +45,15 @@ rows by its worst slack and its duality gap (see `solve_full_lp`).  Most
 Afriat rows never bind, so the session holds a small share of them and
 its solves take few iterations where a cold solve of all rows takes many.
 
-Each round computes the slack matrix of its fit once; the tie checks,
-`separate` and the final worst slack all read it.  `initial_constraints`
-keeps its last result, so the lambda candidates of a CV fold, which share
-the fold's inputs, share one spanning tree.  The tree is built in numpy
-(`_spanning_tree`) with the edges `scipy.sparse.csgraph` would pick, ties
-included: importing csgraph for one call would load it with
-`scipy.sparse.linalg` and `scipy.linalg`, about 9 MiB of resident memory,
-into every process.
+Each round computes the slack matrix of the solver's point once
+(`_slack`); the tie checks, `separate` and the final worst slack all read
+it.  Only the last point is read out as a `FitResult`.
+`initial_constraints` keeps its last result, so the lambda candidates of a
+CV fold, which share the fold's inputs, share one spanning tree.  The tree
+is built in numpy (`_spanning_tree`) with the edges `scipy.sparse.csgraph`
+would pick, ties included: importing csgraph for one call would load it
+with `scipy.sparse.linalg` and `scipy.linalg`, about 9 MiB of resident
+memory, into every process.
 """
 
 from __future__ import annotations
@@ -182,20 +183,16 @@ def _distances(X: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def separate(
-    fit: FitResult, dataset: Dataset, tol: float, slack: np.ndarray | None = None
-) -> list[tuple[int, int, float]]:
-    """Most violated domination row per observation.
+def separate(slack: np.ndarray, tol: float) -> list[tuple[int, int, float]]:
+    """Most violated domination row per observation of the slack matrix
+    `afriat_slack` gives for a point.
 
     For each i returns (i, m(i), v_i) where m(i) minimizes
-    yhat_i + beta_i @ (x_m - x_i) - yhat_m over all m (ties to the lowest
-    index); only entries with v_i < -tol are reported.  `slack` is the
-    fit's slack matrix when the caller has it already.
+    slack[i, m] = yhat_i + beta_i @ (x_m - x_i) - yhat_m over all m (ties to
+    the lowest index); only entries with v_i < -tol are reported.
     """
-    if slack is None:
-        slack = afriat_slack(fit, dataset)
     m_idx = np.argmin(slack, axis=1)
-    values = slack[np.arange(fit.n), m_idx]
+    values = slack[np.arange(slack.shape[0]), m_idx]
     return [
         (int(i), int(m_idx[i]), float(values[i]))
         for i in np.flatnonzero(values < -tol)
@@ -224,22 +221,20 @@ def solve_with_cuts(
     added: list[int] = []
     warm = 0
     iterations = 0
-    fit: FitResult | None = None
     hint = None
-    problem: OptProblem | None = None
     session: LpSession | None = None
     for _ in range(max_rounds):
-        fit = None
+        slack = None
         if session is not None:
             session.add_rows(*afriat_rows(dataset, new_pairs), np.zeros(len(new_pairs)))
             sol = session.solve()
             iterations += sol.iterations
-            fit, slack = _hot_fit(session, sol, problem, dataset, tol)
-            if fit is None:
+            slack = _hot_slack(session, sol, problem, dataset, tol)
+            if slack is None:
                 session = None
             else:
                 warm += 1
-        if fit is None:
+        if slack is None:
             problem = builder(active)
             sol, session = _solve_master(problem, hint)
             iterations += sol.iterations
@@ -247,21 +242,22 @@ def solve_with_cuts(
                 raise RuntimeError(f"master solve ended with status {sol.status}")
             if session is not None and session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
                 session = None
-            fit = extract_fit(problem, dataset, sol)
-            slack = afriat_slack(fit, dataset)
-        fit = replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=len(active)))
-        if fit.z is not None:
-            hint = fit.z
-        new_pairs = _new_pairs(fit, dataset, tol, present, slack)
+            slack = _slack(problem, sol, dataset)
+        if problem.layout.has_z:
+            hint = np.rint(sol.x[problem.layout.z()]).astype(int)
+        new_pairs = _new_pairs(slack, tol, present)
         added.append(len(new_pairs))
         if len(new_pairs) == 0:
-            stats = CutLoopStats(len(added), tuple(added), len(active), float(slack.min()), warm)
-            return fit, stats
+            break
         active = np.concatenate([active, new_pairs])
+    # The last master holds the rows before this round's new pairs.
+    held = len(active) - len(new_pairs)
+    fit = extract_fit(problem, dataset, sol)
+    fit = replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=held))
     stats = CutLoopStats(len(added), tuple(added), len(active), float(slack.min()), warm)
-    raise CutLoopLimitError(
-        f"no tol-feasible master after {max_rounds} resolves", fit, stats
-    )
+    if len(new_pairs) == 0:
+        return fit, stats
+    raise CutLoopLimitError(f"no tol-feasible master after {max_rounds} resolves", fit, stats)
 
 
 def _max_rounds(n: int) -> int:
@@ -272,19 +268,21 @@ def _max_rounds(n: int) -> int:
 def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset) -> FitResult:
     """Optimum of the pure LP `builder(ALL_PAIRS)`, reached in one session.
 
-    The session starts from the seed master and re-solves hot after
-    appending the pairs `separate` finds at _GROW_TOL, until it finds none
-    that is new.  The last master is then certified on the full LP without
-    appending the rows it omits: its solve must be optimal, its worst slack
-    over all n(n-1) rows at least -FEAS_TOL, and its relative duality gap
+    The session starts from the seed master.  Each round computes the slack
+    of the solver's point and re-solves hot after appending the pairs
+    `separate` finds at _GROW_TOL, until it finds none that is new.  The
+    last master is then certified on the full LP without appending the rows
+    it omits: its solve must be optimal, its worst slack over all n(n-1)
+    rows at least -FEAS_TOL, and its relative duality gap
     |objective - dual objective| / (1 + |objective|) at most _GAP_TOL.  An
     omitted row has right-hand side 0, so giving it dual 0 changes no
     reduced cost and no dual objective: the master's duals stay feasible
     for the full LP, and a closed gap at a feasible point proves the fit
     optimal there.  It need not be the vertex a cold solve of the full LP
-    returns.  `meta.iterations` is the total over every solve and
-    `meta.constraints` is n(n-1), the rows the fit is certified on.  A fit
-    that fails the certificate raises RuntimeError.
+    returns.  Only the certified point is read out as a fit.
+    `meta.iterations` is the total over every solve and `meta.constraints`
+    is n(n-1), the rows the fit is certified on.  A fit that fails the
+    certificate raises RuntimeError.
     """
     active, present = _seed(dataset)
     problem = builder(active)
@@ -292,9 +290,8 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
     sol = session.solve()
     iterations = sol.iterations
     while sol.optimal:
-        fit = extract_fit(problem, dataset, sol)
-        slack = afriat_slack(fit, dataset)
-        new_pairs = _new_pairs(fit, dataset, _GROW_TOL, present, slack)
+        slack = _slack(problem, sol, dataset)
+        new_pairs = _new_pairs(slack, _GROW_TOL, present)
         if len(new_pairs) == 0:
             break
         session.add_rows(*afriat_rows(dataset, new_pairs), np.zeros(len(new_pairs)))
@@ -309,6 +306,7 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
             f"grown LP not certified: worst Afriat slack {worst:.3g}, relative duality gap {gap:.3g}"
         )
     n = dataset.n
+    fit = extract_fit(problem, dataset, sol)
     return replace(fit, meta=replace(fit.meta, iterations=iterations, constraints=n * (n - 1)))
 
 
@@ -321,16 +319,18 @@ def _seed(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return active, present
 
 
-def _new_pairs(
-    fit: FitResult,
-    dataset: Dataset,
-    tol: float,
-    present: np.ndarray,
-    slack: np.ndarray | None = None,
-) -> np.ndarray:
+def _slack(problem: OptProblem, sol: Solution, dataset: Dataset) -> np.ndarray:
+    """The Afriat slack matrix of the solution's point, its yhat and beta
+    read through the layout of `problem` (the master the point's session
+    was built from: appended rows move no column)."""
+    lay = problem.layout
+    return afriat_slack(sol.x[lay.yhat()], sol.x[lay.beta_all()].reshape(lay.n, lay.d), dataset)
+
+
+def _new_pairs(slack: np.ndarray, tol: float, present: np.ndarray) -> np.ndarray:
     """The pairs `separate` reports that are not yet present, as an (m, 2)
     int array; they are marked present."""
-    violated = separate(fit, dataset, tol, slack=slack)
+    violated = separate(slack, tol)
     found = np.array([(i, m) for i, m, _ in violated], dtype=int).reshape(-1, 2)
     # A reported pair can already be present only when tol undercuts the
     # master's own feasibility tolerance; that is a fixed point.
@@ -339,24 +339,23 @@ def _new_pairs(
     return new_pairs
 
 
-def _hot_fit(
+def _hot_slack(
     session: LpSession, sol: Solution, problem: OptProblem, dataset: Dataset, tol: float
-) -> tuple[FitResult, np.ndarray] | tuple[None, None]:
-    """The fit of the session's hot-started solve `sol` and its slack matrix
-    when it provably gives the cold solve's separation (see the module
-    docstring), else Nones.  `problem` is the master the session was built
-    from, before rows were appended."""
+) -> np.ndarray | None:
+    """The slack matrix of the session's hot-started solve `sol` when it
+    provably gives the cold solve's separation (see the module docstring),
+    else None.  `problem` is the master the session was built from, before
+    rows were appended."""
     if not sol.optimal or session.min_nonbasic_dual() < _DUAL_NONDEGENERATE:
-        return None, None
-    fit = extract_fit(problem, dataset, sol)
-    slack = afriat_slack(fit, dataset)
+        return None
+    slack = _slack(problem, sol, dataset)
     two = np.partition(slack, 1, axis=1)
     least, second = two[:, 0], two[:, 1]
     if np.any(np.abs(least + tol) <= _TIE_MARGIN):
-        return None, None
+        return None
     if np.any((least < -tol) & (second - least <= _TIE_MARGIN)):
-        return None, None
-    return fit, slack
+        return None
+    return slack
 
 
 def _solve_master(problem: OptProblem, hint) -> tuple[Solution, LpSession | None]:

@@ -280,11 +280,19 @@ def afriat_rows(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray, 
     return np.arange(0, indices.size + 1, width, dtype=np.int32), indices, data
 
 
-def afriat_slack(fit: FitResult, dataset: Dataset) -> np.ndarray:
-    """slack[i, h] = yhat_i + beta_i @ (x_h - x_i) - yhat_h: how far plane i
-    lies above the fitted value at x_h; a negative entry violates row (i, h)."""
-    planes = fit.alpha[:, None] + fit.beta @ dataset.inputs.T
-    return planes - fit.y_hat[None, :]
+def _intercepts(y_hat: np.ndarray, beta: np.ndarray, dataset: Dataset) -> np.ndarray:
+    """alpha_i = yhat_i - beta_i @ x_i, the intercepts of the fitted planes."""
+    return y_hat - np.sum(beta * dataset.inputs, axis=1)
+
+
+def afriat_slack(y_hat: np.ndarray, beta: np.ndarray, dataset: Dataset) -> np.ndarray:
+    """slack[i, h] = yhat_i + beta_i @ (x_h - x_i) - yhat_h at the point
+    (y_hat, beta), beta of shape (n, d): how far plane i lies above the
+    fitted value at x_h; a negative entry violates row (i, h).  The planes
+    go through the intercepts `extract_fit` reads out, so a solver's point
+    and its fit give the same bits."""
+    planes = _intercepts(y_hat, beta, dataset)[:, None] + beta @ dataset.inputs.T
+    return planes - y_hat[None, :]
 
 
 def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
@@ -393,31 +401,6 @@ def add_l0(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
     return OptProblem(obj, quad, a, sense, rhs, lower, upper, integer, replace(lay, has_z=True))
 
 
-def add_l1_budget(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
-    """Convex relaxation of the cardinality block: per-observation budget rows
-    sum_j beta_{j,i} <= big_m * k plus coefficient caps beta <= big_m.
-
-    Every point feasible for the binary block is feasible here, so the optimal
-    objective is a lower bound on the cardinality-constrained optimum.
-    """
-    lay = _require_layout(problem)
-    if lay.has_z:
-        raise ValueError("relaxation applies to the unpenalized problem")
-    n, d = lay.n, lay.d
-    if penalty.k > d:
-        raise ValueError(f"k={penalty.k} exceeds the number of input variables d={d}")
-    nv = problem.n_vars
-    rows = np.repeat(np.arange(n), d)
-    cols = np.arange(*lay.beta_all().indices(nv))
-    extra = sparse.csr_matrix((np.ones(n * d), (rows, cols)), shape=(n, nv))
-    a = sparse.vstack([problem.a, extra]).tocsr()
-    sense = np.concatenate([problem.sense, np.array(["L"] * n)])
-    rhs = np.concatenate([problem.rhs, np.full(n, penalty.big_m * penalty.k)])
-    upper = problem.upper.copy()
-    upper[lay.beta_all()] = np.minimum(upper[lay.beta_all()], penalty.big_m)
-    return replace(problem, a=a, sense=sense, rhs=rhs, upper=upper)
-
-
 def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
     """Read a FitResult out of a solved problem built by the builders above."""
     lay = _require_layout(problem)
@@ -428,7 +411,7 @@ def extract_fit(problem: OptProblem, dataset: Dataset, solution) -> FitResult:
     beta = x[lay.beta_all()].reshape(lay.n, lay.d).copy()
     eps_plus = x[lay.eps_plus()].copy()
     eps_minus = x[lay.eps_minus()].copy()
-    alpha = y_hat - np.sum(beta * dataset.inputs, axis=1)
+    alpha = _intercepts(y_hat, beta, dataset)
     z = None
     if lay.has_z:
         z = np.rint(x[lay.z()]).astype(int)
@@ -462,7 +445,7 @@ def validate_fit(
     bad = [name for name in arrays if not np.isfinite(getattr(fit, name)).all()]
     if bad:
         problems.append(f"non-finite entries in {', '.join(bad)}")
-    X, y = dataset.inputs, dataset.output
+    y = dataset.output
     if np.any(fit.beta < -tol):
         problems.append(f"beta has negative entries (min {fit.beta.min():.3g})")
     if np.any(fit.eps_plus < -tol) or np.any(fit.eps_minus < -tol):
@@ -470,11 +453,10 @@ def validate_fit(
     resid = y - fit.y_hat - (fit.eps_plus - fit.eps_minus)
     if np.max(np.abs(resid)) > tol:
         problems.append(f"residual split identity violated by {np.max(np.abs(resid)):.3g}")
-    recon = fit.y_hat - np.sum(fit.beta * X, axis=1)
-    if np.max(np.abs(recon - fit.alpha)) > tol:
+    if np.max(np.abs(_intercepts(fit.y_hat, fit.beta, dataset) - fit.alpha)) > tol:
         problems.append("intercepts inconsistent with y_hat - beta @ x")
     # Full Afriat scan: hyperplane i must dominate every fitted value.
-    worst = afriat_slack(fit, dataset).min()
+    worst = afriat_slack(fit.y_hat, fit.beta, dataset).min()
     if worst < -tol:
         problems.append(f"Afriat system violated by {-worst:.3g}")
     if fit.z is not None:

@@ -2,8 +2,8 @@
 
 Column and row names exist only here.  A problem built by `cqreg.model`
 gets names from its layout: columns YH, B, EP, EN and Z; rows FIT, then
-A{i}_{h} for each Afriat row, then L1B or BM and CARD.  Any other problem
-gets X{j} and R{r}.
+A{i}_{h} for each Afriat row, then BM and CARD.  Any other problem gets
+X{j} and R{r}.
 """
 
 from __future__ import annotations
@@ -38,12 +38,10 @@ def _names(problem: OptProblem) -> tuple[list[str], list[str]]:
     yhat = problem.a[n : n + lay.afriat, :n]
     minus, plus = np.ravel(yhat.argmin(axis=1)) + 1, np.ravel(yhat.argmax(axis=1)) + 1
     rows = [f"FIT{i}" for i in obs] + [f"A{i}_{h}" for i, h in zip(minus.tolist(), plus.tolist())]
-    tail = []
     if lay.has_z:
         cols += [f"Z{j}" for j in inputs]
-        tail = [f"BM{i}_{j}" for i in obs for j in inputs] + ["CARD"]
-    budget = problem.n_rows - len(rows) - len(tail)
-    return cols, rows + [f"L1B{i}" for i in range(1, budget + 1)] + tail
+        rows += [f"BM{i}_{j}" for i in obs for j in inputs] + ["CARD"]
+    return cols, rows
 
 
 def export_mps(problem: OptProblem) -> str:

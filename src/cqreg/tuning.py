@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .data import Dataset
-from .estimators import EXPECTILE, QUANTILE, EstimatorSpec, anchor_big_m, fit
+from .estimators import QUANTILE, EstimatorSpec, anchor_big_m, fit
 from .model import FitResult, L0Penalty, L1Penalty, check_loss, expectile_loss, is_integer
 
 _SDG_MULTIPLIERS = (0.1, 0.5, 0.8, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 5.0)

@@ -19,8 +19,7 @@ API = {
 }
 
 INTERNALS = {
-    "cqreg.model": ["ALL_PAIRS", "OptProblem", "build_cqr", "build_cer", "add_l1", "add_l0", "add_l1_budget",
-                    "extract_fit"],
+    "cqreg.model": ["ALL_PAIRS", "OptProblem", "build_cqr", "build_cer", "add_l1", "add_l0", "extract_fit"],
     "cqreg.solver": ["Solution", "Status", "solve_lp", "solve_qp", "solve_mip", "export_mps"],
     "cqreg.cuts": ["solve_with_cuts", "CutLoopStats", "CutLoopLimitError", "initial_constraints", "separate"],
 }

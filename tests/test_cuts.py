@@ -11,7 +11,7 @@ from cqreg import Dataset, EstimatorSpec, L0Penalty, L1Penalty, fit
 from cqreg import cuts, estimators
 from cqreg.cuts import CutLoopLimitError, initial_constraints, separate, solve_with_cuts
 from cqreg.estimators import make_builder
-from cqreg.model import ALL_PAIRS, build_cer, build_cqr, extract_fit, validate_fit
+from cqreg.model import ALL_PAIRS, afriat_slack, build_cer, build_cqr, extract_fit, validate_fit
 from cqreg.solver import solve_lp
 from cqreg.solver import lp as lp_module
 from tests.conftest import make_instance
@@ -81,29 +81,18 @@ class TestInitialConstraints:
 class TestSeparate:
     def test_feasible_fit_yields_nothing(self, small_noisy):
         result = fit(small_noisy, EstimatorSpec("quantile", 0.5))
-        assert separate(result, small_noisy, 1e-6) == []
+        assert separate(afriat_slack(result.y_hat, result.beta, small_noisy), 1e-6) == []
 
     def test_hand_built_violation_matches_brute_force(self):
         # Flat hyperplane 0 undercuts the fitted value at point 1 by 0.5;
         # a brute-force scan of all pairs is the oracle for the reported
         # minimizers, values and tie-breaks.
         ds = Dataset(np.array([[1.0], [2.0], [3.0]]), np.array([1.0, 1.5, 1.2]))
-        from cqreg.model import FitMeta, FitResult
-
         y_hat = np.array([1.0, 1.5, 1.2])
         beta = np.array([[0.0], [0.0], [0.0]])
-        result = FitResult(
-            alpha=y_hat.copy(),
-            beta=beta,
-            eps_plus=np.zeros(3),
-            eps_minus=np.zeros(3),
-            y_hat=y_hat,
-            z=None,
-            objective=0.0,
-            meta=FitMeta(status="optimal"),
-        )
-        slack = result.alpha[:, None] + beta @ ds.inputs.T - y_hat[None, :]
-        found = separate(result, ds, 0.01)
+        # Flat planes: alpha = y_hat.
+        slack = y_hat[:, None] + beta @ ds.inputs.T - y_hat[None, :]
+        found = separate(afriat_slack(y_hat, beta, ds), 0.01)
         assert (0, 1, -0.5) in found
         for i, m, v in found:
             assert v == pytest.approx(slack[i].min())
@@ -115,7 +104,7 @@ class TestSeparate:
     def test_tolerance_gate(self, small_noisy):
         result = fit(small_noisy, EstimatorSpec("quantile", 0.5))
         # All slacks are >= -1e-9 at the optimum; a loose gate reports nothing.
-        assert separate(result, small_noisy, 0.01) == []
+        assert separate(afriat_slack(result.y_hat, result.beta, small_noisy), 0.01) == []
 
 
 class TestSolveWithCuts:
@@ -157,7 +146,7 @@ class TestSolveWithCuts:
             sol = solve_lp(problem)
             objectives.append(sol.objective)
             result = extract_fit(problem, ds, sol)
-            violated = separate(result, ds, 1e-6)
+            violated = separate(afriat_slack(result.y_hat, result.beta, ds), 1e-6)
             if not violated:
                 break
             active.extend((i, m) for i, m, _ in violated)
@@ -211,7 +200,8 @@ def _rebuild_every_round(builder, ds, tol):
     while True:
         problem = builder(active)
         result = extract_fit(problem, ds, solve_lp(problem))
-        new = [(i, m) for i, m, _ in separate(result, ds, tol) if (i, m) not in present]
+        slack = afriat_slack(result.y_hat, result.beta, ds)
+        new = [(i, m) for i, m, _ in separate(slack, tol) if (i, m) not in present]
         added.append(len(new))
         if not new:
             return result, tuple(added)
@@ -258,13 +248,13 @@ class TestHotStartedLoop:
     # the nondegeneracy test: every round is the rebuilt loop's cold solve.
     def test_hot_rounds_rejected_at_the_boundary_give_the_rebuilt_loop(self, monkeypatch):
         monkeypatch.setattr(cuts, "_TIE_MARGIN", 1e9)
-        nondegenerate, hot_fit = [], cuts._hot_fit
+        nondegenerate, hot_slack = [], cuts._hot_slack
 
-        def recorded_hot_fit(session, sol, *args):
+        def recorded_hot_slack(session, sol, *args):
             nondegenerate.append(sol.optimal and session.min_nonbasic_dual() >= cuts._DUAL_NONDEGENERATE)
-            return hot_fit(session, sol, *args)
+            return hot_slack(session, sol, *args)
 
-        monkeypatch.setattr(cuts, "_hot_fit", recorded_hot_fit)
+        monkeypatch.setattr(cuts, "_hot_slack", recorded_hot_slack)
         ds = make_instance(30, 3, seed=0)
         builder = make_builder(ds, EstimatorSpec("quantile", 0.5, penalty=L1Penalty(0.1)))
         result, stats = solve_with_cuts(builder, ds, tol=1e-6)
@@ -473,3 +463,27 @@ def test_iterations_count_every_solve(monkeypatch, n, spec, tol):
         result, _ = solve_with_cuts(make_builder(ds, spec), ds, tol=tol)
     assert len(counts) > 1
     assert result.meta.iterations == sum(counts)
+
+
+@pytest.mark.parametrize("n, d, seed", [(24, 3, 0), (50, 6, 1), (100, 2, 2)])
+@pytest.mark.parametrize(
+    "family, penalty",
+    [("quantile", None), ("quantile", L1Penalty(0.1)), ("quantile", L0Penalty(2, 5.0)), ("expectile", None)],
+    ids=["cqr", "l1-cqr", "l0-cqr", "cer"],
+)
+def test_point_slack_is_the_fit_slack_bit_for_bit(family, penalty, n, d, seed):
+    # The loops separate on the slack of the solver's point; it must be the
+    # slack of the fit read out of that point, bit for bit, or the rows each
+    # round appends would move.  The reference is the fit-based formula,
+    # written out.  The L0 point carries its selectors, which give the MIP
+    # hint as `extract_fit` gives the fit's z.
+    ds = make_instance(n, d, seed=seed)
+    builder = make_builder(ds, EstimatorSpec(family, 0.5, penalty=penalty))
+    for pairs in (initial_constraints(ds), ALL_PAIRS):
+        problem = builder(pairs)
+        sol = estimators._solve_cold(problem, "master")
+        result = extract_fit(problem, ds, sol)
+        want = result.alpha[:, None] + result.beta @ ds.inputs.T - result.y_hat[None, :]
+        assert cuts._slack(problem, sol, ds).tobytes() == want.tobytes()
+        if isinstance(penalty, L0Penalty):
+            assert np.array_equal(np.rint(sol.x[problem.layout.z()]).astype(int), result.z)

@@ -24,14 +24,13 @@ from cqreg.model import (
     _pair_arrays,
     add_l0,
     add_l1,
-    add_l1_budget,
     afriat_rows,
     build_cer,
     build_cqr,
     extract_fit,
     validate_fit,
 )
-from cqreg.solver import Solution, Status, solve_lp, solve_mip, solve_qp
+from cqreg.solver import Solution, Status, solve_lp, solve_qp
 from tests.conftest import make_instance
 
 
@@ -345,11 +344,9 @@ class TestL1:
     "attach, message",
     [
         (lambda base, mip: add_l1(replace(base, layout=None), L1Penalty(0.1)), "not built by build_cqr/build_cer"),
-        (lambda base, mip: add_l1_budget(mip, L0Penalty(1, 1.0)), "relaxation applies to the unpenalized problem"),
-        (lambda base, mip: add_l1_budget(base, L0Penalty(3, 1.0)), "k=3 exceeds the number of input variables d=2"),
         (lambda base, mip: base.layout.z(), "layout has no selection variables"),
     ],
-    ids=["l1-without-layout", "budget-on-l0", "budget-k-above-d", "selectors-without-l0"],
+    ids=["l1-without-layout", "selectors-without-l0"],
 )
 def test_penalty_block_rejects_the_wrong_problem(attach, message):
     base = build_cqr(make_instance(5, 2), 0.5, ALL_PAIRS)
@@ -437,24 +434,6 @@ class TestL0:
             and objective[cell] > objective[inner] + 1e-6 * abs(objective[inner])
         ]
         assert above == []
-
-
-class TestRelaxation:
-    def test_budget_rows_lower_bound_the_cardinality_optimum(self):
-        for seed in range(4):
-            ds = make_instance(8, 3, seed=seed)
-            anchor = fit(ds, EstimatorSpec("quantile", 0.5))
-            m = 2.0 * max(anchor.beta.max(), 1e-6)
-            pen = L0Penalty(2, m)
-            hard = solve_mip(add_l0(build_cqr(ds, 0.5, ALL_PAIRS), pen))
-            relaxed = solve_lp(add_l1_budget(build_cqr(ds, 0.5, ALL_PAIRS), pen))
-            assert relaxed.objective <= hard.objective + 1e-8
-
-    def test_fit_counts_afriat_rows_only(self):
-        ds = make_instance(10, 3)
-        problem = add_l1_budget(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
-        result = extract_fit(problem, ds, solve_lp(problem))
-        assert result.meta.constraints == 90  # n(n-1); the n budget rows are not Afriat rows
 
 
 class TestFitResultInvariants:

@@ -36,8 +36,8 @@ from cqreg.model import (
     OptProblem,
     add_l0,
     add_l1,
-    add_l1_budget,
     afriat_rows,
+    afriat_slack,
     build_cer,
     build_cqr,
     extract_fit,
@@ -285,7 +285,7 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         base = add_l1(build_cqr(ds, 0.5, initial_constraints(ds)), L1Penalty(0.1))
         session = LpSession(base)
         first = extract_fit(base, ds, session.solve())
-        new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
+        new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
         assert new
         session.add_rows(*afriat_rows(ds, new), np.zeros(len(new)))
         hot = session.solve()
@@ -316,7 +316,7 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         ds = make_instance(30, 3, seed=seed)
         base = _rows_of_one_sense(add_l1(build_cqr(ds, 0.5, initial_constraints(ds)), L1Penalty(0.1)), "L")
         first = extract_fit(base, ds, solve_lp(base))
-        new = [(i, m) for i, m, _ in separate(first, ds, 1e-6)]
+        new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
         rows = afriat_rows(ds, new)
         session = LpSession(base)
         session.add_rows(*rows, np.zeros(len(new)))
@@ -359,7 +359,8 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         base = build_cqr(ds, 0.5, initial_constraints(ds))
         session = LpSession(base)
         assert pricing(session) == -1
-        new = [(i, m) for i, m, _ in separate(extract_fit(base, ds, session.solve()), ds, 1e-6)]
+        first = extract_fit(base, ds, session.solve())
+        new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
         assert new
         session.add_rows(*afriat_rows(ds, new), np.zeros(len(new)))
         assert pricing(session) == 1
@@ -1989,10 +1990,6 @@ def _cer_cut_master():
     return build_cer(ds, 0.8, initial_constraints(ds))
 
 
-def _l1_budget_cqr():
-    return add_l1_budget(build_cqr(make_instance(6, 3, seed=5), 0.5, ALL_PAIRS), L0Penalty(2, 5.0))
-
-
 def _read_back(problem: OptProblem, tmp_path) -> _core._Highs:
     """A fresh HiGHS instance holding `problem` as read from its MPS export."""
     path = tmp_path / "model.mps"
@@ -2096,9 +2093,8 @@ class TestExportMps:
         [
             (_l0_cqr_full, "da2c58c35e52809a51da4fea941d5ad26f6f4918ed49480ce2e74ffdf5a27ca5"),
             (_cer_cut_master, "3bdecfc4648ff80627deff4433a285ffdde8afa5a6dc22412af9fbc38b01787c"),
-            (_l1_budget_cqr, "76e4a359288057d247737cc24b99f263a823e64bc18c448f93d929607950443d"),
         ],
-        ids=["l0-cqr-full", "cer-cut-master", "l1-budget-cqr"],
+        ids=["l0-cqr-full", "cer-cut-master"],
     )
     def test_pinned_text(self, make, digest):
         assert hashlib.sha256(export_mps(make()).encode()).hexdigest() == digest
