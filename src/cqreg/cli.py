@@ -32,7 +32,7 @@ from .estimators import (
     make_builder,
     support,
 )
-from .mc import MCConfig, run_mc
+from .mc import METHODS, MCConfig, run_mc
 from .model import ALL_PAIRS, FEAS_TOL, FitMeta, FitResult, L0Penalty, L1Penalty, validate_fit
 from .solver import export_mps
 from .tuning import CVConfig, cross_validate, default_lambda_grid
@@ -61,7 +61,10 @@ class _Parser(argparse.ArgumentParser):
 def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dataset, list, list]:
     """Header row required; the designated output column and optional id
     column are split off, every remaining column is a numeric input.  Returns
-    the dataset, its input column names and the ids (by default 1-based row numbers)."""
+    the dataset, its input column names and the ids (by default 1-based row numbers).
+    No two header cells may hold the same name, and the id column is not the output."""
+    if id_col == output_col:
+        raise ValueError("--id-col and --output-col must name different columns")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:  # a byte-order mark is not data
             reader = csv.reader(handle)
@@ -71,6 +74,9 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dat
     if not rows:
         raise CliError(f"{path}: empty file (header row required)", EXIT_DATA)
     header = [h.strip() for h in rows[0]]
+    duplicates = sorted({h for h in header if header.count(h) > 1})
+    if duplicates:
+        raise CliError(f"{path}: duplicate column name(s) in header: {', '.join(map(repr, duplicates))}", EXIT_DATA)
     if output_col not in header:
         raise CliError(f"{path}: output column {output_col!r} not in header", EXIT_DATA)
     if id_col is not None and id_col not in header:
@@ -332,11 +338,16 @@ def _cv_config_from_args(args) -> CVConfig:
     return cfg
 
 
-def _cmd_tune(args) -> int:
-    # A grid flag the penalty would not read is an error, as `fit`'s --lam is.
+def _check_grid_flags(args, penalties, needs: str) -> None:
+    """A grid flag that none of `penalties` reads is an error, as `fit`'s
+    --lam is; `needs` names what the flag requires, with {} for its penalty."""
     for name, penalty in (("lambda_grid", "l1"), ("lambda_count", "l1"), ("k_grid", "l0"), ("m_multipliers", "l0")):
-        if getattr(args, name) is not None and args.penalty != penalty:
-            raise ValueError(f"--{name.replace('_', '-')} requires --penalty {penalty}")
+        if getattr(args, name) is not None and penalty not in penalties:
+            raise ValueError(f"--{name.replace('_', '-')} requires {needs.format(penalty)}")
+
+
+def _cmd_tune(args) -> int:
+    _check_grid_flags(args, {args.penalty}, "--penalty {}")
     if args.lambda_grid is not None and args.lambda_count is not None:
         raise ValueError("--lambda-grid and --lambda-count exclude each other")
     dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
@@ -354,6 +365,7 @@ def _cmd_tune(args) -> int:
 def _cmd_simulate(args) -> int:
     taus = _parse_list(args.tau, "--tau")
     methods = tuple(m.strip() for m in args.methods.split(","))
+    _check_grid_flags(args, {METHODS[m][1] for m in methods if m in METHODS}, "an {}-* method")
     cfg = MCConfig(
         n=args.n,
         d=args.d,

@@ -5,19 +5,19 @@ a randomly located true support of size k_true, each input in it with
 exponent 0.8/k_true (they sum to 0.8, so the true frontier is concave, as
 the CQR/CER model class assumes), and Gaussian noise whose variance is
 calibrated to the requested signal-to-noise ratio.  Ground-truth quantile
-curves come from the analytic Gaussian inverse CDF (`scipy.special.ndtri`),
-computed when a scenario's `q_star` is first read.  `scipy.special` is
-imported there and in `expectile_level_for_quantile`, not with this module:
-no fit uses it, and it adds about 3.6 MiB to the peak memory of an
-`import cqreg`.  `run_mc` fits every estimator in full mode, on all n(n-1)
-Afriat rows.
+curves come from the analytic Gaussian inverse CDF (`scipy.special.ndtri`)
+in a scenario's `q_star(tau)`.  `scipy.special` is imported there and in
+`expectile_level_for_quantile`, not with this module: no fit uses it, and
+it adds about 3.6 MiB to the peak memory of an `import cqreg`.  `run_mc`
+maps one job per (replication, method, tau) cell, serially or through a
+process pool, and fits every estimator in full mode, on all n(n-1) rows.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from dataclasses import asdict, dataclass, replace
+from itertools import product
 from typing import Any, Sequence
 
 import numpy as np
@@ -74,20 +74,18 @@ class MCConfig:
 
 @dataclass(frozen=True)
 class MCScenario:
-    """A generated instance with its ground truth.  `q_star` maps each level
-    in `taus` to the true quantile curve, computed on first access."""
+    """A generated instance with its ground truth."""
 
     dataset: Dataset
     support_true: frozenset
     sigma: float
     signal: np.ndarray
-    taus: tuple[float, ...]
 
-    @cached_property
-    def q_star(self) -> dict[float, np.ndarray]:
+    def q_star(self, tau: float) -> np.ndarray:
+        """The true tau-quantile curve."""
         from scipy.special import ndtri  # imported here: see the module docstring
 
-        return {t: self.signal + self.sigma * ndtri(t) for t in self.taus}
+        return self.signal + self.sigma * ndtri(tau)
 
 
 def expectile_level_for_quantile(tau: float) -> float:
@@ -117,8 +115,7 @@ def generate_scenario(cfg: MCConfig, rep_index: int) -> MCScenario:
     sigma = float(np.sqrt(signal.var() / cfg.rho))
     noise = rng.normal(0.0, sigma, cfg.n)
     y = signal + noise
-    taus = tuple(float(t) for t in cfg.taus)
-    return MCScenario(Dataset(X, y), frozenset(int(j) for j in omega), sigma, signal, taus)
+    return MCScenario(Dataset(X, y), frozenset(int(j) for j in omega), sigma, signal)
 
 
 def prediction_error(q_hat: np.ndarray, q_star: np.ndarray) -> float:
@@ -165,8 +162,8 @@ class MetricsReport:
     """
 
     rows: tuple[dict[str, Any], ...]
-    failures_by_method: dict[str, int] = field(default_factory=dict)
-    fold_failures_by_method: dict[str, int] = field(default_factory=dict)
+    failures_by_method: dict[str, int]
+    fold_failures_by_method: dict[str, int]
 
     @property
     def failures(self) -> int:
@@ -180,44 +177,31 @@ class MetricsReport:
         return {**asdict(self), "failures": self.failures, "fold_failures": self.fold_failures}
 
 
-def _replicate(args: tuple) -> tuple[list[dict[str, Any]], dict[str, int], dict[str, int]]:
-    """Worker: one replication of every method at every tau; returns its
-    rows and, by method, its failed cells and failed CV fold fits."""
-    cfg, rep, methods, cv = args
+def _cell(cfg: MCConfig, rep: int, method: str, tau: float, cv: CVConfig) -> dict[str, Any]:
+    """Worker: one method at one tau on replication `rep`'s scenario.  Its
+    record holds the method, tau, the cell's failed CV fold fits and, unless
+    a fit raised RuntimeError, the four metrics."""
     scenario = generate_scenario(cfg, rep)
-    rows: list[dict[str, Any]] = []
-    failures = dict.fromkeys(methods, 0)
-    fold_failures = dict.fromkeys(methods, 0)
-    for name in methods:
-        family, penalty_kind = METHODS[name]
-        for tau in cfg.taus:
-            level = tau if family == QUANTILE else expectile_level_for_quantile(tau)
-            spec = EstimatorSpec(family, level)
-            try:
-                if penalty_kind is None:
-                    final = fit(scenario.dataset, spec)
-                else:
-                    report = cross_validate(scenario.dataset, spec, penalty_kind, cv)
-                    fold_failures[name] += report.failures
-                    penalty = chosen_penalty(scenario.dataset, spec, report)
-                    final = fit(scenario.dataset, replace(spec, penalty=penalty))
-            except RuntimeError:
-                failures[name] += 1
-                continue
-            selected = support(final)
-            rows.append(
-                {
-                    "method": name,
-                    "family": family,
-                    "tau": float(tau),
-                    "rep": rep,
-                    "prediction_error": prediction_error(final.y_hat, scenario.q_star[float(tau)]),
-                    "accuracy": accuracy(selected, scenario.support_true, cfg.k_true),
-                    "false_positives": false_positives(selected, scenario.support_true),
-                    "exact_support": exact_support(selected, scenario.support_true),
-                }
-            )
-    return rows, failures, fold_failures
+    family, penalty_kind = METHODS[method]
+    spec = EstimatorSpec(family, tau if family == QUANTILE else expectile_level_for_quantile(tau))
+    record: dict[str, Any] = {"method": method, "tau": tau, "fold_failures": 0}
+    try:
+        if penalty_kind is None:
+            final = fit(scenario.dataset, spec)
+        else:
+            report = cross_validate(scenario.dataset, spec, penalty_kind, cv)
+            record["fold_failures"] = report.failures
+            final = fit(scenario.dataset, replace(spec, penalty=chosen_penalty(scenario.dataset, spec, report)))
+    except RuntimeError:
+        return record
+    selected = support(final)
+    return {
+        **record,
+        "prediction_error": prediction_error(final.y_hat, scenario.q_star(tau)),
+        "accuracy": accuracy(selected, scenario.support_true, cfg.k_true),
+        "false_positives": false_positives(selected, scenario.support_true),
+        "exact_support": exact_support(selected, scenario.support_true),
+    }
 
 
 def run_mc(
@@ -226,8 +210,8 @@ def run_mc(
     cv: CVConfig | None = None,
     workers: int | None = None,
 ) -> MetricsReport:
-    """Generate, tune, fit and score every replication; fully deterministic
-    per master seed regardless of worker count."""
+    """Generate, tune, fit and score every (replication, method, tau) cell;
+    fully deterministic per master seed regardless of worker count."""
     if not methods:
         raise ValueError("need at least one method")
     for name in methods:
@@ -237,42 +221,42 @@ def run_mc(
         raise ValueError(f"methods must be distinct, got {tuple(methods)}")
     cv = cv if cv is not None else CVConfig()
     workers = workers if workers is not None else (os.cpu_count() or 1)
+    if not is_integer(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    jobs = [(cfg, rep, tuple(methods), cv) for rep in range(cfg.replications)]
-    if workers > 1 and cfg.replications > 1:
+    cells = product(range(cfg.replications), methods, cfg.taus)
+    jobs = [(cfg, rep, name, float(tau), cv) for rep, name, tau in cells]
+    workers = min(workers, len(jobs))  # the pool starts all its processes at once
+    if workers > 1:
         # Imported here: it loads `multiprocessing`, which a serial run never uses.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate, jobs))
+            records = list(pool.map(_cell, *zip(*jobs)))
     else:
-        results = [_replicate(job) for job in jobs]
+        records = list(map(_cell, *zip(*jobs)))
 
-    raw = [row for rows, _, _ in results for row in rows]
-    failures = {name: sum(failed[name] for _, failed, _ in results) for name in methods}
-    fold_failures = {name: sum(failed[name] for _, _, failed in results) for name in methods}
-
-    out: list[dict[str, Any]] = []
-    for name in methods:
-        family, _ = METHODS[name]
-        for tau in cfg.taus:
-            cell = [r for r in raw if r["method"] == name and r["tau"] == float(tau)]
-            for metric in _METRICS:
-                values = np.array([r[metric] for r in cell])
-                out.append(
-                    {
-                        "method": name,
-                        "family": family,
-                        "tau": float(tau),
-                        "n": cfg.n,
-                        "d": cfg.d,
-                        "k_true": cfg.k_true,
-                        "rho": cfg.rho,
-                        "metric": metric,
-                        "mean": float(values.mean()) if values.size else float("nan"),
-                        "sd": float(values.std(ddof=1)) if values.size > 1 else 0.0,
-                        "reps": int(values.size),
-                    }
-                )
-    return MetricsReport(tuple(out), failures, fold_failures)
+    # A failed cell's record holds no metrics; each (method, tau) averages
+    # its values in replication order.
+    failures = {name: sum("accuracy" not in r for r in records if r["method"] == name) for name in methods}
+    fold_failures = {name: sum(r["fold_failures"] for r in records if r["method"] == name) for name in methods}
+    rows: list[dict[str, Any]] = []
+    for name, tau, metric in product(methods, cfg.taus, _METRICS):
+        values = np.array([r[metric] for r in records if (r["method"], r["tau"]) == (name, tau) and metric in r])
+        rows.append(
+            {
+                "method": name,
+                "family": METHODS[name][0],
+                "tau": float(tau),
+                "n": cfg.n,
+                "d": cfg.d,
+                "k_true": cfg.k_true,
+                "rho": cfg.rho,
+                "metric": metric,
+                "mean": float(values.mean()) if values.size else float("nan"),
+                "sd": float(values.std(ddof=1)) if values.size > 1 else 0.0,
+                "reps": int(values.size),
+            }
+        )
+    return MetricsReport(tuple(rows), failures, fold_failures)

@@ -65,6 +65,7 @@ BAD_VALUES = [
     ("--penalty", "l1"),
     ("--penalty", "l0", "--big-m", 1.0),
     ("--penalty", "l0", "--k", 4, "--big-m", 1.0),  # the CSV has 3 inputs
+    ("--id-col", "y"),  # the output column
 ]
 
 
@@ -86,9 +87,11 @@ class TestExitCodes:
             ("x1,y\n1,2\n3\n", (), "row 3 has 1 cells, header has 2"),
             ("x1,y\n1,2\ninf,4\n", (), "row 3, column 'x1': non-finite value"),
             ("x1,y\n1,2\n-3,4\n", (), "inputs must be elementwise nonnegative"),
+            ("x1,y,x1\n1,2,3\n4,5,6\n", (), "duplicate column name(s) in header: 'x1'"),
+            ("x1, y,id,y \n1,2,a,3\n", ("--id-col", "id"), "duplicate column name(s) in header: 'y'"),
         ],
         ids=["missing-file", "empty-file", "no-output-column", "no-id-column", "no-input-column",
-             "short-row", "infinite-cell", "negative-input"],
+             "short-row", "infinite-cell", "negative-input", "duplicate-input", "duplicate-output"],
     )
     def test_bad_csv_is_a_data_error(self, tmp_path, capsys, text, flags, message):
         path = tmp_path / "data.csv"
@@ -132,6 +135,7 @@ class TestExitCodes:
             ("--penalty", "l1", "--cv-seed", -1),
             ("--penalty", "l1", "--lambda-grid", ""),  # not the default grid
             ("--penalty", "l0", "--k-grid", ""),
+            ("--penalty", "l1", "--id-col", "y"),  # the output column
         ],
         ids=lambda f: " ".join(map(str, f)),
     )
@@ -181,11 +185,18 @@ class TestExitCodes:
             (("--rho", "-1"), "rho must be positive, got -1.0"),
             (("--n", "0"), "n must be an integer of at least 2, got 0"),
             (("--n", "1"), "n must be an integer of at least 2, got 1"),
+            (("--lambda-count", 3), "--lambda-count requires an l1-* method"),
+            (("--methods", "cqr,cer", "--k-grid", 1), "--k-grid requires an l0-* method"),
+            (("--methods", "l1-cqr,l1-cer", "--m-multipliers", 1), "--m-multipliers requires an l0-* method"),
+            (("--methods", "l0-cqr,cer", "--k-grid", 1, "--lambda-count", 3),
+             "--lambda-count requires an l1-* method"),
         ],
-        ids=["rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one"],
+        ids=["rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one", "lambda-count-without-l1",
+             "k-grid-without-l0", "m-multipliers-with-l1-only", "lambda-count-with-l0-only"],
     )
     def test_bad_simulate_design_is_a_flag_error(self, tmp_path, capsys, monkeypatch, flags, message):
-        # The design is checked before any data is drawn.
+        # The design, and each grid flag against the methods that read it
+        # (a later --methods replaces "cqr"), are checked before any data is drawn.
         monkeypatch.setattr(cli, "run_mc", lambda *args, **kwargs: pytest.fail("run_mc was called"))
         out = tmp_path / "mc.csv"
         args = ("simulate", "--n", 12, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "cqr",
@@ -392,6 +403,21 @@ def test_simulate_csv_holds_the_report_rows(tmp_path):
     rows = json.loads(doc.read_text())["rows"]
     assert lines == [",".join(str(v) for v in row.values()) for row in rows]
     assert len(lines) == 8
+
+
+def test_simulate_writes_the_same_bytes_at_any_worker_count(tmp_path):
+    # Each (replication, method, tau) cell is one job; the pool's order of
+    # completion does not reach either document.
+    written = []
+    for workers in (1, 2):
+        out, doc = tmp_path / f"mc{workers}.csv", tmp_path / f"mc{workers}.json"
+        args = ("simulate", "--n", 10, "--d", 2, "--k-true", 1, "--tau", "0.3,0.5", "--reps", 2,
+                "--methods", "cqr,l1-cqr,l0-cqr", "--folds", 2, "--lambda-count", 2, "--k-grid", 1,
+                "--m-multipliers", 1, "--workers", workers, "--out", out, "--json", doc)
+        assert run(*args) == EXIT_OK
+        written.append((out.read_bytes(), doc.read_bytes()))
+    assert written[0] == written[1]
+    assert len(json.loads(written[0][1])["rows"]) == 3 * 2 * 4
 
 
 @pytest.mark.parametrize("inject", [False, True])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -32,6 +33,69 @@ def test_report_independent_of_worker_count():
         "exact_support",
     }
     assert all(row["reps"] == 2 and math.isfinite(row["mean"]) for row in serial.rows)
+
+
+def test_one_replication_runs_its_cells_in_the_pool(monkeypatch):
+    # Each (method, tau) cell is a job, so one replication of two methods
+    # fills two processes and reports what a serial run does.
+    real, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+    class RecordingPool(real):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = MCConfig(n=10, d=2, k_true=1, taus=(0.5,), replications=1, seed=3)
+    cv = CVConfig(folds=2, lambda_grid=(0.01, 1.0))
+    pooled = run_mc(cfg, ("cqr", "l1-cqr"), cv, workers=2)
+    assert sizes == [2]
+    assert pooled == run_mc(cfg, ("cqr", "l1-cqr"), cv, workers=1)
+    assert [row["reps"] for row in pooled.rows] == [1] * 8
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Puts a stand-in for ProcessPoolExecutor in place: it records the size
+    it is asked for and runs each job in this process, starting none."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, reps, taus, sizes",
+    [(64, 2, (0.5,), [2]), (64, 2, (0.3, 0.5), [4]), (3, 3, (0.5,), [3]), (2, 3, (0.5,), [2]),
+     (64, 1, (0.5,), []), (1, 2, (0.5,), [])],
+)
+def test_pool_starts_at_most_one_process_per_job(pool_sizes, workers, reps, taus, sizes):
+    cfg = MCConfig(n=8, d=2, k_true=1, taus=taus, replications=reps)
+    report = run_mc(cfg, ("cqr",), workers=workers)
+    assert pool_sizes == sizes
+    assert all(row["reps"] == reps for row in report.rows)
+
+
+@pytest.mark.parametrize("workers", [2.0, 1.5, True, "2"])
+def test_non_integer_worker_count_raises(monkeypatch, pool_sizes, workers):
+    monkeypatch.setattr(mc, "generate_scenario", lambda *args: pytest.fail("a scenario was drawn"))
+    cfg = MCConfig(n=8, d=2, k_true=1, replications=2)
+    with pytest.raises(ValueError, match=f"workers must be an integer, got {workers!r}"):
+        run_mc(cfg, ("cqr",), workers=workers)
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -199,10 +263,10 @@ scenario = generate_scenario({cfg!r}, 0)
 fit(scenario.dataset, EstimatorSpec(QUANTILE, 0.5))
 fit(scenario.dataset, EstimatorSpec(EXPECTILE, 0.5))
 print("scipy.special" in sys.modules)
-q_star = scenario.q_star
+curves = [scenario.q_star(tau) for tau in {cfg.taus!r}]
 print("scipy.special" in sys.modules)
-for tau in {cfg.taus!r}:
-    print(q_star[tau].tobytes().hex())
+for curve in curves:
+    print(curve.tobytes().hex())
 """
     before, after, *curves = run_fresh(code).split()
     assert (before, after) == ("False", "True")
@@ -237,7 +301,7 @@ def test_gaussian_quantities_equal_scipy_stats(tau):
     cfg = MCConfig(n=5, d=2, k_true=1, taus=(tau,), replications=1, seed=4)
     scenario = generate_scenario(cfg, 0)
     want = scenario.signal + scenario.sigma * norm.ppf(tau)
-    assert np.array_equal(scenario.q_star[float(tau)], want)
+    assert np.array_equal(scenario.q_star(tau), want)
 
 
 def test_l0_recovers_the_support_better_than_l1():
