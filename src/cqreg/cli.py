@@ -6,9 +6,10 @@ mode); no flag selects the cut loop or its tolerance.  `verify` checks a
 result document at `FEAS_TOL` (1e-6) unless `--tol` is given.
 
 Exit codes: 0 success, 2 malformed input data (a CSV, or a result document
-that is malformed or holds a non-finite number), 3 invalid flags or flag
-combinations, 4 solver or verification failure.  `main` maps a ValueError
-from any command to 3 and a RuntimeError to 4.
+that is malformed or holds a non-finite number) or a file it cannot read
+or write, 3 invalid flags or flag combinations, 4 solver or verification
+failure.  `main` maps a ValueError from any command to 3 and a
+RuntimeError to 4.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .estimators import (
     make_builder,
     support,
 )
-from .mc import METHODS, MCConfig, run_mc
+from .mc import METHODS, MCConfig, _check_methods, run_mc
 from .model import ALL_PAIRS, FEAS_TOL, FitMeta, FitResult, L0Penalty, L1Penalty, validate_fit
 from .solver import export_mps
 from .tuning import CVConfig, cross_validate, default_lambda_grid
@@ -73,6 +74,8 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dat
         raise CliError(f"cannot read {path}: {exc}", EXIT_DATA) from exc
     if not rows:
         raise CliError(f"{path}: empty file (header row required)", EXIT_DATA)
+    if len(rows) == 1:
+        raise CliError(f"{path}: no data rows", EXIT_DATA)
     header = [h.strip() for h in rows[0]]
     duplicates = sorted({h for h in header if header.count(h) > 1})
     if duplicates:
@@ -161,21 +164,26 @@ def _standard(value):
     return None if isinstance(value, float) and not np.isfinite(value) else value
 
 
+def _write(path, text: str) -> None:
+    """Write a file of the CLI; a path it cannot write is a data error, as one it cannot read is."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_DATA) from exc
+
+
 def _write_json(path, payload: dict) -> None:
     """Write a JSON document of the package, stamped with the schema version
     and the tool; a non-finite number is written as null (standard JSON)."""
     doc = {"schema_version": SCHEMA_VERSION, "tool": {"name": "cqreg", "version": __version__}, **payload}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_standard(doc), handle, indent=2, allow_nan=False)
-        handle.write("\n")
+    _write(path, json.dumps(_standard(doc), indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path, rows) -> None:
     """Write `simulate`'s metrics rows under a header of their keys, which `run_mc` fixes."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            handle.write(",".join(str(v) for v in row.values()) + "\n")
+    lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _result_document(dataset: Dataset, names, ids, spec: EstimatorSpec, result: FitResult) -> dict:
@@ -365,7 +373,8 @@ def _cmd_tune(args) -> int:
 def _cmd_simulate(args) -> int:
     taus = _parse_list(args.tau, "--tau")
     methods = tuple(m.strip() for m in args.methods.split(","))
-    _check_grid_flags(args, {METHODS[m][1] for m in methods if m in METHODS}, "an {}-* method")
+    _check_methods(methods)
+    _check_grid_flags(args, {METHODS[m][1] for m in methods}, "an {}-* method")
     cfg = MCConfig(
         n=args.n,
         d=args.d,
@@ -391,8 +400,7 @@ def _cmd_export(args) -> int:
     dataset, _, _ = load_csv(args.data, args.output_col, args.id_col)
     spec = _spec_from_args(args, dataset)
     problem = make_builder(dataset, spec)(ALL_PAIRS)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(export_mps(problem))
+    _write(args.out, export_mps(problem))
     print(f"model written to {args.out}")
     return EXIT_OK
 

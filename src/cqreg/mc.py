@@ -204,6 +204,17 @@ def _cell(cfg: MCConfig, rep: int, method: str, tau: float, cv: CVConfig) -> dic
     }
 
 
+def _check_methods(methods: Sequence[str]) -> None:
+    """At least one method, each a key of METHODS, none twice."""
+    if not methods:
+        raise ValueError("need at least one method")
+    for name in methods:
+        if name not in METHODS:
+            raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must be distinct, got {tuple(methods)}")
+
+
 def run_mc(
     cfg: MCConfig,
     methods: Sequence[str],
@@ -212,13 +223,7 @@ def run_mc(
 ) -> MetricsReport:
     """Generate, tune, fit and score every (replication, method, tau) cell;
     fully deterministic per master seed regardless of worker count."""
-    if not methods:
-        raise ValueError("need at least one method")
-    for name in methods:
-        if name not in METHODS:
-            raise ValueError(f"unknown method {name!r}; choose from {sorted(METHODS)}")
-    if len(set(methods)) != len(methods):
-        raise ValueError(f"methods must be distinct, got {tuple(methods)}")
+    _check_methods(methods)
     cv = cv if cv is not None else CVConfig()
     workers = workers if workers is not None else (os.cpu_count() or 1)
     if not is_integer(workers):

@@ -148,7 +148,7 @@ class OptProblem:
                 raise ValueError("quadratic term length does not match variable count")
             if np.any(self.obj_quad < 0):
                 raise ValueError("quadratic term must be PSD (nonnegative diagonal)")
-        if not set(np.unique(self.sense)) <= {"L", "E"}:
+        if not np.all((self.sense == "L") | (self.sense == "E")):
             raise ValueError("constraint senses must be 'L' or 'E'")
 
     @property

@@ -18,15 +18,15 @@ and the `=` rows after (a sense without rows is a 0-row block), presolve
 on, dual simplex, the simplex iteration cap at _MAX_SIMPLEX_ITERS and no
 output (`linprog` also caps IPM iterations, which dual simplex never makes).
 The first solve of a session is therefore the cold solve `linprog` gives,
-bit for bit.  The model goes in through the array overload of
-`passModel`: sizes, row-wise format, minimization, a zero offset, costs,
-column and row bounds, the CSR arrays of the reordered rows `a[order]`
-(scipy's `csr_row_index` gather) and an all-continuous integrality
-array.  HiGHS builds the column-wise matrix from the rows itself, the
-one `linprog`'s CSC arrays give, so the session never transposes the
-matrix.  Rows pass as CSR in both calls
-that take them, `passModel` and `addRows`.  Infinite bounds pass as
-`inf`, which is HiGHS's own infinity.
+bit for bit.  The model goes in through `_pass_model`, the array
+overload of `passModel` that `export_mps` also uses: sizes, row-wise
+format, minimization, a zero offset, costs, column and row bounds, the
+CSR arrays of the reordered rows `a[order]` (scipy's `csr_row_index`
+gather) and the problem's integrality, all continuous in a session.
+HiGHS builds the column-wise matrix from the rows itself, the one
+`linprog`'s CSC arrays give, so the session never transposes the
+matrix.  Rows pass as CSR in both calls that take them, `passModel` and
+`addRows`.  Infinite bounds pass as `inf`, which is HiGHS's own infinity.
 
 `solve(lower, upper)` first replaces every column's bounds and clears the
 solver, so it is again a cold solve, without stacking the matrices or
@@ -107,6 +107,22 @@ _STATUS = {
 _BOUND = "objective_bound"  # dual simplex stops once its objective exceeds it
 
 
+def _pass_model(highs, problem: OptProblem, order: np.ndarray) -> None:
+    """Give `highs` the problem with its rows in `order`: a `<=` row has no
+    lower side, an `=` row both sides at its right-hand side."""
+    rows = problem.a.tocsr()[order]
+    rhs = problem.rhs[order].astype(float)
+    status = highs.passModel(
+        problem.n_vars, rows.shape[0], rows.nnz, _ROWWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
+        problem.obj_linear, problem.lower, problem.upper,
+        np.where(problem.sense[order] == "E", rhs, -np.inf), rhs,
+        rows.indptr, rows.indices, rows.data,
+        problem.integer.astype(np.int32),
+    )
+    if status == _core.HighsStatus.kError:
+        raise SolverError("HiGHS rejected the model")
+
+
 class LpSession:
     """One HiGHS model of a pure LP, kept between solves so rows can be
     appended and the model re-solved from the last basis or under new
@@ -117,11 +133,8 @@ class LpSession:
             raise ValueError("problem has integrality flags; use solve_mip")
         if problem.has_quad:
             raise ValueError("problem has a quadratic objective; use solve_qp")
-        n_cols = problem.n_vars
         is_eq = problem.sense == "E"
         order = np.argsort(is_eq, kind="stable")  # the `<=` rows, then the `=` rows
-        rows = problem.a.tocsr()[order]
-        n_rows = rows.shape[0]
         self._lower = np.array(problem.lower, dtype=float)
         self._upper = np.array(problem.upper, dtype=float)
         self._row_upper = problem.rhs[order].astype(float)
@@ -131,15 +144,7 @@ class LpSession:
         for key, option in _OPTIONS:
             self._highs.setOptionValue(key, option)
         self._x: np.ndarray | None = None  # x of the last solve, while it is optimal and current
-        status = self._highs.passModel(
-            n_cols, n_rows, rows.nnz, _ROWWISE, _MINIMIZE, 0.0,  # 0.0: objective offset
-            problem.obj_linear, self._lower, self._upper,
-            np.where(self._le, -np.inf, self._row_upper), self._row_upper,
-            rows.indptr, rows.indices, rows.data,
-            np.zeros(n_cols, dtype=np.int32),  # every column continuous
-        )
-        if status == _core.HighsStatus.kError:
-            raise SolverError("HiGHS rejected the LP model")
+        _pass_model(self._highs, problem, order)
 
     def add_rows(
         self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, rhs: np.ndarray
@@ -202,17 +207,11 @@ class LpSession:
         status = _STATUS.get(model_status)
         if status is None:
             raise SolverError(f"LP solve failed: {self._highs.modelStatusToString(model_status)}")
-        info = self._highs.getInfo()
-        iterations = int(info.simplex_iteration_count)
+        iterations = int(self._highs.getInfoValue("simplex_iteration_count")[1])
         if status is not Status.OPTIMAL:
             return Solution(status, None, float("nan"), iterations)
         self._x = np.array(self._highs.getSolution().col_value)
-        return Solution(
-            status=status,
-            x=self._x,
-            objective=float(info.objective_function_value),
-            iterations=iterations,
-        )
+        return Solution(status, self._x, self._highs.getObjectiveValue(), iterations)
 
     def dual_objective(self) -> float:
         """Objective of the dual point of the last solve, which must have been

@@ -1,24 +1,22 @@
-"""Fixed-format MPS export so external solvers can cross-check any model.
+"""MPS export so external solvers can cross-check any model.
 
-Column and row names exist only here.  A problem built by `cqreg.model`
-gets names from its layout: columns YH, B, EP, EN and Z; rows FIT, then
-A{i}_{h} for each Afriat row, then BM and CARD.  Any other problem gets
-X{j} and R{r}.
+`export_mps` passes the problem to a fresh HiGHS instance as `LpSession`
+does, but in its own row order and with its integrality, adds the Hessian
+2 * obj_quad (MPS reads 0.5 x'Qx) and returns the text of HiGHS's own MPS
+writer.  Names exist only here.  A problem built by `cqreg.model` gets
+them from its layout: columns YH, B, EP, EN and Z; rows FIT, then A{i}_{h}
+for each Afriat row, then BM and CARD.  Any other problem gets X{j}, R{r}.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from ..model import OptProblem
-
-
-def _num(value: float) -> str:
-    return f"{value:.12g}"
-
-
-def _entry(col: str, row: str, value: float) -> str:
-    return f"    {col:<10}{row:<10}{_num(value)}"
+from .base import SolverError
+from .lp import _core, _pass_model
 
 
 def _names(problem: OptProblem) -> tuple[list[str], list[str]]:
@@ -45,65 +43,22 @@ def _names(problem: OptProblem) -> tuple[list[str], list[str]]:
 
 
 def export_mps(problem: OptProblem) -> str:
-    """Serialize a problem as fixed-format MPS text.
-
-    Columns appear in variable order (round-trips the model layout), binary
-    columns are bracketed by INTORG/INTEND markers, and a diagonal QMATRIX
-    section carries the quadratic objective (MPS convention 0.5 x'Qx, so the
-    diagonal entries are twice the squared-term coefficients).
-    """
-    col_names, row_names = _names(problem)
-    lines = ["NAME          CQREG", "ROWS", " N  OBJ"]
-    for sense, row in zip(problem.sense, row_names):
-        lines.append(f" {sense}  {row}")
-
-    lines.append("COLUMNS")
-    a_csc = problem.a.tocsc()
-    in_int = False
-    marker = 0
-    for j, col in enumerate(col_names):
-        if problem.integer[j] and not in_int:
-            marker += 1
-            lines.append(f"    MARKER{marker:<4}              'MARKER'                 'INTORG'")
-            in_int = True
-        elif not problem.integer[j] and in_int:
-            marker += 1
-            lines.append(f"    MARKER{marker:<4}              'MARKER'                 'INTEND'")
-            in_int = False
-        if problem.obj_linear[j] != 0.0:
-            lines.append(_entry(col, "OBJ", problem.obj_linear[j]))
-        start, stop = a_csc.indptr[j], a_csc.indptr[j + 1]
-        order = np.argsort(a_csc.indices[start:stop])
-        for k in order:
-            r = a_csc.indices[start + k]
-            lines.append(_entry(col, row_names[r], a_csc.data[start + k]))
-    if in_int:
-        marker += 1
-        lines.append(f"    MARKER{marker:<4}              'MARKER'                 'INTEND'")
-
-    lines.append("RHS")
-    for row, value in zip(row_names, problem.rhs):
-        if value != 0.0:
-            lines.append(_entry("RHS1", row, value))
-
-    lines.append("BOUNDS")
-    for j, col in enumerate(col_names):
-        lo, up = problem.lower[j], problem.upper[j]
-        if lo == -np.inf and up == np.inf:
-            lines.append(f" FR BND1      {col}")
-            continue
-        if lo == -np.inf:
-            lines.append(f" MI BND1      {col}")
-        elif lo != 0.0:
-            lines.append(f" LO BND1      {col:<10}{_num(lo)}")
-        if up != np.inf:
-            lines.append(f" UP BND1      {col:<10}{_num(up)}")
-
-    if problem.obj_quad is not None and np.any(problem.obj_quad != 0.0):
-        lines.append("QMATRIX")
-        for j, col in enumerate(col_names):
-            if problem.obj_quad[j] != 0.0:
-                lines.append(_entry(col, col, 2.0 * problem.obj_quad[j]))
-
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    """The problem as MPS text, written by HiGHS."""
+    import tempfile  # only an export writes a file
+    highs = _core._Highs()
+    highs.setOptionValue("output_flag", False)
+    _pass_model(highs, problem, np.arange(problem.n_rows))
+    if problem.has_quad:
+        n = problem.n_vars
+        start = np.arange(n + 1, dtype=np.int32)  # column j holds the one entry (j, j)
+        status = highs.passHessian(n, n, _core.HessianFormat.kTriangular, start, start[:-1], 2 * problem.obj_quad)
+        if status == _core.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the Hessian")
+    for pass_name, names in zip((highs.passColName, highs.passRowName), _names(problem)):
+        for i, name in enumerate(names):
+            pass_name(i, name)
+    with tempfile.TemporaryDirectory() as folder:  # HiGHS writes MPS to a `.mps` name only
+        path = Path(folder) / "model.mps"
+        if highs.writeModel(str(path)) == _core.HighsStatus.kError:
+            raise SolverError("HiGHS could not write the model")
+        return path.read_text(encoding="utf-8")

@@ -18,6 +18,7 @@ from cqreg import (
     fit,
 )
 from cqreg.model import ALL_PAIRS, add_l0, build_cqr
+from cqreg.solver import export_mps
 from cqreg.tuning import default_lambda_grid
 from tests.conftest import make_instance
 
@@ -89,9 +90,11 @@ class TestExitCodes:
             ("x1,y\n1,2\n-3,4\n", (), "inputs must be elementwise nonnegative"),
             ("x1,y,x1\n1,2,3\n4,5,6\n", (), "duplicate column name(s) in header: 'x1'"),
             ("x1, y,id,y \n1,2,a,3\n", ("--id-col", "id"), "duplicate column name(s) in header: 'y'"),
+            ("x1,y\n", (), "no data rows"),
         ],
         ids=["missing-file", "empty-file", "no-output-column", "no-id-column", "no-input-column",
-             "short-row", "infinite-cell", "negative-input", "duplicate-input", "duplicate-output"],
+             "short-row", "infinite-cell", "negative-input", "duplicate-input", "duplicate-output",
+             "header-only"],
     )
     def test_bad_csv_is_a_data_error(self, tmp_path, capsys, text, flags, message):
         path = tmp_path / "data.csv"
@@ -101,6 +104,22 @@ class TestExitCodes:
         assert run(*fit_args(path, out, *flags)) == EXIT_DATA
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "tune", "simulate --out", "simulate --json", "export"])
+    def test_unwritable_output_is_a_data_error(self, csv_path, tmp_path, capsys, command):
+        bad = tmp_path / "no-such-folder" / "out"
+        data = ("--data", csv_path, "--output-col", "y", "--family", "quantile", "--level", 0.5)
+        args = {
+            "fit": ("fit", *data, "--out", bad),
+            "tune": ("tune", *data, "--penalty", "l1", "--lambda-grid", "0.1", "--folds", 2, "--out", bad),
+            "simulate --out": ("simulate", "--n", 8, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "cqr",
+                               "--workers", 1, "--out", bad),
+            "simulate --json": ("simulate", "--n", 8, "--d", 2, "--k-true", 1, "--reps", 1, "--methods", "cqr",
+                                "--workers", 1, "--out", tmp_path / "mc.csv", "--json", bad),
+            "export": ("export", *data, "--out", bad),
+        }[command]
+        assert run(*args) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"cannot write {bad}: ")
 
     @pytest.mark.parametrize("command", ["fit", "export"])
     @pytest.mark.parametrize("flags", BAD_VALUES, ids=lambda f: " ".join(map(str, f)))
@@ -190,9 +209,11 @@ class TestExitCodes:
             (("--methods", "l1-cqr,l1-cer", "--m-multipliers", 1), "--m-multipliers requires an l0-* method"),
             (("--methods", "l0-cqr,cer", "--k-grid", 1, "--lambda-count", 3),
              "--lambda-count requires an l1-* method"),
+            (("--methods", "l2-cqr", "--lambda-count", 3), f"unknown method 'l2-cqr'; choose from {sorted(mc.METHODS)}"),
         ],
         ids=["rho-nan", "rho-zero", "rho-negative", "n-zero", "n-one", "lambda-count-without-l1",
-             "k-grid-without-l0", "m-multipliers-with-l1-only", "lambda-count-with-l0-only"],
+             "k-grid-without-l0", "m-multipliers-with-l1-only", "lambda-count-with-l0-only",
+             "unknown-method-before-grid-flag"],
     )
     def test_bad_simulate_design_is_a_flag_error(self, tmp_path, capsys, monkeypatch, flags, message):
         # The design, and each grid flag against the methods that read it
@@ -570,6 +591,15 @@ def test_expectile_fit_prints_the_quantile_read_from_its_residuals(csv_path, tmp
     quantile = expectile_to_quantile(fit(dataset, EstimatorSpec("expectile", 0.3)))
     assert json.loads(out.read_text())["quantile_from_residuals"] == quantile
     assert f"{'quantile (residuals)':<24}{quantile:>14.2f}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("name", ["model.txt", "model.lp", "model"])
+def test_export_writes_mps_under_any_file_name(csv_path, tmp_path, name):
+    # HiGHS picks its format from the file name; the export always writes MPS.
+    out = tmp_path / name
+    assert run("export", *fit_args(csv_path, out)[1:]) == EXIT_OK
+    dataset, _, _ = cli.load_csv(str(csv_path), "y")
+    assert out.read_text() == export_mps(build_cqr(dataset, 0.5, ALL_PAIRS))
 
 
 def test_export_lists_columns_in_order_with_selectors_marked(tmp_path):

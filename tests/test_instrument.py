@@ -2,6 +2,7 @@
 specs and results; all of that must still resolve, or the benchmark fails
 only when it runs."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ from pathlib import Path
 from cqreg import EstimatorSpec, L0Penalty, L1Penalty, anchor_big_m, fit
 from tests.conftest import make_instance
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def load_bench_module(monkeypatch, name):
@@ -28,6 +30,26 @@ def test_every_wrapped_attribute_resolves(monkeypatch):
     ]
     assert len(targets) > 20
     assert missing == []
+
+
+def test_every_kept_import_is_wrapped(monkeypatch):
+    # An import marked `# noqa: F401` is kept only for the benchmark to wrap;
+    # once no wrapper names it, it is an unused import.
+    wrapped = {(owner.__name__, attr) for owner, attr in load_bench_module(monkeypatch, "instrument").all_targets()}
+    kept = []
+    for path in sorted((ROOT / "src" / "cqreg").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                kept += [
+                    (module, alias.asname or alias.name.split(".")[0])
+                    for alias in node.names
+                    if "# noqa: F401" in lines[alias.lineno - 1]
+                ]
+    assert kept
+    assert [name for name in kept if name not in wrapped] == []
 
 
 def test_gate_and_summary_read_fits(monkeypatch):
