@@ -62,21 +62,25 @@ class _Parser(argparse.ArgumentParser):
 def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dataset, list, list]:
     """Header row required; the designated output column and optional id
     column are split off, every remaining column is a numeric input.  Returns
-    the dataset, its input column names and the ids (by default 1-based row numbers).
-    No two header cells may hold the same name, and the id column is not the output."""
+    the dataset, its input column names and the ids (by default the data rows' 1-based numbers).
+    No two header cells may hold the same name, and the id column is not the output.
+    Blank lines are skipped; error messages give a row's line number in the file."""
     if id_col == output_col:
         raise ValueError("--id-col and --output-col must name different columns")
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:  # a byte-order mark is not data
-            reader = csv.reader(handle)
-            rows = list(reader)
+            rows = [
+                (line, row)
+                for line, row in enumerate(csv.reader(handle), start=1)
+                if len(row) > 1 or "".join(row).strip()
+            ]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_DATA) from exc
     if not rows:
         raise CliError(f"{path}: empty file (header row required)", EXIT_DATA)
     if len(rows) == 1:
         raise CliError(f"{path}: no data rows", EXIT_DATA)
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in rows[0][1]]
     duplicates = sorted({h for h in header if header.count(h) > 1})
     if duplicates:
         raise CliError(f"{path}: duplicate column name(s) in header: {', '.join(map(repr, duplicates))}", EXIT_DATA)
@@ -93,7 +97,7 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dat
     ids: list[str] = []
     inputs: list[list[float]] = []
     output: list[float] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         if len(row) != len(header):
             raise CliError(
                 f"{path}: row {r} has {len(row)} cells, header has {len(header)}", EXIT_DATA
@@ -117,7 +121,7 @@ def load_csv(path: str, output_col: str, id_col: str | None = None) -> tuple[Dat
 
         output.append(cell(y_pos))
         inputs.append([cell(j) for j in input_pos])
-        ids.append(row[id_pos].strip() if id_pos is not None else str(r - 1))
+        ids.append(row[id_pos].strip() if id_pos is not None else str(len(ids) + 1))
     try:
         dataset = Dataset(np.array(inputs), np.array(output))
     except ValueError as exc:
@@ -444,8 +448,10 @@ def _cmd_verify(args) -> int:
             meta=FitMeta(status=doc["solver"]["status"]),
         )
         big_m = k = None
-        penalty = doc["spec"].get("penalty")
-        if penalty and penalty.get("kind") == "l0":
+        penalty = doc["spec"].get("penalty") or {}
+        if penalty.get("kind") not in (None, "l1", "l0"):
+            raise ValueError(f"unknown penalty kind {penalty['kind']!r}")
+        if penalty.get("kind") == "l0":
             cap = L0Penalty(penalty["k"], _numbers(penalty["big_m"], (), "big_m").item())
             big_m, k = cap.big_m, cap.k
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

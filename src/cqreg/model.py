@@ -249,35 +249,25 @@ def _pair_arrays(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray]
     return pairs[:, 0], pairs[:, 1]
 
 
-def _afriat_entries(
-    dataset: Dataset, pi: np.ndarray, ph: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices (int32) and values of the Afriat rows of the pairs,
-    one row of d + 2 entries per pair, in canonical CSR order: the two yhat
-    columns in increasing order, then the d columns of beta_i."""
-    n, d = dataset.n, dataset.d
-    X = dataset.inputs
-    m = pi.shape[0]
-    width = d + 2
-    indices = np.empty((m, width), dtype=np.int32)
-    indices[:, 0] = np.minimum(pi, ph)
-    indices[:, 1] = np.maximum(pi, ph)
-    indices[:, 2:] = n + pi[:, None] * d + np.arange(d)
-    data = np.empty((m, width))
-    data[:, 0] = np.where(ph < pi, 1.0, -1.0)
-    data[:, 1] = -data[:, 0]
-    data[:, 2:] = -(X[ph] - X[pi])
-    return indices.ravel(), data.ravel()
-
-
 def afriat_rows(dataset: Dataset, constraints) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Afriat rows of the pairs (i, h), in order, in <= 0 form:
     yhat_h - yhat_i - beta_i @ (x_h - x_i) <= 0, as the CSR arrays
     (indptr, indices, data) of rows over the VarLayout columns, int32
-    indices and float64 values."""
-    indices, data = _afriat_entries(dataset, *_pair_arrays(dataset, constraints))
-    width = dataset.d + 2
-    return np.arange(0, indices.size + 1, width, dtype=np.int32), indices, data
+    indices and float64 values.  Each row holds d + 2 entries in canonical
+    order: the two yhat columns in increasing order, then the d columns of
+    beta_i."""
+    n, d = dataset.n, dataset.d
+    pi, ph = _pair_arrays(dataset, constraints)
+    width = d + 2
+    indices = np.empty((pi.shape[0], width), dtype=np.int32)
+    indices[:, 0] = np.minimum(pi, ph)
+    indices[:, 1] = np.maximum(pi, ph)
+    indices[:, 2:] = n + pi[:, None] * d + np.arange(d)
+    data = np.empty(indices.shape)
+    data[:, 0] = np.where(ph < pi, 1.0, -1.0)
+    data[:, 1] = -data[:, 0]
+    data[:, 2:] = -(dataset.inputs[ph] - dataset.inputs[pi])
+    return np.arange(0, indices.size + 1, width, dtype=np.int32), indices.ravel(), data.ravel()
 
 
 def _intercepts(y_hat: np.ndarray, beta: np.ndarray, dataset: Dataset) -> np.ndarray:
@@ -300,24 +290,18 @@ def _build_base(dataset: Dataset, constraints) -> tuple[list, VarLayout]:
 
     The CSR arrays are written directly, in canonical form: the n
     residual-split rows yhat_i + eps+_i - eps-_i = y_i, three entries each
-    in column order, then the Afriat rows of `_afriat_entries`.
+    in column order, then the Afriat rows of `afriat_rows`.
     """
     n, d = dataset.n, dataset.d
-    pi, ph = _pair_arrays(dataset, constraints)
-    m = pi.shape[0]
+    afriat_indptr, afriat_indices, afriat_data = afriat_rows(dataset, constraints)
+    m = afriat_indptr.size - 1
     lay = VarLayout(n, d, afriat=m)
     nv = lay.n_continuous
 
     split_indices = np.arange(n, dtype=np.int32)[:, None] + np.array(
         [lay.yhat().start, lay.eps_plus().start, lay.eps_minus().start], dtype=np.int32
     )
-    afriat_indices, afriat_data = _afriat_entries(dataset, pi, ph)
-    indptr = np.concatenate(
-        [
-            np.arange(0, 3 * n, 3, dtype=np.int32),
-            np.arange(3 * n, 3 * n + afriat_indices.size + 1, d + 2, dtype=np.int32),
-        ]
-    )
+    indptr = np.concatenate([np.arange(0, 3 * n, 3, dtype=np.int32), afriat_indptr + 3 * n])
     indices = np.concatenate([split_indices.ravel(), afriat_indices])
     data = np.concatenate([np.tile([1.0, 1.0, -1.0], n), afriat_data])
     a = sparse.csr_matrix((data, indices, indptr), shape=(n + m, nv))
@@ -381,16 +365,16 @@ def add_l0(problem: OptProblem, penalty: L0Penalty) -> OptProblem:
         raise ValueError(f"k={penalty.k} exceeds the number of input variables d={d}")
     nv = problem.n_vars
 
-    # n*d coupling rows, 2 nonzeros each, then the cardinality row.
-    r = np.arange(n * d)
-    beta_cols = np.arange(*lay.beta_all().indices(nv))
-    z_cols = nv + np.tile(np.arange(d), n)
-    rows = np.concatenate([r, r, np.full(d, n * d)])
-    cols = np.concatenate([beta_cols, z_cols, nv + np.arange(d)])
-    vals = np.concatenate([np.ones(n * d), np.full(n * d, -penalty.big_m), np.ones(d)])
-    extra = sparse.csr_matrix((vals, (rows, cols)), shape=(n * d + 1, nv + d))
-
-    a = sparse.vstack([sparse.hstack([problem.a, sparse.csr_matrix((problem.n_rows, d))]), extra]).tocsr()
+    # n*d coupling rows [beta_{j,i}, z_j], 2 nonzeros each, then the cardinality row.
+    base = problem.a
+    coupling = np.empty((n * d, 2), dtype=np.int32)
+    coupling[:, 0] = np.arange(*lay.beta_all().indices(nv))
+    coupling[:, 1] = nv + np.tile(np.arange(d), n)
+    row_ends = np.append(np.arange(2, 2 * n * d + 1, 2), 2 * n * d + d).astype(np.int32)
+    indptr = np.concatenate([base.indptr, base.indptr[-1] + row_ends])
+    indices = np.concatenate([base.indices, coupling.ravel(), nv + np.arange(d, dtype=np.int32)])
+    data = np.concatenate([base.data, np.tile([1.0, -penalty.big_m], n * d), np.ones(d)])
+    a = sparse.csr_matrix((data, indices, indptr), shape=(problem.n_rows + n * d + 1, nv + d))
     sense = np.concatenate([problem.sense, np.array(["L"] * (n * d + 1))])
     rhs = np.concatenate([problem.rhs, np.zeros(n * d), [float(penalty.k)]])
     obj = np.concatenate([problem.obj_linear, np.zeros(d)])
@@ -433,8 +417,9 @@ def validate_fit(
     k: int | None = None,
 ) -> list[str]:
     """Check every fitted-model invariant; returns a list of violation messages.
-    A NaN tol or big_m would pass the checks that read it, so tol must be
-    finite and >= 0, and big_m finite."""
+    big_m caps beta at big_m * z and k bounds sum(z); a fit without z selects
+    each input with a slope above tol.  A NaN tol or big_m would pass the
+    checks that read it, so tol must be finite and >= 0, and big_m finite."""
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     if big_m is not None and not np.isfinite(big_m):
@@ -459,12 +444,11 @@ def validate_fit(
     worst = afriat_slack(fit.y_hat, fit.beta, dataset).min()
     if worst < -tol:
         problems.append(f"Afriat system violated by {-worst:.3g}")
-    if fit.z is not None:
-        if k is not None and fit.z.sum() > k:
-            problems.append(f"selected {int(fit.z.sum())} variables, cardinality bound {k}")
-        if big_m is not None:
-            cap = big_m * fit.z[None, :]
-            over = (fit.beta - cap).max()
-            if over > tol:
-                problems.append(f"coefficient cap beta <= M*z violated by {over:.3g}")
+    z = (fit.beta > tol).any(axis=0) if fit.z is None else fit.z
+    if k is not None and z.sum() > k:
+        problems.append(f"selected {int(z.sum())} variables, cardinality bound {k}")
+    if big_m is not None:
+        over = (fit.beta - big_m * z[None, :]).max()
+        if over > tol:
+            problems.append(f"coefficient cap beta <= M*z violated by {over:.3g}")
     return problems

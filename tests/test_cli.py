@@ -91,10 +91,12 @@ class TestExitCodes:
             ("x1,y,x1\n1,2,3\n4,5,6\n", (), "duplicate column name(s) in header: 'x1'"),
             ("x1, y,id,y \n1,2,a,3\n", ("--id-col", "id"), "duplicate column name(s) in header: 'y'"),
             ("x1,y\n", (), "no data rows"),
+            ("x1,y\n\n \n", (), "no data rows"),
+            ("x1,y\n\n1,2\n3\n", (), "row 4 has 1 cells, header has 2"),
         ],
         ids=["missing-file", "empty-file", "no-output-column", "no-id-column", "no-input-column",
              "short-row", "infinite-cell", "negative-input", "duplicate-input", "duplicate-output",
-             "header-only"],
+             "header-only", "header-then-blank-lines", "short-row-after-blank-line"],
     )
     def test_bad_csv_is_a_data_error(self, tmp_path, capsys, text, flags, message):
         path = tmp_path / "data.csv"
@@ -178,6 +180,14 @@ class TestExitCodes:
         assert names == ["a", "b"]
         assert np.array_equal(dataset.output, ds.output) and np.array_equal(dataset.inputs, ds.inputs)
 
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        # Editors and spreadsheets often leave an empty last line.
+        path = tmp_path / "blank.csv"
+        path.write_text("x1,y\n1,2\n\n3,4\n\n")
+        dataset, names, ids = cli.load_csv(str(path), "y")
+        assert names == ["x1"] and ids == ["1", "2"]
+        assert dataset.inputs.tolist() == [[1.0], [3.0]] and dataset.output.tolist() == [2.0, 4.0]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_bad_worker_count_is_a_flag_error(self, tmp_path, capsys, workers):
         out = tmp_path / "mc.csv"
@@ -257,9 +267,10 @@ class TestExitCodes:
             {"penalty": {"kind": "l0", "k": 1, "big_m": True}},
             {"penalty": {"kind": "l0", "k": True, "big_m": 1.0}},
             {"penalty": {"kind": "l0", "k": 1, "big_m": 10**400}},
+            {"penalty": {"kind": "L0", "k": 1, "big_m": 1.0}},
         ],
         ids=["l0-without-big-m", "spec-is-a-list", "k-not-an-integer", "k-zero", "big-m-nan", "big-m-inf",
-             "big-m-zero", "big-m-string", "big-m-true", "k-true", "big-m-overflows"],
+             "big-m-zero", "big-m-string", "big-m-true", "k-true", "big-m-overflows", "unknown-kind"],
     )
     def test_malformed_spec_fails_verify_as_data(self, csv_path, tmp_path, capsys, spec):
         out = tmp_path / "r.json"
@@ -332,6 +343,28 @@ class TestExitCodes:
         args = fit_args(csv_path, tmp_path / "r.json", "--penalty", "l0", "--k", 1, "--m-mult", 1)
         assert run(*args) == EXIT_SOLVER
         assert capsys.readouterr().err.startswith("solver failure:")
+
+    def test_l0_cap_is_checked_without_z(self, csv_path, tmp_path, capsys):
+        # Without selectors every slope is held to big_m; the fit's largest slope is at big_m.
+        out = tmp_path / "r.json"
+        assert run(*fit_args(csv_path, out, "--penalty", "l0", "--k", 1, "--m-mult", 1)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        doc["spec"]["penalty"]["big_m"] /= 2
+        doc["z"] = None
+        out.write_text(json.dumps(doc))
+        assert run("verify", "--result", out) == EXIT_SOLVER
+        assert "FAIL: coefficient cap beta <= M*z violated" in capsys.readouterr().out
+
+    def test_l0_cardinality_is_checked_without_z(self, csv_path, tmp_path, capsys):
+        # Without selectors each input with a slope above tol counts against k.
+        out = tmp_path / "r.json"
+        assert run(*fit_args(csv_path, out)) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["z"] is None
+        doc["spec"]["penalty"] = {"kind": "l0", "k": 1, "big_m": 100.0}
+        out.write_text(json.dumps(doc))
+        assert run("verify", "--result", out) == EXIT_SOLVER
+        assert "FAIL: selected 3 variables, cardinality bound 1" in capsys.readouterr().out
 
     def test_tampered_result_fails_verify(self, csv_path, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -305,6 +305,53 @@ class TestBuildBase:
         assert got.layout == want.layout
 
 
+def _l0_by_stacking(problem, penalty):
+    """`add_l0`'s matrix as a COO block of coupling and cardinality rows,
+    stacked under the base widened by a zero block, the reference for the
+    CSR arrays it appends directly."""
+    lay = problem.layout
+    n, d, nv = lay.n, lay.d, problem.n_vars
+    r = np.arange(n * d)
+    rows = np.concatenate([r, r, np.full(d, n * d)])
+    cols = np.concatenate([np.arange(*lay.beta_all().indices(nv)), nv + np.tile(np.arange(d), n), nv + np.arange(d)])
+    vals = np.concatenate([np.ones(n * d), np.full(n * d, -penalty.big_m), np.ones(d)])
+    extra = sparse.csr_matrix((vals, (rows, cols)), shape=(n * d + 1, nv + d))
+    return sparse.vstack([sparse.hstack([problem.a, sparse.csr_matrix((problem.n_rows, d))]), extra]).tocsr()
+
+
+class TestMasterBlocks:
+    @pytest.mark.parametrize("family", ["cqr", "cer"])
+    @pytest.mark.parametrize("l1", [False, True])
+    @pytest.mark.parametrize("pairs", ["seed", "all"])
+    @pytest.mark.parametrize("n, d, seed", [(2, 1, 0), (20, 3, 1), (30, 6, 2), (80, 2, 3)])
+    def test_add_l0_appends_the_stacked_arrays(self, family, l1, pairs, n, d, seed):
+        ds = make_instance(n, d, seed=seed)
+        constraints = ALL_PAIRS if pairs == "all" else initial_constraints(ds)
+        base = (build_cer if family == "cer" else build_cqr)(ds, 0.5, constraints)
+        if l1:
+            base = add_l1(base, L1Penalty(0.1))
+        penalty = L0Penalty(1, 7.5)
+        got, want = add_l0(base, penalty).a, _l0_by_stacking(base, penalty)
+        assert type(got) is type(want)
+        assert got.shape == want.shape
+        _assert_same_csr_arrays((got.indptr, got.indices, got.data), want)
+        assert got.has_canonical_format and want.has_canonical_format
+
+    @pytest.mark.parametrize("build", [build_cqr, build_cer])
+    @pytest.mark.parametrize("pairs", ["seed", "all"])
+    def test_built_afriat_rows_are_afriat_rows(self, build, pairs):
+        # The rows a master is built with and the rows the cut loop appends
+        # must be the same rows, bit for bit.
+        ds = make_instance(20, 3, seed=6)
+        constraints = ALL_PAIRS if pairs == "all" else initial_constraints(ds)
+        a = build(ds, 0.5, constraints).a
+        first = a.indptr[ds.n]
+        built = (a.indptr[ds.n :] - first, a.indices[first:], a.data[first:])
+        for g, w in zip(afriat_rows(ds, constraints), built):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
 class TestL1:
     def test_zero_lambda_is_identity(self):
         ds = make_instance(5, 2)
@@ -480,6 +527,8 @@ class TestFitResultInvariants:
             ("negative-residual", "residual parts have negative entries"),
             ("too-many-selectors", "selected 3 variables, cardinality bound 1"),
             ("over-the-cap", "coefficient cap beta <= M*z violated by"),
+            ("too-many-slopes-without-z", "selected 3 variables, cardinality bound 1"),
+            ("over-the-cap-without-z", "coefficient cap beta <= M*z violated by"),
         ],
     )
     def test_broken_fit_is_reported(self, breach, message):
@@ -488,6 +537,7 @@ class TestFitResultInvariants:
         pen = L0Penalty(1, 10.0)
         result = fit(ds, EstimatorSpec("quantile", 0.5, penalty=pen))
         assert validate_fit(result, ds, big_m=pen.big_m, k=pen.k) == []
+        assert validate_fit(replace(result, z=None), ds, big_m=pen.big_m, k=pen.k) == []
         if breach == "negative-beta":
             beta = result.beta.copy()
             beta[0, 0] = -1.0
@@ -497,6 +547,10 @@ class TestFitResultInvariants:
             broken = replace(result, eps_plus=result.eps_plus - 1.0, eps_minus=result.eps_minus - 1.0)
         elif breach == "too-many-selectors":
             broken = replace(result, z=np.ones(ds.d, dtype=int))
+        elif breach == "too-many-slopes-without-z":
+            broken = replace(result, z=None, beta=np.ones_like(result.beta))
+        elif breach == "over-the-cap-without-z":
+            broken = replace(result, z=None, beta=np.full_like(result.beta, 2 * pen.big_m))
         else:
             broken = replace(result, z=np.zeros(ds.d, dtype=int))
         found = validate_fit(broken, ds, big_m=pen.big_m, k=pen.k)
