@@ -13,8 +13,8 @@ appended with `add_rows` and the master is re-solved from the previous
 basis.  That hot-started solve is accepted only when a cold solve of the
 same master would lead to the same rows:
 
-- it is optimal and its basis is dual nondegenerate (every nonbasic,
-  non-fixed column and every nonbasic `<=` row has |reduced cost| at least
+- it is optimal and its basis is dual nondegenerate (every nonbasic
+  column and every nonbasic `<=` row has |reduced cost| at least
   _DUAL_NONDEGENERATE), so its vertex is the only optimum;
 - no observation's least slack lies within _TIE_MARGIN of -tol, and no
   violated observation's least slack lies within _TIE_MARGIN of its second
@@ -78,7 +78,9 @@ _TIE_MARGIN = 1e-9  # least gap that float noise in a certified optimum cannot c
 # holding them would be.  At FEAS_TOL its objective fell up to 1.1e-8
 # relative below the cold solve's.
 _GROW_TOL = 1e-7
-_GAP_TOL = 1e-9  # largest relative duality gap of a certified grown LP
+# Largest relative duality gap |P - D| / (1 + |P| + |D|), HiGHS's measure, of
+# a certified grown LP; it bounds |P - D| / (1 + |P|) by 1e-9 (to rounding).
+_GAP_TOL = 5e-10
 CUT_TOL = 0.01  # separation tolerance of the cut loop, so its fit is feasible to 0.01
 
 
@@ -226,7 +228,7 @@ def solve_with_cuts(
     for _ in range(max_rounds):
         slack = None
         if session is not None:
-            session.add_rows(*afriat_rows(dataset, new_pairs), np.zeros(len(new_pairs)))
+            session.add_rows(*afriat_rows(dataset, new_pairs))
             sol = session.solve()
             iterations += sol.iterations
             slack = _hot_slack(session, sol, problem, dataset, tol)
@@ -273,8 +275,8 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
     `separate` finds at _GROW_TOL, until it finds none that is new.  The
     last master is then certified on the full LP without appending the rows
     it omits: its solve must be optimal, its worst slack over all n(n-1)
-    rows at least -FEAS_TOL, and its relative duality gap
-    |objective - dual objective| / (1 + |objective|) at most _GAP_TOL.  An
+    rows at least -FEAS_TOL, and HiGHS's relative duality gap
+    |P - D| / (1 + |P| + |D|) (`LpSession.duality_gap`) at most _GAP_TOL.  An
     omitted row has right-hand side 0, so giving it dual 0 changes no
     reduced cost and no dual objective: the master's duals stay feasible
     for the full LP, and a closed gap at a feasible point proves the fit
@@ -294,13 +296,13 @@ def solve_full_lp(builder: Callable[[np.ndarray], OptProblem], dataset: Dataset)
         new_pairs = _new_pairs(slack, _GROW_TOL, present)
         if len(new_pairs) == 0:
             break
-        session.add_rows(*afriat_rows(dataset, new_pairs), np.zeros(len(new_pairs)))
+        session.add_rows(*afriat_rows(dataset, new_pairs))
         sol = session.solve()
         iterations += sol.iterations
     if sol.status is not Status.OPTIMAL:
         raise RuntimeError(f"solve ended with status {sol.status}")
     worst = float(slack.min())
-    gap = abs(sol.objective - session.dual_objective()) / (1.0 + abs(sol.objective))
+    gap = session.duality_gap()
     if worst < -FEAS_TOL or gap > _GAP_TOL:
         raise RuntimeError(
             f"grown LP not certified: worst Afriat slack {worst:.3g}, relative duality gap {gap:.3g}"

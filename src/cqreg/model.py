@@ -50,7 +50,7 @@ class L1Penalty:
     lam: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.lam) or self.lam < 0:
+        if isinstance(self.lam, (bool, np.bool_)) or not np.isfinite(self.lam) or self.lam < 0:
             raise ValueError(f"lambda must be a finite nonnegative real, got {self.lam}")
 
 
@@ -64,7 +64,7 @@ class L0Penalty:
     def __post_init__(self) -> None:
         if not is_integer(self.k) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not np.isfinite(self.big_m) or self.big_m <= 0:
+        if isinstance(self.big_m, (bool, np.bool_)) or not np.isfinite(self.big_m) or self.big_m <= 0:
             raise ValueError(f"big_m must be a finite positive real, got {self.big_m}")
         object.__setattr__(self, "k", int(self.k))
 

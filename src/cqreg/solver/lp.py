@@ -38,12 +38,12 @@ first solve: after `solve` and then `add_rows`, `x` and the objective can
 differ from the fresh session's in their last bits (with the same
 iteration count), so branch-and-cut must not rely on it.
 
-`add_rows` appends `<=` rows given by their CSR arrays.  HiGHS keeps the
-last basis, with the new rows basic, so the next `solve` hot-starts from
-it instead of presolving and solving from scratch.  That solve reaches an
-optimum of the same model, but not necessarily the vertex a cold solve
-picks when there are several; `min_nonbasic_dual` tells a caller whether
-the optimum is unique.
+`add_rows` appends rows `a @ x <= 0` (Afriat rows) given by their CSR
+arrays.  HiGHS keeps the last basis, with the new rows basic, so the next
+`solve` hot-starts from it instead of presolving and solving from
+scratch.  That solve reaches an optimum of the same model, but not
+necessarily the vertex a cold solve picks when there are several;
+`min_nonbasic_dual` tells a caller whether the optimum is unique.
 Hot re-solves price with Devex instead of HiGHS's default dual steepest
 edge (Forrest and Goldfarb 1992): it takes more iterations, each of them
 cheaper.  The pricing rule only chooses the path to an optimum, so when
@@ -64,9 +64,14 @@ and cold solves in one session: a `solve(lower, upper)` after hot solves
 still gives a fresh session's bits, since it clears the solver first.
 
 A solve reads back only its status, iteration count, objective and `x`.
-The duals and the basis of the last optimal solve are read from HiGHS
-when `min_nonbasic_dual` or `dual_objective` asks for them, so a caller
-that certifies a fit pays for them and a branch-and-bound node does not.
+The session keeps no copy of the model: HiGHS holds its bounds, rows and
+point.  `duality_gap` is HiGHS's own primal-dual objective error
+|P - D| / (1 + |P| + |D|), and `min_nonbasic_dual` reads HiGHS's duals
+and basis, both when a caller asks, so a caller that certifies a fit pays
+for them and a branch-and-bound node does not.  Both need the last solve
+to be optimal with the model unchanged since; HiGHS resets its model
+status when rows are appended or bounds change, and that status is the
+guard.
 """
 
 from __future__ import annotations
@@ -135,31 +140,22 @@ class LpSession:
             raise ValueError("problem has a quadratic objective; use solve_qp")
         is_eq = problem.sense == "E"
         order = np.argsort(is_eq, kind="stable")  # the `<=` rows, then the `=` rows
-        self._lower = np.array(problem.lower, dtype=float)
-        self._upper = np.array(problem.upper, dtype=float)
-        self._row_upper = problem.rhs[order].astype(float)
-        self._le = ~is_eq[order]
-
+        # The `=` rows; appended rows follow them.
+        self._eq = slice(problem.n_rows - int(np.count_nonzero(is_eq)), problem.n_rows)
         self._highs = _core._Highs()
         for key, option in _OPTIONS:
             self._highs.setOptionValue(key, option)
-        self._x: np.ndarray | None = None  # x of the last solve, while it is optimal and current
         _pass_model(self._highs, problem, order)
 
-    def add_rows(
-        self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, rhs: np.ndarray
-    ) -> None:
-        """Append the rows a @ x <= rhs, `a` given by its CSR arrays (int32
+    def add_rows(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> None:
+        """Append the rows a @ x <= 0, `a` given by its CSR arrays (int32
         `indptr` and `indices`, float64 `data`); the next solve starts from
         the current basis and prices with Devex."""
-        m = rhs.shape[0]
+        m = indptr.size - 1
         self._highs.setOptionValue(_PRICING, _HOT_PRICING)
-        status = self._highs.addRows(m, np.full(m, -np.inf), rhs, data.size, indptr[:-1], indices, data)
+        status = self._highs.addRows(m, np.full(m, -np.inf), np.zeros(m), data.size, indptr[:-1], indices, data)
         if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the appended rows")
-        self._row_upper = np.concatenate([self._row_upper, rhs])
-        self._le = np.concatenate([self._le, np.ones(m, dtype=bool)])
-        self._x = None
 
     def solve(self, lower: np.ndarray | None = None, upper: np.ndarray | None = None) -> Solution:
         """Solve the model from the last basis when there is one.  Given
@@ -191,17 +187,12 @@ class LpSession:
         return self._highs.getBasis()
 
     def _set_bounds(self, lower: np.ndarray, upper: np.ndarray) -> None:
-        self._lower = np.array(lower, dtype=float)
-        self._upper = np.array(upper, dtype=float)
-        n_cols = self._lower.size
-        status = self._highs.changeColsBounds(
-            n_cols, np.arange(n_cols, dtype=np.int32), self._lower, self._upper
-        )
+        n_cols = len(lower)
+        status = self._highs.changeColsBounds(n_cols, np.arange(n_cols, dtype=np.int32), lower, upper)
         if status == _core.HighsStatus.kError:
             raise SolverError("HiGHS rejected the column bounds")
 
     def _run(self) -> Solution:
-        self._x = None
         self._highs.run()
         model_status = self._highs.getModelStatus()
         status = _STATUS.get(model_status)
@@ -210,42 +201,37 @@ class LpSession:
         iterations = int(self._highs.getInfoValue("simplex_iteration_count")[1])
         if status is not Status.OPTIMAL:
             return Solution(status, None, float("nan"), iterations)
-        self._x = np.array(self._highs.getSolution().col_value)
-        return Solution(status, self._x, self._highs.getObjectiveValue(), iterations)
+        x = np.array(self._highs.getSolution().col_value)
+        return Solution(status, x, self._highs.getObjectiveValue(), iterations)
 
-    def dual_objective(self) -> float:
-        """Objective of the dual point of the last solve, which must have been
-        optimal, with no rows appended since."""
-        col_dual, row_dual, cols, _ = self._duals()
-        # Nonbasic columns sit at the bound their reduced cost prices.
-        dual = float(self._row_upper @ row_dual)
-        return dual + float(col_dual[cols] @ self._x[cols])
+    def duality_gap(self) -> float:
+        """HiGHS's relative duality gap |P - D| / (1 + |P| + |D|) of the last
+        solve, which must have been optimal, with no rows appended since."""
+        self._check_current()
+        return float(self._highs.getInfoValue("primal_dual_objective_error")[1])
 
     def min_nonbasic_dual(self) -> float:
-        """Smallest |reduced cost| over the nonbasic columns that are not fixed
-        and the nonbasic `<=` rows of the last solve, which must have been
-        optimal, with no rows appended since (inf when there are none).
+        """Smallest |reduced cost| over the nonbasic columns and the nonbasic
+        `<=` rows of the last solve, which must have been optimal, with no
+        rows appended since (inf when there are none).
 
         When it is nonzero the basis is dual nondegenerate: moving any
         nonbasic variable off its bound raises the objective, so the basis's
-        vertex is the only optimum.
+        vertex is the only optimum.  A fixed column cannot move, so a model
+        with one can be unique with this reading zero; no caller has one.
         """
-        col_dual, row_dual, cols, rows = self._duals()
-        reduced = np.concatenate([col_dual[cols & (self._lower < self._upper)], row_dual[rows & self._le]])
-        return float(np.min(np.abs(reduced), initial=np.inf))
-
-    def _duals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Column and row duals of the last solve, and the masks of its
-        nonbasic columns and rows."""
-        if self._x is None:
-            raise SolverError("no optimal solve of the current model to read duals from")
+        self._check_current()
         solution = self._highs.getSolution()
         _, basic = self._highs.getBasicVariables()
-        cols = np.ones(self._lower.size, dtype=bool)
-        rows = np.ones(self._le.size, dtype=bool)
-        cols[basic[basic >= 0]] = False
-        rows[-1 - basic[basic < 0]] = False
-        return np.array(solution.col_dual), np.array(solution.row_dual), cols, rows
+        cols, rows = np.abs(solution.col_dual), np.abs(solution.row_dual)
+        cols[basic[basic >= 0]] = np.inf
+        rows[-1 - basic[basic < 0]] = np.inf
+        rows[self._eq] = np.inf
+        return float(min(cols.min(initial=np.inf), rows.min(initial=np.inf)))
+
+    def _check_current(self) -> None:
+        if self._highs.getModelStatus() != _core.HighsModelStatus.kOptimal:
+            raise SolverError("no optimal solve of the current model to read duals from")
 
 
 def solve_lp(problem: OptProblem) -> Solution:

@@ -111,6 +111,8 @@ class CVReport:
 
 def kfold_split(n: int, folds: int, seed: int) -> np.ndarray:
     """Random fold labels; sizes differ by at most one; deterministic per seed."""
+    if not (is_integer(n) and is_integer(folds)):
+        raise ValueError(f"n and folds must be integers, got n={n!r}, folds={folds!r}")
     if folds > n:
         raise ValueError(f"folds={folds} exceeds n={n}")
     if folds < 2:

@@ -419,21 +419,12 @@ class TestSolveFullLp:
             fit(make_instance(50, 4, seed=2), EstimatorSpec("quantile", 0.5))
 
     def test_open_duality_gap_is_not_returned(self, monkeypatch):
-        solve = cuts.LpSession.solve
-        objectives = []
-
-        def recorded(self, *args, **kwargs):
-            sol = solve(self, *args, **kwargs)
-            objectives.append(sol.objective)
-            return sol
-
-        def perturbed(self):
-            return objectives[-1] - 1e-8 * (1 + abs(objectives[-1]))
-
-        monkeypatch.setattr(cuts.LpSession, "solve", recorded)
-        monkeypatch.setattr(cuts.LpSession, "dual_objective", perturbed)
-        with pytest.raises(RuntimeError, match="relative duality gap 1e-08"):
-            fit(make_instance(50, 4, seed=2), EstimatorSpec("quantile", 0.5))
+        ds, spec = make_instance(50, 4, seed=2), EstimatorSpec("quantile", 0.5)
+        monkeypatch.setattr(cuts.LpSession, "duality_gap", lambda self: cuts._GAP_TOL)
+        assert fit(ds, spec).meta.status == "optimal"
+        monkeypatch.setattr(cuts.LpSession, "duality_gap", lambda self: 2 * cuts._GAP_TOL)
+        with pytest.raises(RuntimeError, match="relative duality gap 1e-09"):
+            fit(ds, spec)
 
 
 @pytest.mark.parametrize(

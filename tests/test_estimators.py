@@ -155,6 +155,35 @@ class TestFit:
         assert validate_fit(result, ds, tol=tol, big_m=big_m, k=k) == []
 
 
+def _repeated_input_row(seed: int) -> Dataset:
+    """make_instance(20, 3, seed) with row 1's inputs set to row 0's."""
+    ds = make_instance(20, 3, seed=seed)
+    inputs = ds.inputs.copy()
+    inputs[1] = inputs[0]
+    return Dataset(inputs, ds.output)
+
+
+class TestRepeatedInputRow:
+    # Equal inputs make the Afriat rows (0, 1) and (1, 0) state yhat_0 =
+    # yhat_1 as two inequalities, so the full CER master has no interior
+    # and the IPM stops at its cap (ROADMAP items 6 and 14).  The LP path,
+    # and the IPM on the data without the repeated row, fit.
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="no interior for the IPM (ROADMAP items 6 and 14)")
+    @pytest.mark.parametrize(
+        "seed, penalty", [(seed, None) for seed in range(6)] + [(1, L1Penalty(0.01)), (5, L1Penalty(0.01))]
+    )
+    def test_known_full_cer_fails(self, seed, penalty):
+        ds = _repeated_input_row(seed)
+        assert validate_fit(fit(ds, EstimatorSpec("expectile", 0.5, penalty=penalty)), ds) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cqr_and_the_unrepeated_cer_fit(self, seed):
+        ds = _repeated_input_row(seed)
+        assert validate_fit(fit(ds, EstimatorSpec("quantile", 0.5)), ds) == []
+        plain = make_instance(20, 3, seed=seed)
+        assert validate_fit(fit(plain, EstimatorSpec("expectile", 0.5)), plain) == []
+
+
 class TestSupport:
     def test_all_zero_beta_is_empty(self):
         assert support(fake_fit(np.zeros((4, 3)))) == frozenset()

@@ -381,6 +381,11 @@ class TestL1:
         with pytest.raises(ValueError):
             L1Penalty(-0.1)
 
+    @pytest.mark.parametrize("lam", [True, False, np.True_])
+    def test_rejects_a_boolean_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be a finite nonnegative real"):
+            L1Penalty(lam)
+
     def test_rejects_a_cardinality_model(self):
         mip = add_l0(build_cqr(make_instance(5, 2), 0.5, ALL_PAIRS), L0Penalty(1, 1.0))
         with pytest.raises(ValueError, match="cannot combine the shrinkage and cardinality penalties"):
@@ -451,6 +456,9 @@ class TestL0:
             with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}"):
                 L0Penalty(k, 1.0)
         assert L0Penalty(np.int64(2), 1.0).k == 2 and type(L0Penalty(np.int64(2), 1.0).k) is int
+        for big_m in (True, np.True_):
+            with pytest.raises(ValueError, match="big_m must be a finite positive real"):
+                L0Penalty(2, big_m)
         ds = make_instance(4, 2)
         with pytest.raises(ValueError):
             add_l0(build_cqr(ds, 0.5, ALL_PAIRS), L0Penalty(3, 1.0))

@@ -64,6 +64,41 @@ def lp(c, rows, sense, rhs, lower=None, upper=None, quad=None, integer=None):
     )
 
 
+def _dual_objective(session: LpSession, problem: OptProblem) -> float:
+    """Dual objective of the session's last solve, by hand: each row's dual
+    times its right-hand side (an appended row's is 0), plus each nonbasic
+    column's reduced cost times the bound its value sits at."""
+    rhs = problem.rhs[np.argsort(problem.sense == "E", kind="stable")]
+    solution = session._highs.getSolution()
+    _, basic = session._highs.getBasicVariables()
+    col_dual, row_dual, x = (np.array(v) for v in (solution.col_dual, solution.row_dual, solution.col_value))
+    cols = np.ones(col_dual.size, dtype=bool)
+    cols[basic[basic >= 0]] = False
+    return float(rhs @ row_dual[: rhs.size]) + float(col_dual[cols] @ x[cols])
+
+
+def _min_nonbasic_dual(session: LpSession, problem: OptProblem) -> float:
+    """Smallest |reduced cost| over the nonbasic columns that are not fixed
+    and the nonbasic `<=` rows of the session's last solve, by hand; every
+    row appended after `problem`'s is a `<=` row."""
+    solution = session._highs.getSolution()
+    _, basic = session._highs.getBasicVariables()
+    col_dual, row_dual = np.array(solution.col_dual), np.array(solution.row_dual)
+    appended = row_dual.size - problem.n_rows
+    le = np.concatenate([~np.sort(problem.sense == "E"), np.ones(appended, dtype=bool)])
+    cols = np.ones(col_dual.size, dtype=bool)
+    rows = np.ones(row_dual.size, dtype=bool)
+    cols[basic[basic >= 0]] = False
+    rows[-1 - basic[basic < 0]] = False
+    reduced = np.concatenate([col_dual[cols & (problem.lower < problem.upper)], row_dual[rows & le]])
+    return float(np.min(np.abs(reduced), initial=np.inf))
+
+
+def _duals(session: LpSession) -> tuple[np.ndarray, np.ndarray]:
+    solution = session._highs.getSolution()
+    return np.array(solution.col_dual), np.array(solution.row_dual)
+
+
 class TestSolveLp:
     def test_simple_minimum(self):
         # min x s.t. x >= 3  (as -x <= -3)
@@ -90,10 +125,13 @@ class TestSolveLp:
     @pytest.mark.parametrize("seed", range(5))
     def test_duality_gap(self, seed):
         ds = make_instance(10, 2, seed=seed)
-        session = LpSession(build_cqr(ds, 0.7, ALL_PAIRS))
+        problem = build_cqr(ds, 0.7, ALL_PAIRS)
+        session = LpSession(problem)
         sol = session.solve()
         assert sol.status is Status.OPTIMAL
-        assert session.dual_objective() == pytest.approx(sol.objective, abs=1e-6)
+        assert _dual_objective(session, problem) == pytest.approx(sol.objective, abs=1e-6)
+        # The gap is HiGHS's own measure, read after the solve.
+        assert session.duality_gap() == session._highs.getInfo().primal_dual_objective_error <= 1e-9
 
     @settings(max_examples=40)
     @given(
@@ -110,7 +148,10 @@ class TestSolveLp:
         session = LpSession(problem)
         sol = session.solve()
         assert sol.status is Status.OPTIMAL
-        assert abs(session.dual_objective() - sol.objective) <= 1e-9 * (1.0 + abs(sol.objective))
+        primal, dual = sol.objective, _dual_objective(session, problem)
+        assert abs(dual - primal) <= 1e-9 * (1.0 + abs(primal))
+        # HiGHS's gap is today's formula on HiGHS's scale, up to rounding.
+        assert session.duality_gap() == pytest.approx(abs(primal - dual) / (1 + abs(primal) + abs(dual)), abs=1e-13)
 
     def test_rejects_quadratic(self):
         ds = make_instance(4, 1)
@@ -286,23 +327,48 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         first = extract_fit(base, ds, session.solve())
         new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
         assert new
-        session.add_rows(*afriat_rows(ds, new), np.zeros(len(new)))
+        session.add_rows(*afriat_rows(ds, new))
         hot = session.solve()
         cold = solve_lp(add_l1(build_cqr(ds, 0.5, initial_constraints(ds) + new), L1Penalty(0.1)))
         assert hot.status is Status.OPTIMAL
         assert hot.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert session.dual_objective() == pytest.approx(hot.objective, abs=1e-6)
+        assert _dual_objective(session, base) == pytest.approx(hot.objective, abs=1e-6)
+        assert session.duality_gap() <= 1e-9
 
     def test_duals_are_read_only_after_an_optimal_solve_of_the_current_model(self):
         ds = make_instance(12, 2, seed=0)
         session = LpSession(build_cqr(ds, 0.5, initial_constraints(ds)))
-        with pytest.raises(SolverError, match="no optimal solve"):
-            session.dual_objective()
+        readers = (session.duality_gap, session.min_nonbasic_dual)
+        for read in readers:
+            with pytest.raises(SolverError, match="no optimal solve"):
+                read()
         assert session.solve().optimal
-        session.min_nonbasic_dual()
-        session.add_rows(*afriat_rows(ds, [(0, 1)]), np.zeros(1))
-        with pytest.raises(SolverError, match="no optimal solve"):
-            session.min_nonbasic_dual()
+        for read in readers:
+            read()
+        session.add_rows(*afriat_rows(ds, [(0, 1)]))
+        for read in readers:
+            with pytest.raises(SolverError, match="no optimal solve"):
+                read()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("lam", [None, 0.1])
+    def test_min_nonbasic_dual_matches_the_filtered_formula(self, seed, lam):
+        # The cut loop's CQR and L1-CQR masters have no fixed column, so
+        # the session's unfiltered reading is the filtered one, before and
+        # after appended rows.
+        ds = make_instance(30, 3, seed=seed)
+        base = build_cqr(ds, 0.5, initial_constraints(ds))
+        if lam is not None:
+            base = add_l1(base, L1Penalty(lam))
+        assert np.all(base.lower < base.upper) and np.any(base.sense == "E")
+        session = LpSession(base)
+        first = extract_fit(base, ds, session.solve())
+        assert session.min_nonbasic_dual() == _min_nonbasic_dual(session, base)
+        new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
+        assert new
+        session.add_rows(*afriat_rows(ds, new))
+        assert session.solve().optimal
+        assert session.min_nonbasic_dual() == _min_nonbasic_dual(session, base)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_new_bounds_after_add_rows_is_a_cold_solve(self, seed):
@@ -318,7 +384,7 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
         rows = afriat_rows(ds, new)
         session = LpSession(base)
-        session.add_rows(*rows, np.zeros(len(new)))
+        session.add_rows(*rows)
         assert session.solve().optimal
         lower, upper = base.lower.copy(), base.upper.copy()
         upper[base.layout.beta_all()] = 2.0
@@ -337,7 +403,8 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         assert got.iterations == want.iterations
         assert np.array_equal(got.x, want.x)
         assert got.objective == want.objective
-        assert session.dual_objective() == fresh.dual_objective()
+        for got_dual, want_dual in zip(_duals(session), _duals(fresh)):
+            assert np.array_equal(got_dual, want_dual)
 
     # Dual simplex prices with Devex (1) only in re-solves after add_rows: a
     # fresh session and a cold solve under new bounds use HiGHS's default
@@ -361,7 +428,7 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
         first = extract_fit(base, ds, session.solve())
         new = [(i, m) for i, m, _ in separate(afriat_slack(first.y_hat, first.beta, ds), 1e-6)]
         assert new
-        session.add_rows(*afriat_rows(ds, new), np.zeros(len(new)))
+        session.add_rows(*afriat_rows(ds, new))
         assert pricing(session) == 1
         assert session.solve().optimal
         assert pricing(session) == 1
@@ -403,7 +470,11 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
             if want.optimal:
                 assert np.array_equal(got.x, want.x)
                 assert got.objective == want.objective
-                assert session.dual_objective() == fresh.dual_objective()
+                for got_dual, want_dual in zip(_duals(session), _duals(fresh)):
+                    assert np.array_equal(got_dual, want_dual)
+            else:
+                with pytest.raises(SolverError, match="no optimal solve"):
+                    session.duality_gap()
         assert statuses[4:6] == [Status.INFEASIBLE, Status.OPTIMAL]
 
     def test_hot_solve_stops_at_its_objective_bound_only(self, small_noisy):
@@ -419,6 +490,8 @@ print(splu(csc_array([[2.0, 1.0], [1.0, 3.0]])).solve(np.array([3.0, 4.0])).toli
 
         cut = session.solve_hot(basis, lower, upper, (root.objective + cold.objective) / 2)
         assert cut.status is Status.CUTOFF and cut.x is None
+        with pytest.raises(SolverError, match="no optimal solve"):
+            session.duality_gap()
         hot = session.solve_hot(basis, lower, upper, np.inf)
         assert hot.optimal and hot.objective == pytest.approx(cold.objective, abs=1e-9)
         # The bound does not carry over: a cold solve after hot ones is a

@@ -28,6 +28,16 @@ class TestKfoldSplit:
         with pytest.raises(ValueError, match="need at least 2 folds"):
             kfold_split(4, folds, seed=0)
 
+    # A fractional fold count would give fractional labels, and a float n
+    # numpy's AxisError; both follow the package's one integer rule.
+    @pytest.mark.parametrize("n, folds", [(10, 2.5), (10, 3.0), (10.0, 3), (10, True), (np.float64(10), 2)])
+    def test_non_integer_n_or_folds_rejected(self, n, folds):
+        with pytest.raises(ValueError, match="n and folds must be integers"):
+            kfold_split(n, folds, seed=0)
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(kfold_split(np.int64(10), np.int32(3), seed=0), kfold_split(10, 3, seed=0))
+
 
 def flat_fit(alpha: float) -> FitResult:
     """One flat hyperplane at height alpha."""

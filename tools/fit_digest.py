@@ -5,12 +5,13 @@ source trees fit bit for bit the same.
 
 Runs the workload functions of bench/workloads.py on each seed and
 replication, records every result of `estimators.fit` and `tuning.fit`
-through bench/instrument.py's FitRecorder, and prints one line per
-workload: the fit count and a sha256 over each fit's label, arrays,
-objective, status, iterations, nodes, constraints and unproven count (a
-failed fit contributes its error text).  Wall times are left out.  It
-imports `src/` and `bench/` of the tree it sits in, so to compare two
-trees, run a copy of it in each.
+through bench/instrument.py's FitRecorder, and prints per workload one
+line per seed and then the workload's total line.  Each line gives the
+fit count and a sha256 over each fit's label, arrays, objective, status,
+iterations, nodes, constraints and unproven count (a failed fit
+contributes its error text), so a digest that differs names its seed.
+Wall times are left out.  It imports `src/` and `bench/` of the tree it
+sits in, so to compare two trees, run a copy of it in each.
 """
 
 from __future__ import annotations
@@ -51,11 +52,12 @@ def _hash_fit(sha, record) -> None:
     sha.update(repr([getattr(result.meta, name) for name in META]).encode())
 
 
-def digest(workload: str, seeds, reps) -> tuple[int, str]:
-    """(fit count, sha256 hex digest) over the fits of `workload` at each
-    seed and replication, in run order."""
+def digest_lines(workload: str, seeds, reps):
+    """Yield one line per seed, with its fit count and a sha256 over its
+    fits, then the workload's line: the fit count and a sha256 over the
+    fits of every seed and replication, in run order."""
     instrument, workloads = _import_bench()
-    sha = hashlib.sha256()
+    total = hashlib.sha256()
     count = 0
     for seed in seeds:
         recorder = instrument.FitRecorder()
@@ -67,11 +69,14 @@ def digest(workload: str, seeds, reps) -> tuple[int, str]:
                 runner.run_rep(rep, workloads.instances(workload, seed, rep, lambda n: n))
         finally:
             patches.restore()
-        sha.update(f"seed {seed}".encode())
+        one = hashlib.sha256()
+        total.update(f"seed {seed}".encode())
         for record in recorder.records:
-            _hash_fit(sha, record)
+            _hash_fit(one, record)
+            _hash_fit(total, record)
         count += len(recorder.records)
-    return count, sha.hexdigest()
+        yield f"{workload} seed={seed} fits={len(recorder.records)} sha256={one.hexdigest()}"
+    yield f"{workload} fits={count} sha256={total.hexdigest()}"
 
 
 def _int_range(text: str) -> list[int]:
@@ -91,8 +96,8 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=_int_range, default=[0], help="replications, e.g. 0-1")
     args = parser.parse_args(argv)
     for name in args.workloads:
-        count, hexdigest = digest(name, args.seeds, args.reps)
-        print(f"{name} fits={count} sha256={hexdigest}", flush=True)
+        for line in digest_lines(name, args.seeds, args.reps):
+            print(line, flush=True)
     return 0
 
 
